@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DataError, NumericError
-from .stat_core import mvn_logpdf
+from .stat_core import CHUNK_BUDGET, LOG_2PI, mvn_logpdf
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -18,7 +18,6 @@ DEFAULT_REG = 1e-6
 
 _GMM_GRID = (1, 2, 4, 8, 16)
 _KDE_GRID = (0.5, 1.0, 2.0)
-_CHUNK_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -172,11 +171,6 @@ def gmm_loglik_rows(model: GmmModel, data) -> np.ndarray:
     return logsumexp(_component_logpdfs(x, model), axis=1)
 
 
-def gmm_loglik(model: GmmModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(gmm_loglik_rows(model, x[None, :])[0])
-
-
 def _silverman_multi(data: np.ndarray, multiplier: float) -> np.ndarray:
     n, d = data.shape
     spread = data.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
@@ -196,28 +190,20 @@ def fit_kde_multi(data, multiplier: float = 1.0) -> KdeModel:
     return KdeModel(centers=x, bandwidths=_silverman_multi(x, multiplier))
 
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
 def kde_loglik_rows(model: KdeModel, data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise DataError(f"expected {model.dim} columns")
     n_centers, d = model.centers.shape
     h = model.bandwidths
-    log_norm = float(np.log(h).sum() + d * _LOG_SQRT_2PI + np.log(n_centers))
+    log_norm = float(np.log(h).sum() + 0.5 * d * LOG_2PI + np.log(n_centers))
     out = np.empty(x.shape[0])
-    step = max(1, _CHUNK_BUDGET // max(1, n_centers * d))
+    step = max(1, CHUNK_BUDGET // max(1, n_centers * d))
     for lo in range(0, x.shape[0], step):
         hi = min(lo + step, x.shape[0])
         z = (x[lo:hi, None, :] - model.centers[None, :, :]) / h
         out[lo:hi] = logsumexp(-0.5 * np.sum(z * z, axis=2), axis=1) - log_norm
     return out
-
-
-def kde_loglik(model: KdeModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(kde_loglik_rows(model, x[None, :])[0])
 
 
 def _validation_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -178,124 +180,209 @@ def _marginal_from_dict(d: dict) -> MarginalModel:
     )
 
 
-def _mask_to_dict(mask) -> dict:
-    if isinstance(mask, BernoulliMask):
-        return {"type": "bernoulli", "q": np.asarray(mask.q, dtype=float).tolist()}
+def _fields_to_dict(obj) -> dict:
+    """Every dataclass field of obj as (nested) lists of floats."""
     return {
-        "type": "rbm",
-        "weights": np.asarray(mask.weights, dtype=float).tolist(),
-        "visible_bias": np.asarray(mask.visible_bias, dtype=float).tolist(),
-        "hidden_bias": np.asarray(mask.hidden_bias, dtype=float).tolist(),
-        "log_z": float(mask.log_z),
+        f.name: np.asarray(getattr(obj, f.name), dtype=float).tolist()
+        for f in dataclasses.fields(obj)
     }
+
+
+def _fields_from_dict(cls, d: dict):
+    return cls(**{f.name: np.asarray(d[f.name], dtype=float) for f in dataclasses.fields(cls)})
+
+
+_MASK_TYPES = {BernoulliMask: "bernoulli", RbmMask: "rbm"}
+
+
+def _mask_to_dict(mask) -> dict:
+    return {"type": _MASK_TYPES[type(mask)], **_fields_to_dict(mask)}
 
 
 def _mask_from_dict(d: dict):
     if d["type"] == "bernoulli":
-        return BernoulliMask(q=np.asarray(d["q"], dtype=float))
+        return _fields_from_dict(BernoulliMask, d)
     if d["type"] != "rbm":
         raise DataError(f"unknown mask type: {d['type']!r}")
-    weights = np.asarray(d["weights"], dtype=float)
-    visible_bias = np.asarray(d["visible_bias"], dtype=float)
-    hidden_bias = np.asarray(d["hidden_bias"], dtype=float)
-    stored = float(d["log_z"])
-    recomputed = compute_log_z(weights, visible_bias, hidden_bias)
-    if abs(recomputed - stored) > 1e-9:
+    mask = _fields_from_dict(RbmMask, d)
+    recomputed = compute_log_z(mask.weights, mask.visible_bias, mask.hidden_bias)
+    if abs(recomputed - mask.log_z) > 1e-9:
         raise DataError(
             "model file corrupt: stored log_Z "
-            f"{stored!r} does not match its parameters ({recomputed!r})"
+            f"{mask.log_z!r} does not match its parameters ({recomputed!r})"
         )
-    return RbmMask(
-        weights=weights,
-        visible_bias=visible_bias,
-        hidden_bias=hidden_bias,
-        log_z=stored,
+    return mask
+
+
+def _zicar_to_dict(model: ZicarModel) -> dict:
+    return {
+        "marginals": [_marginal_to_dict(m) for m in model.marginals],
+        "mask": _mask_to_dict(model.mask),
+        "sigma": model.sigma.tolist(),
+        "rescales": model.rescales.tolist(),
+    }
+
+
+def _zicar_from_dict(d: dict) -> ZicarModel:
+    return ZicarModel(
+        marginals=tuple(_marginal_from_dict(m) for m in d["marginals"]),
+        mask=_mask_from_dict(d["mask"]),
+        sigma=np.asarray(d["sigma"], dtype=float),
+        rescales=np.asarray(d["rescales"], dtype=float),
     )
 
 
+def _zibt_to_dict(model: ZibtModel) -> dict:
+    return {
+        "marginals": [_marginal_to_dict(m) for m in model.marginals],
+        "sigma": model.copula.sigma.tolist(),
+        "thresholds": [_finite_or_none(a) for a in model.copula.a],
+        "rescales": model.rescales.tolist(),
+        "likelihood_mode": model.likelihood_mode,
+    }
+
+
+def _zibt_from_dict(d: dict) -> ZibtModel:
+    return ZibtModel(
+        marginals=tuple(_marginal_from_dict(m) for m in d["marginals"]),
+        copula=RgdParams(
+            sigma=np.asarray(d["sigma"], dtype=float),
+            a=np.array([_threshold_from_json(v) for v in d["thresholds"]]),
+        ),
+        rescales=np.asarray(d["rescales"], dtype=float),
+        likelihood_mode=d["likelihood_mode"],
+    )
+
+
+def _fit_zicar(args, data) -> ZicarModel:
+    return fit_zicar(
+        data,
+        mask_kind=args.mask,
+        use_mle_sigma=not args.no_mle,
+        use_rescale=not args.no_rescale,
+        n_hidden=args.n_hidden,
+        seed=int(args.seed),
+        bandwidth_scale=float(args.bandwidth_scale),
+    )
+
+
+def _fit_zibt(args, data) -> ZibtModel:
+    return fit_zibt(
+        data,
+        use_mle_sigma=not args.no_mle,
+        use_rescale=not args.no_rescale,
+        likelihood_mode=args.likelihood,
+        bandwidth_scale=float(args.bandwidth_scale),
+    )
+
+
+def _fit_gmm(args, data) -> GmmModel:
+    if args.k is None:
+        return tune_gmm(data, seed=int(args.seed))
+    return fit_gmm(data, int(args.k), seed=int(args.seed))
+
+
+def _fit_kde(args, data) -> KdeModel:
+    if args.bandwidth_mult is None:
+        return tune_kde(data, seed=int(args.seed))
+    return fit_kde_multi(data, multiplier=float(args.bandwidth_mult))
+
+
+def _describe_copula(model, sigma) -> list:
+    return [
+        f"q: {_format_vector([m.q for m in model.marginals])}",
+        f"sigma condition number: {np.linalg.cond(sigma):.6g}",
+        f"rescale factors: {_format_vector(model.rescales)}",
+    ]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Kind:
+    """Everything the command line does with one model kind."""
+
+    type: type
+    fit: Callable  # (args, data) -> model
+    loglik_rows: Callable  # (model, data, args) -> log-likelihood per row
+    describe: Callable  # model -> summary lines printed by fit
+    to_dict: Callable  # model -> JSON fields besides schema_version and kind
+    from_dict: Callable  # payload -> model
+
+
+_KINDS = {
+    "zicar": _Kind(
+        type=ZicarModel,
+        fit=_fit_zicar,
+        loglik_rows=lambda model, data, args: zicar_loglik_rows(model, data),
+        describe=lambda model: _describe_copula(model, model.sigma),
+        to_dict=_zicar_to_dict,
+        from_dict=_zicar_from_dict,
+    ),
+    "zibt": _Kind(
+        type=ZibtModel,
+        fit=_fit_zibt,
+        loglik_rows=lambda model, data, args: zibt_loglik_rows(
+            model, data, mc_samples=int(args.mc_samples), base_seed=int(args.seed)
+        ),
+        describe=lambda model: _describe_copula(model, model.copula.sigma),
+        to_dict=_zibt_to_dict,
+        from_dict=_zibt_from_dict,
+    ),
+    "gmm": _Kind(
+        type=GmmModel,
+        fit=_fit_gmm,
+        loglik_rows=lambda model, data, args: gmm_loglik_rows(model, data),
+        describe=lambda model: [
+            f"components: {model.k}, weights: {_format_vector(model.weights)}"
+        ],
+        to_dict=_fields_to_dict,
+        from_dict=lambda d: _fields_from_dict(GmmModel, d),
+    ),
+    "kde": _Kind(
+        type=KdeModel,
+        fit=_fit_kde,
+        loglik_rows=lambda model, data, args: kde_loglik_rows(model, data),
+        describe=lambda model: [f"bandwidths: {_format_vector(model.bandwidths)}"],
+        to_dict=_fields_to_dict,
+        from_dict=lambda d: _fields_from_dict(KdeModel, d),
+    ),
+}
+_KIND_OF_TYPE = {entry.type: kind for kind, entry in _KINDS.items()}
+
+
+def _entry(kind) -> _Kind | None:
+    """Table entry of a kind name; None for unknown names and non-strings."""
+    return _KINDS.get(kind) if isinstance(kind, str) else None
+
+
+def _kind_of(model) -> str:
+    kind = _KIND_OF_TYPE.get(type(model))
+    if kind is None:
+        raise ValueError(f"not a model: {type(model).__name__}")
+    return kind
+
+
 def model_to_dict(model) -> dict:
-    if isinstance(model, ZicarModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "zicar",
-            "marginals": [_marginal_to_dict(m) for m in model.marginals],
-            "mask": _mask_to_dict(model.mask),
-            "sigma": model.sigma.tolist(),
-            "rescales": model.rescales.tolist(),
-        }
-    if isinstance(model, ZibtModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "zibt",
-            "marginals": [_marginal_to_dict(m) for m in model.marginals],
-            "sigma": model.copula.sigma.tolist(),
-            "thresholds": [_finite_or_none(a) for a in model.copula.a],
-            "rescales": model.rescales.tolist(),
-            "likelihood_mode": model.likelihood_mode,
-        }
-    if isinstance(model, GmmModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "gmm",
-            "weights": model.weights.tolist(),
-            "means": model.means.tolist(),
-            "covariances": model.covariances.tolist(),
-        }
-    if isinstance(model, KdeModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "kde",
-            "centers": model.centers.tolist(),
-            "bandwidths": model.bandwidths.tolist(),
-        }
-    raise ValueError(f"cannot serialize {type(model).__name__}")
+    kind = _kind_of(model)
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **_KINDS[kind].to_dict(model)}
 
 
 def model_from_dict(payload) -> object:
+    """Rebuild a model from its JSON payload; any malformed field is a DataError."""
     if not isinstance(payload, dict):
         raise DataError("model file must contain a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported schema_version: {version!r}")
     kind = payload.get("kind")
+    entry = _entry(kind)
+    if entry is None:
+        raise DataError(f"unknown model kind: {kind!r}")
     try:
-        if kind == "zicar":
-            return ZicarModel(
-                marginals=tuple(
-                    _marginal_from_dict(m) for m in payload["marginals"]
-                ),
-                mask=_mask_from_dict(payload["mask"]),
-                sigma=np.asarray(payload["sigma"], dtype=float),
-                rescales=np.asarray(payload["rescales"], dtype=float),
-            )
-        if kind == "zibt":
-            return ZibtModel(
-                marginals=tuple(
-                    _marginal_from_dict(m) for m in payload["marginals"]
-                ),
-                copula=RgdParams(
-                    sigma=np.asarray(payload["sigma"], dtype=float),
-                    a=np.array(
-                        [_threshold_from_json(v) for v in payload["thresholds"]]
-                    ),
-                ),
-                rescales=np.asarray(payload["rescales"], dtype=float),
-                likelihood_mode=payload["likelihood_mode"],
-            )
-        if kind == "gmm":
-            return GmmModel(
-                weights=np.asarray(payload["weights"], dtype=float),
-                means=np.asarray(payload["means"], dtype=float),
-                covariances=np.asarray(payload["covariances"], dtype=float),
-            )
-        if kind == "kde":
-            return KdeModel(
-                centers=np.asarray(payload["centers"], dtype=float),
-                bandwidths=np.asarray(payload["bandwidths"], dtype=float),
-            )
+        return entry.from_dict(payload)
     except KeyError as exc:
-        raise DataError(f"model file missing field: {exc.args[0]!r}")
-    raise DataError(f"unknown model kind: {kind!r}")
+        raise DataError(f"model file missing field: {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed {kind} model file: {exc}") from None
 
 
 def save_model(path, model) -> None:
@@ -387,56 +474,15 @@ def cmd_fit(args) -> None:
         required=("data", "model", "out"),
     )
     data = read_data_csv(args.data, clip_negatives=args.clip_negatives)
-    seed = int(args.seed)
-
-    if args.model == "zicar":
-        model = fit_zicar(
-            data,
-            mask_kind=args.mask,
-            use_mle_sigma=not args.no_mle,
-            use_rescale=not args.no_rescale,
-            n_hidden=args.n_hidden,
-            seed=seed,
-            bandwidth_scale=float(args.bandwidth_scale),
-        )
-        sigma = model.sigma
-    elif args.model == "zibt":
-        model = fit_zibt(
-            data,
-            use_mle_sigma=not args.no_mle,
-            use_rescale=not args.no_rescale,
-            likelihood_mode=args.likelihood,
-            bandwidth_scale=float(args.bandwidth_scale),
-        )
-        sigma = model.copula.sigma
-    elif args.model == "gmm":
-        model = (
-            tune_gmm(data, seed=seed)
-            if args.k is None
-            else fit_gmm(data, int(args.k), seed=seed)
-        )
-        sigma = None
-    elif args.model == "kde":
-        model = (
-            tune_kde(data, seed=seed)
-            if args.bandwidth_mult is None
-            else fit_kde_multi(data, multiplier=float(args.bandwidth_mult))
-        )
-        sigma = None
-    else:
+    entry = _entry(args.model)
+    if entry is None:
         raise _UsageError(f"unknown model kind: {args.model!r}")
-
+    model = entry.fit(args, data)
     save_model(args.out, model)
     print(f"model: {args.model}")
     print(f"rows: {data.shape[0]}, columns: {data.shape[1]}")
-    if sigma is not None:
-        print(f"q: {_format_vector([m.q for m in model.marginals])}")
-        print(f"sigma condition number: {np.linalg.cond(sigma):.6g}")
-        print(f"rescale factors: {_format_vector(model.rescales)}")
-    elif isinstance(model, GmmModel):
-        print(f"components: {model.k}, weights: {_format_vector(model.weights)}")
-    else:
-        print(f"bandwidths: {_format_vector(model.bandwidths)}")
+    for line in entry.describe(model):
+        print(line)
     print(f"wrote model to {args.out}")
 
 
@@ -454,16 +500,7 @@ def cmd_score(args) -> None:
     )
     model = load_model(args.model)
     data = read_data_csv(args.data, clip_negatives=args.clip_negatives)
-    if isinstance(model, ZicarModel):
-        nll = -zicar_loglik_rows(model, data)
-    elif isinstance(model, ZibtModel):
-        nll = -zibt_loglik_rows(
-            model, data, mc_samples=int(args.mc_samples), base_seed=int(args.seed)
-        )
-    elif isinstance(model, GmmModel):
-        nll = -gmm_loglik_rows(model, data)
-    else:
-        nll = -kde_loglik_rows(model, data)
+    nll = -_KINDS[_kind_of(model)].loglik_rows(model, data, args)
     write_scores_csv(args.out, nll)
     print(f"wrote {nll.size} scores to {args.out}")
 
@@ -620,7 +657,7 @@ def build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     common(p_fit)
     p_fit.add_argument("--data", help="training CSV (header row required)")
-    p_fit.add_argument("--model", choices=("zicar", "zibt", "gmm", "kde"))
+    p_fit.add_argument("--model", choices=tuple(_KINDS))
     p_fit.add_argument("--out", help="model file to write")
     p_fit.add_argument("--mask", choices=("bernoulli", "rbm"), help="zicar mask family")
     p_fit.add_argument("--likelihood", choices=("exact", "approx"), help="zibt scoring mode")

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .stat_core import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .stat_core import CHUNK_BUDGET, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
-# Evaluation chunk cap: rows * centers per block, keeps memory modest.
-_CHUNK_BUDGET = 4_000_000
+# Both copula models refuse to fit fewer training rows than this.
+MIN_FIT_ROWS = 50
 
 # omega stays finite for out-of-range points by clamping the CDF here.
 CDF_FLOOR = 1e-9
@@ -35,6 +35,16 @@ class MarginalModel:
     bandwidth: float
     rescale_b: float
     a: float
+
+    def __post_init__(self) -> None:
+        centers = np.asarray(self.kde_centers, dtype=float)
+        if centers.ndim != 1 or centers.size == 0 or not np.isfinite(centers).all():
+            raise ValueError("kde_centers must be a nonempty vector of finite values")
+        if not 0.0 <= self.q < 1.0:
+            raise ValueError("zero rate q must lie in [0, 1)")
+        if not (self.bandwidth > 0 and self.rescale_b > 0):
+            raise ValueError("bandwidth and rescale_b must be positive")
+        object.__setattr__(self, "kde_centers", centers)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -76,7 +86,7 @@ def fit_marginal(column, bandwidth_scale: float = 1.0) -> MarginalModel:
 
 
 def _chunked(n_points: int, n_centers: int):
-    step = max(1, _CHUNK_BUDGET // max(1, n_centers))
+    step = max(1, CHUNK_BUDGET // max(1, n_centers))
     for start in range(0, n_points, step):
         yield start, min(n_points, start + step)
 

@@ -16,16 +16,13 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import DataError
-from .rgd_copula import ZeroPattern
+from .stat_core import LOG_PROB_FLOOR
 
 logger = logging.getLogger(__name__)
 
-MASK_PROB_FLOOR = 1e-15
 MAX_EXACT_DIM = 20
 CD_BATCH_SIZE = 64
 _ENUM_CHUNK = 1 << 16
-
-_LOG_FLOOR = float(np.log(MASK_PROB_FLOOR))
 
 
 def binarize(data: np.ndarray) -> np.ndarray:
@@ -216,14 +213,6 @@ def fit_rbm(
                    hidden_bias=hidden_bias, log_z=log_z)
 
 
-def _pattern_to_mask(pattern: ZeroPattern, dim: int) -> np.ndarray:
-    if pattern.dim != dim:
-        raise ValueError("pattern dimension does not match the mask model")
-    mask = np.ones(dim)
-    mask[list(pattern.zero_set)] = 0.0
-    return mask
-
-
 def mask_logprob_rows(model: BernoulliMask | RbmMask, masks: np.ndarray) -> np.ndarray:
     """Floored log mask probabilities for each binary row."""
     arr = _validate_binary(masks, "mask_logprob_rows")
@@ -242,11 +231,4 @@ def mask_logprob_rows(model: BernoulliMask | RbmMask, masks: np.ndarray) -> np.n
                             model.hidden_bias, arr) - model.log_z
     else:
         raise TypeError("model must be a BernoulliMask or RbmMask")
-    return np.maximum(logp, _LOG_FLOOR)
-
-
-def mask_logprob(model: BernoulliMask | RbmMask, pattern: ZeroPattern) -> float:
-    """Floored log probability of one zero pattern."""
-    dim = model.dim if isinstance(model, BernoulliMask) else model.n_visible
-    mask = _pattern_to_mask(pattern, dim)
-    return float(mask_logprob_rows(model, mask[None, :])[0])
+    return np.maximum(logp, LOG_PROB_FLOOR)

@@ -5,8 +5,9 @@ Zeros in the data correspond to coordinates stuck at their thresholds, and the
 law marginalizes to any coordinate subset, which is what makes the pairwise
 maximum-likelihood estimation of Sigma work. This module provides sampling,
 the four-branch bivariate likelihood, pairwise correlation estimation, full
-matrix assembly, the copula log-density in exact and approximate forms, and
-zero-pattern probabilities.
+matrix assembly, zero-pattern probabilities, and ``copula_loglik_rows``: the
+one copula log-density kernel, batched by zero pattern, that both models
+score with (the exact form adds the rectified-block orthant term).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import DataError, NumericError
 from .stat_core import (
+    LOG_2PI,
     ConditionalGaussian,
     bivariate_normal_cdf,
     clamp_probability,
@@ -29,9 +31,8 @@ from .stat_core import (
     std_normal_cdf,
     std_normal_logcdf,
     std_normal_logpdf,
+    sub_seed,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 RHO_BRACKET = 0.9999
 GRID_POINTS = 41
@@ -78,12 +79,6 @@ class ZeroPattern:
         object.__setattr__(self, "zero_set", zero)
         object.__setattr__(self, "positive_set", pos)
 
-    @classmethod
-    def from_zero_mask(cls, mask) -> "ZeroPattern":
-        mask = np.asarray(mask, dtype=bool)
-        idx = np.arange(mask.size)
-        return cls(zero_set=tuple(idx[mask]), positive_set=tuple(idx[~mask]))
-
     @property
     def dim(self) -> int:
         return len(self.zero_set) + len(self.positive_set)
@@ -105,7 +100,7 @@ def _log_bivariate_density(w_i, w_j, rho: float):
     """log of the bivariate standard normal density at (w_i, w_j)."""
     om = 1.0 - rho * rho
     quad = (w_i * w_i - 2.0 * rho * w_i * w_j + w_j * w_j) / om
-    return -_LOG_2PI - 0.5 * math.log(om) - 0.5 * quad
+    return -LOG_2PI - 0.5 * math.log(om) - 0.5 * quad
 
 
 def _log_mixed_branch(w_obs, a_zero: float, rho: float):
@@ -135,13 +130,29 @@ def pair_loglik(
         raise ValueError("correlation must satisfy |rho| < 1")
     zi = (w_i == a_i) if zero_i is None else bool(zero_i)
     zj = (w_j == a_j) if zero_j is None else bool(zero_j)
-    if zi and zj:
-        return float(np.log(clamp_probability(bivariate_normal_cdf(a_i, a_j, rho))))
-    if zi:
-        return float(_log_mixed_branch(w_j, a_i, rho))
-    if zj:
-        return float(_log_mixed_branch(w_i, a_j, rho))
-    return float(_log_bivariate_density(w_i, w_j, rho))
+    branches = _pair_branches(
+        np.array([w_i], dtype=float),
+        np.array([w_j], dtype=float),
+        np.array([zi]),
+        np.array([zj]),
+        a_i,
+        a_j,
+    )
+    return _pair_total_loglik(rho, *branches)
+
+
+def _pair_branches(w_i, w_j, zi, zj, a_i, a_j) -> tuple:
+    """Split paired samples into the arguments of _pair_total_loglik."""
+    both_pos = ~zi & ~zj
+    return (
+        int((zi & zj).sum()),
+        w_j[zi & ~zj],
+        w_i[~zi & zj],
+        w_i[both_pos],
+        w_j[both_pos],
+        float(a_i),
+        float(a_j),
+    )
 
 
 def _pair_total_loglik(
@@ -154,6 +165,8 @@ def _pair_total_loglik(
     a_i: float,
     a_j: float,
 ) -> float:
+    """Summed four-branch log-likelihood: both rectified (orthant mass), one
+    rectified (density of the other times a conditional CDF), none (density)."""
     total = 0.0
     if n00:
         total += n00 * math.log(clamp_probability(bivariate_normal_cdf(a_i, a_j, rho)))
@@ -200,18 +213,7 @@ def estimate_rho(
             raise NumericError("sample correlation undefined (constant coordinate)")
         return float(np.clip(corr, -RHO_BRACKET, RHO_BRACKET))
 
-    i_only = zi & ~zj
-    j_only = ~zi & zj
-    both_pos = ~zi & ~zj
-    args = (
-        int(both_zero.sum()),
-        w_j[i_only],
-        w_i[j_only],
-        w_i[both_pos],
-        w_j[both_pos],
-        float(a_i),
-        float(a_j),
-    )
+    args = _pair_branches(w_i, w_j, zi, zj, a_i, a_j)
 
     grid = np.linspace(-RHO_BRACKET, RHO_BRACKET, GRID_POINTS)
     values = np.array([_pair_total_loglik(r, *args) for r in grid])
@@ -275,102 +277,82 @@ def assemble_sigma(
     return repair_correlation(sigma)
 
 
-def _check_pattern(params: RgdParams, omega: np.ndarray, pattern: ZeroPattern) -> None:
-    if pattern.dim != params.dim or omega.shape != (params.dim,):
-        raise ValueError("pattern/omega dimension mismatch")
-    for i in pattern.zero_set:
-        if not math.isfinite(params.a[i]):
-            raise ValueError(
-                f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
-            )
-        if omega[i] != params.a[i]:
-            raise ValueError(f"omega[{i}] does not sit at its threshold")
-    for j in pattern.positive_set:
-        # Equality is tolerated: the CDF clamp can collapse an extreme small
-        # positive onto the threshold even though the datum is not a zero.
-        if omega[j] < params.a[j]:
-            raise ValueError(f"omega[{j}] must not fall below its threshold")
-
-
-def _conditional_orthant_logprob(
-    params: RgdParams,
-    omega: np.ndarray,
-    pattern: ZeroPattern,
-    mc_samples: int,
-    seed: int,
+def _orthant_logprob(
+    cond: ConditionalGaussian, a_zero: np.ndarray, mc_samples: int, seed: int
 ) -> float:
-    """log P(nu_zero <= a_zero | omega on the positive set)."""
-    zero = list(pattern.zero_set)
-    pos = list(pattern.positive_set)
-    if not zero:
-        return 0.0
-    if pos:
-        cond = conditional_gaussian(params.sigma, pos, omega[pos])
-    else:
-        cond = ConditionalGaussian(
-            mean=np.zeros(len(zero)),
-            cov=params.sigma[np.ix_(zero, zero)],
-        )
-    bounds = params.a[zero]
-    if len(zero) == 1:
+    """log P(nu <= a_zero) for nu ~ cond, the rectified block given the rest."""
+    if a_zero.size == 1:
         sd = math.sqrt(max(float(cond.cov[0, 0]), 1e-300))
-        return float(std_normal_logcdf((bounds[0] - cond.mean[0]) / sd))
-    if len(zero) == 2:
+        return float(std_normal_logcdf((a_zero[0] - cond.mean[0]) / sd))
+    if a_zero.size == 2:
         s0 = math.sqrt(max(float(cond.cov[0, 0]), 1e-300))
         s1 = math.sqrt(max(float(cond.cov[1, 1]), 1e-300))
         r = float(np.clip(cond.cov[0, 1] / (s0 * s1), -1 + 1e-12, 1 - 1e-12))
         p = bivariate_normal_cdf(
-            (bounds[0] - cond.mean[0]) / s0,
-            (bounds[1] - cond.mean[1]) / s1,
+            (a_zero[0] - cond.mean[0]) / s0,
+            (a_zero[1] - cond.mean[1]) / s1,
             r,
         )
         return float(np.log(clamp_probability(p)))
-    est = mvn_orthant_mc(cond, bounds, mc_samples, seed)
+    est = mvn_orthant_mc(cond, a_zero, mc_samples, seed)
     return float(np.log(clamp_probability(est.estimate)))
 
 
-def copula_logdensity_exact(
-    params: RgdParams,
+def copula_loglik_rows(
+    sigma,
+    a,
     omega,
-    pattern: ZeroPattern,
+    positive,
+    exact: bool = False,
     mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> float:
-    """Exact copula log-density of one observation under the rectified law.
+    base_seed: int = 0,
+) -> np.ndarray:
+    """Gaussian-copula log-density of each row, grouped by zero pattern.
 
-    Dense Gaussian term on the positive block, a conditional orthant term for
-    the rectified block (closed form up to two rectified coordinates, Monte
-    Carlo beyond), normalized by the univariate zero masses and densities.
+    ``positive`` marks the coordinates that are not rectified; omega is read
+    only there. Each pattern costs one batched term on its positive block,
+    log N(omega_pos; 0, sigma_pos) - sum log phi(omega_pos), skipped for a
+    single coordinate, where it is 0 under a unit diagonal. That is the
+    approximate form. The exact form (which reads the thresholds ``a``) adds
+    each row's orthant term log P(nu_zero <= a_zero | nu_pos = omega_pos),
+    closed form up to two zeros and Monte Carlo seeded by
+    sub_seed(base_seed, row index) beyond, minus sum log Phi(a_zero).
     """
+    sigma = np.asarray(sigma, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    _check_pattern(params, omega, pattern)
-    pos = list(pattern.positive_set)
-    zero = list(pattern.zero_set)
-    total = 0.0
-    if pos:
-        sub = params.sigma[np.ix_(pos, pos)]
-        total += float(mvn_logpdf(omega[pos], sub))
-        total -= float(np.sum(std_normal_logpdf(omega[pos])))
-    total += _conditional_orthant_logprob(params, omega, pattern, mc_samples, seed)
-    if zero:
-        total -= float(np.sum(std_normal_logcdf(params.a[zero])))
-    return total
-
-
-def copula_logdensity_approx(params: RgdParams, omega, pattern: ZeroPattern) -> float:
-    """Approximate copula log-density: the conditional orthant term is dropped.
-
-    Polynomial in the positive-block size; correlations involving rectified
-    coordinates are partially neglected. Empty positive set returns 0.
-    """
-    omega = np.asarray(omega, dtype=float)
-    _check_pattern(params, omega, pattern)
-    pos = list(pattern.positive_set)
-    if not pos:
-        return 0.0
-    sub = params.sigma[np.ix_(pos, pos)]
-    total = float(mvn_logpdf(omega[pos], sub))
-    total -= float(np.sum(std_normal_logpdf(omega[pos])))
+    positive = np.asarray(positive, dtype=bool)
+    n, d = omega.shape
+    if sigma.shape != (d, d) or positive.shape != omega.shape:
+        raise ValueError("sigma, omega and the positive mask disagree in shape")
+    if exact:
+        a = np.asarray(a, dtype=float)
+        if a.shape != (d,):
+            raise ValueError("thresholds must match sigma dimension")
+    total = np.zeros(n)
+    patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(inverse == g)
+        pos = np.flatnonzero(pattern)
+        if pos.size >= 2:
+            block = omega[np.ix_(rows, pos)]
+            total[rows] += mvn_logpdf(block, sigma[np.ix_(pos, pos)])
+            total[rows] -= std_normal_logpdf(block).sum(axis=1)
+        if not exact or pos.size == d:
+            continue
+        zero = np.flatnonzero(~pattern)
+        a_zero = a[zero]
+        if not np.isfinite(a_zero).all():
+            i = int(zero[~np.isfinite(a_zero)][0])
+            raise ValueError(
+                f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
+            )
+        for i in rows:
+            if pos.size:
+                cond = conditional_gaussian(sigma, pos, omega[i, pos])
+            else:
+                cond = ConditionalGaussian(np.zeros(zero.size), sigma[np.ix_(zero, zero)])
+            total[i] += _orthant_logprob(cond, a_zero, mc_samples, sub_seed(base_seed, i))
+        total[rows] -= float(np.sum(std_normal_logcdf(a_zero)))
     return total
 
 
@@ -382,14 +364,14 @@ def zero_pattern_logprob(
 ) -> float:
     """log P(the rectified law produces exactly this zero pattern).
 
-    Closed form for D <= 2, Monte Carlo over N(0, sigma) otherwise (antithetic
-    draws, deterministic per seed).
+    Closed form for D <= 2, mvn_orthant_mc over N(0, sigma) otherwise. One
+    seed gives every pattern the same draws, so the probabilities of all 2^D
+    patterns sum to exactly 1.
     """
     if pattern.dim != params.dim:
         raise ValueError("pattern dimension mismatch")
     a = params.a
     zero = list(pattern.zero_set)
-    pos = list(pattern.positive_set)
     d = params.dim
     if d == 1:
         q = float(std_normal_cdf(a[0]))
@@ -413,20 +395,13 @@ def zero_pattern_logprob(
         else:
             p = q1 - both
         return float(np.log(clamp_probability(p)))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    try:
-        lower = np.linalg.cholesky(params.sigma)
-    except np.linalg.LinAlgError:
-        raise NumericError("sigma is not positive definite") from None
-    half = (int(mc_samples) + 1) // 2
-    z = rng.standard_normal((half, d))
-    hits = 0
-    for block in (z @ lower.T, -z @ lower.T):
-        inside = np.ones(half, dtype=bool)
-        if zero:
-            inside &= np.all(block[:, zero] <= a[zero], axis=1)
-        if pos:
-            inside &= np.all(block[:, pos] > a[pos], axis=1)
-        hits += int(inside.sum())
-    p = hits / (2.0 * half)
-    return float(np.log(clamp_probability(p)))
+    is_zero = np.zeros(d, dtype=bool)
+    is_zero[zero] = True
+    est = mvn_orthant_mc(
+        ConditionalGaussian(mean=np.zeros(d), cov=params.sigma),
+        np.where(is_zero, a, np.inf),
+        mc_samples,
+        seed,
+        lower=np.where(is_zero, -np.inf, a),
+    )
+    return float(np.log(clamp_probability(est.estimate)))

@@ -2,8 +2,9 @@
 
 Scalar standard-normal helpers, a bivariate normal CDF accurate to better
 than 1e-8, multivariate normal log-density, Gaussian conditioning,
-correlation-matrix repair, and a seeded Monte Carlo orthant estimator.
-All functions are pure; random state is always caller-supplied as a seed.
+correlation-matrix repair, the seeded Monte Carlo estimator of box
+probabilities, and the seed derivation every seeded caller shares. All
+functions are pure; random state is always caller-supplied as a seed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,17 @@ from .errors import NumericError
 # tails at a large-but-finite penalty instead of -inf.
 PROB_FLOOR = 1e-15
 PROB_CEIL = 1.0 - 1e-15
+LOG_PROB_FLOOR = math.log(PROB_FLOOR)
 
-_LOG_2PI = math.log(2.0 * math.pi)
+LOG_2PI = math.log(2.0 * math.pi)
+
+# Evaluation chunk cap (rows times centers per block) for kernel sums.
+CHUNK_BUDGET = 4_000_000
+
+
+def sub_seed(seed: int, stream: int) -> int:
+    """Independent child seed for one stream (or row) of a seeded computation."""
+    return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
 
 
 def clamp_probability(p):
@@ -38,7 +48,7 @@ def std_normal_pdf(x):
 
 def std_normal_logpdf(x):
     x = np.asarray(x, dtype=float)
-    out = -0.5 * (x * x + _LOG_2PI)
+    out = -0.5 * (x * x + LOG_2PI)
     return float(out) if out.ndim == 0 else out
 
 
@@ -201,7 +211,7 @@ def mvn_logpdf(x, cov) -> float | np.ndarray:
     sol = solve_triangular(lower, pts.T, lower=True).T
     quad = np.sum(sol * sol, axis=1)
     logdet = 2.0 * np.sum(np.log(np.diag(lower)))
-    out = -0.5 * (d * _LOG_2PI + logdet + quad)
+    out = -0.5 * (d * LOG_2PI + logdet + quad)
     return float(out[0]) if single else out
 
 
@@ -307,19 +317,23 @@ def mvn_orthant_mc(
     upper: Sequence[float],
     n_samples: int,
     seed: int,
+    lower: Sequence[float] | None = None,
 ) -> OrthantEstimate:
-    """Monte Carlo estimate of P(nu <= upper) under N(mean, cov).
+    """Monte Carlo estimate of P(lower < nu <= upper) under N(mean, cov).
 
-    Uses antithetic standard-normal draws through a triangular (or, for
-    semidefinite covariances, eigenvalue) factor. Deterministic given seed;
-    n_samples is rounded up to an even count so every draw has its mirror.
+    ``lower`` defaults to -inf. Uses antithetic standard-normal draws through
+    a triangular (or, for semidefinite covariances, eigenvalue) factor.
+    Deterministic given seed, so boxes that partition the space get estimates
+    summing to exactly 1; n_samples is rounded up to an even count so every
+    draw has its mirror.
     """
     mean = np.asarray(cond.mean, dtype=float)
     cov = np.asarray(cond.cov, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = mean.shape[0]
-    if cov.shape != (d, d) or upper.shape != (d,):
-        raise ValueError("dimension mismatch between mean, cov and upper")
+    lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    if cov.shape != (d, d) or upper.shape != (d,) or lower.shape != (d,):
+        raise ValueError("dimension mismatch between mean, cov and bounds")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     try:
@@ -336,8 +350,8 @@ def mvn_orthant_mc(
     z = rng.standard_normal((half, d))
     pts_a = mean + z @ factor.T
     pts_b = mean - z @ factor.T
-    in_a = np.all(pts_a <= upper, axis=1).astype(float)
-    in_b = np.all(pts_b <= upper, axis=1).astype(float)
+    in_a = np.all((pts_a <= upper) & (pts_a > lower), axis=1).astype(float)
+    in_b = np.all((pts_b <= upper) & (pts_b > lower), axis=1).astype(float)
     pair_means = 0.5 * (in_a + in_b)
     estimate = float(np.mean(pair_means))
     if half > 1:

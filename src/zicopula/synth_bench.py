@@ -15,7 +15,7 @@ from .baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from .errors import DataError
 from .mask_model import RbmMask, compute_log_z, enumerate_states, mask_logprob_rows
 from .rgd_copula import DEFAULT_MC_SAMPLES
-from .stat_core import std_normal_cdf, std_normal_quantile
+from .stat_core import std_normal_quantile, sub_seed
 from .zibt_model import fit_zibt, zibt_loglik_rows
 from .zicar_model import fit_zicar, zicar_loglik_rows
 
@@ -295,10 +295,6 @@ def default_variants(kind: str) -> tuple:
     return ZIBT_TAGS + ("zicar-full",) + BASELINE_TAGS
 
 
-def _sub_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
-
-
 def _tuned_bandwidth(family: str, train: np.ndarray, val: np.ndarray, cache: dict) -> float:
     """Pick the marginal-KDE bandwidth multiplier by validation log-likelihood.
     Tuned once per family with the full configuration; ablations reuse it so
@@ -353,7 +349,7 @@ def _fit_and_score(
             mask_kind="bernoulli" if tag == "zicar-no-rbm" else "rbm",
             use_mle_sigma=tag != "zicar-no-mle",
             use_rescale=tag != "zicar-no-rescale",
-            seed=_sub_seed(seed, 4),
+            seed=sub_seed(seed, 4),
             bandwidth_scale=bw,
         )
         return (
@@ -366,18 +362,18 @@ def _fit_and_score(
         model = _zibt_base(train, tag, bw, cache)
         if tag == "zibt-approx":
             model = dataclasses.replace(model, likelihood_mode="approx")
-        kwargs_n = {"mc_samples": mc_samples, "base_seed": _sub_seed(seed, 5)}
-        kwargs_a = {"mc_samples": mc_samples, "base_seed": _sub_seed(seed, 6)}
+        kwargs_n = {"mc_samples": mc_samples, "base_seed": sub_seed(seed, 5)}
+        kwargs_a = {"mc_samples": mc_samples, "base_seed": sub_seed(seed, 6)}
         return (
             -zibt_loglik_rows(model, normal, **kwargs_n),
             -zibt_loglik_rows(model, abnormal, **kwargs_a),
             model.copula.sigma,
         )
     if tag == "gmm":
-        model = tune_gmm(train, seed=_sub_seed(seed, 7))
+        model = tune_gmm(train, seed=sub_seed(seed, 7))
         return -gmm_loglik_rows(model, normal), -gmm_loglik_rows(model, abnormal), None
     if tag == "kde":
-        model = tune_kde(train, seed=_sub_seed(seed, 8))
+        model = tune_kde(train, seed=sub_seed(seed, 8))
         return -kde_loglik_rows(model, normal), -kde_loglik_rows(model, abnormal), None
     raise ValueError(f"unknown model tag: {tag}")
 
@@ -392,11 +388,11 @@ def _bench_one_seed(
     mc_samples: int,
 ) -> list:
     truth = make_ground_truth(kind, dim, seed)
-    train = sample_dataset(truth, n_train, _sub_seed(seed, 1))
-    normal = sample_dataset(truth, n_test, _sub_seed(seed, 2))
-    abnormal = corrupt(normal, train, _sub_seed(seed, 3))
+    train = sample_dataset(truth, n_train, sub_seed(seed, 1))
+    normal = sample_dataset(truth, n_test, sub_seed(seed, 2))
+    abnormal = corrupt(normal, train, sub_seed(seed, 3))
     # Fresh draw for hyperparameter tuning, disjoint from train and test.
-    val = sample_dataset(truth, n_test, _sub_seed(seed, 9))
+    val = sample_dataset(truth, n_test, sub_seed(seed, 9))
 
     rows = []
     cache: dict = {}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .marginals import (
+    MIN_FIT_ROWS,
     MarginalModel,
     as_data_matrix,
     fit_columns,
@@ -27,19 +28,11 @@ from .rgd_copula import (
     RgdParams,
     ZeroPattern,
     assemble_sigma,
-    copula_logdensity_exact,
+    copula_loglik_rows,
     zero_pattern_logprob,
 )
-from .stat_core import (
-    PROB_FLOOR,
-    mvn_logpdf,
-    std_normal_logpdf,
-    std_normal_quantile,
-)
+from .stat_core import LOG_PROB_FLOOR, PROB_FLOOR, std_normal_quantile
 
-MIN_FIT_ROWS = 50
-
-_LOG_FLOOR = float(np.log(PROB_FLOOR))
 # Stand-in threshold for variables that never hit zero in training: a test
 # zero there would otherwise sit at -inf and break the copula evaluation.
 _PATCHED_THRESHOLD = float(std_normal_quantile(PROB_FLOOR))
@@ -108,17 +101,6 @@ def fit_zibt(
     )
 
 
-def _effective_params(model: ZibtModel) -> RgdParams:
-    a = model.copula.a
-    if np.isfinite(a).all():
-        return model.copula
-    return RgdParams(sigma=model.copula.sigma, a=np.where(np.isfinite(a), a, _PATCHED_THRESHOLD))
-
-
-def _row_seed(base_seed: int, row_index: int) -> int:
-    return int(np.random.SeedSequence([int(base_seed), int(row_index)]).generate_state(1)[0])
-
-
 def zibt_loglik_rows(
     model: ZibtModel,
     data,
@@ -130,52 +112,29 @@ def zibt_loglik_rows(
     n, d = arr.shape
     scaled = arr / model.rescales
     positive = scaled > 0
-    params = _effective_params(model)
 
     total = np.zeros(n)
-    omega = np.empty((n, d))
+    omega = np.zeros((n, d))
     log_b = np.log(model.rescales)
     for j, m in enumerate(model.marginals):
         pos = positive[:, j]
         # log q floored so zeros in a column that never had any stay finite.
-        total[~pos] += max(np.log(m.q), _LOG_FLOOR) if m.q > 0 else _LOG_FLOOR
+        total[~pos] += max(np.log(m.q), LOG_PROB_FLOOR) if m.q > 0 else LOG_PROB_FLOOR
         if pos.any():
             values = scaled[pos, j]
             total[pos] += np.log1p(-m.q) + positive_logpdf(m, values) - log_b[j]
             omega[pos, j] = omega_transform(m, values)
-        omega[~pos, j] = params.a[j]
 
-    if model.likelihood_mode == "approx":
-        patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
-        for g in range(patterns.shape[0]):
-            rows = np.flatnonzero(inverse == g)
-            pos_idx = np.flatnonzero(patterns[g])
-            if pos_idx.size == 0:
-                continue
-            sub = params.sigma[np.ix_(pos_idx, pos_idx)]
-            block = omega[np.ix_(rows, pos_idx)]
-            total[rows] += mvn_logpdf(block, sub)
-            total[rows] -= std_normal_logpdf(block).sum(axis=1)
-    else:
-        for i in range(n):
-            pattern = ZeroPattern.from_zero_mask(~positive[i])
-            total[i] += copula_logdensity_exact(
-                params, omega[i], pattern, mc_samples, _row_seed(base_seed, i)
-            )
+    total += copula_loglik_rows(
+        model.copula.sigma,
+        np.where(np.isfinite(model.copula.a), model.copula.a, _PATCHED_THRESHOLD),
+        omega,
+        positive,
+        exact=model.likelihood_mode == "exact",
+        mc_samples=mc_samples,
+        base_seed=base_seed,
+    )
     return total
-
-
-def zibt_loglik(
-    model: ZibtModel,
-    x,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> float:
-    """Log-likelihood of a single observation vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError("expected a 1-D observation vector")
-    return float(zibt_loglik_rows(model, x[None, :], mc_samples, seed)[0])
 
 
 def zero_pattern_prob(

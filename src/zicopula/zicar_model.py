@@ -18,6 +18,7 @@ from .errors import DataError
 from .marginals import (
     CDF_CEIL,
     CDF_FLOOR,
+    MIN_FIT_ROWS,
     MarginalModel,
     as_data_matrix,
     fit_columns,
@@ -32,14 +33,9 @@ from .mask_model import (
     fit_rbm,
     mask_logprob_rows,
 )
-from .stat_core import (
-    mvn_logpdf,
-    repair_correlation,
-    std_normal_logpdf,
-    std_normal_quantile,
-)
+from .rgd_copula import copula_loglik_rows
+from .stat_core import repair_correlation, std_normal_quantile
 
-MIN_FIT_ROWS = 50
 MIN_JOINT_POSITIVE = 10
 
 
@@ -183,23 +179,4 @@ def zicar_loglik_rows(model: ZicarModel, data) -> np.ndarray:
             total[pos] += positive_logpdf(m, values) - log_b[j]
             omega[pos, j] = parent_omega(m, values)
 
-    # Copula term, grouped by zero pattern so each group is one batch call.
-    patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
-    for g in range(patterns.shape[0]):
-        rows = np.flatnonzero(inverse == g)
-        pos_idx = np.flatnonzero(positive[rows[0]])
-        if pos_idx.size < 2:
-            continue
-        sub = model.sigma[np.ix_(pos_idx, pos_idx)]
-        block = omega[np.ix_(rows, pos_idx)]
-        total[rows] += mvn_logpdf(block, sub)
-        total[rows] -= std_normal_logpdf(block).sum(axis=1)
-    return total
-
-
-def zicar_loglik(model: ZicarModel, x) -> float:
-    """Log-likelihood of a single observation vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError("expected a 1-D observation vector")
-    return float(zicar_loglik_rows(model, x[None, :])[0])
+    return total + copula_loglik_rows(model.sigma, None, omega, positive)

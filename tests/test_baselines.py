@@ -6,9 +6,7 @@ from zicopula.baselines import (
     GmmModel,
     fit_gmm,
     fit_kde_multi,
-    gmm_loglik,
     gmm_loglik_rows,
-    kde_loglik,
     kde_loglik_rows,
     tune_gmm,
     tune_kde,
@@ -65,7 +63,7 @@ def test_gmm_loglik_matches_naive_sum():
         )
     )
     np.testing.assert_allclose(gmm_loglik_rows(model, pts), naive, atol=1e-10)
-    assert gmm_loglik(model, pts[0]) == pytest.approx(naive[0], abs=1e-10)
+    assert gmm_loglik_rows(model, pts[:1])[0] == pytest.approx(naive[0], abs=1e-10)
 
 
 def test_gmm_needs_enough_rows():
@@ -92,7 +90,7 @@ def test_kde_single_center_closed_form():
     model = fit_kde_multi(np.array([[1.0, 2.0]]))
     h = model.bandwidths
     expected = float(-np.sum(np.log(h)) - np.log(2.0 * np.pi))
-    assert kde_loglik(model, np.array([1.0, 2.0])) == pytest.approx(expected, abs=1e-12)
+    assert kde_loglik_rows(model, np.array([[1.0, 2.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_kde_silverman_bandwidth_value():
@@ -120,7 +118,7 @@ def test_kde_chunking_matches_direct():
     model = fit_kde_multi(rng.normal(size=(40, 3)))
     pts = rng.normal(size=(17, 3))
     batched = kde_loglik_rows(model, pts)
-    single = np.array([kde_loglik(model, p) for p in pts])
+    single = np.array([kde_loglik_rows(model, p[None, :])[0] for p in pts])
     np.testing.assert_allclose(batched, single, atol=1e-12)
 
 

@@ -8,6 +8,7 @@ from zicopula.cli import (
     load_model,
     main,
     model_from_dict,
+    model_to_dict,
     read_data_csv,
     save_model,
     write_data_csv,
@@ -195,15 +196,46 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR:DATA")
 
 
-def test_model_from_dict_rejects_bad_payloads():
+def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
     with pytest.raises(DataError, match="schema_version"):
         model_from_dict({"kind": "zibt"})
     with pytest.raises(DataError, match="unknown model kind"):
         model_from_dict({"schema_version": 1, "kind": "tree"})
+    with pytest.raises(DataError, match="unknown model kind"):
+        model_from_dict({"schema_version": 1, "kind": ["zibt"]})
     with pytest.raises(DataError, match="missing field"):
         model_from_dict({"schema_version": 1, "kind": "kde", "centers": [[1.0]]})
     with pytest.raises(DataError, match="JSON object"):
         model_from_dict([1, 2, 3])
+
+    data_path = tmp_path / "train.csv"
+    good = model_to_dict(fit_zibt(_toy_zibt_csv(data_path)))
+    first, second = good["marginals"]
+    bad_fields = {
+        "marginals": (5, [1, 2, 3])
+        + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]]))
+        + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0)),
+        "sigma": ("abc",),
+        "thresholds": (good["thresholds"][:1],),
+        "likelihood_mode": ("fast",),
+    }
+    for field, values in bad_fields.items():
+        for value in values:
+            with pytest.raises(DataError, match="malformed zibt model file"):
+                model_from_dict({**good, field: value})
+
+    # Through the command line a malformed file is a data error (exit 2); a
+    # well-formed sigma that is not positive definite is a numeric one (exit 3).
+    model_path = tmp_path / "m.json"
+    cases = (
+        ({**good, "marginals": 5}, 2, "ERR:DATA"),
+        ({**good, "sigma": [[1.0, 2.0], [2.0, 1.0]]}, 3, "ERR:NUMERIC"),
+    )
+    for payload, rc, prefix in cases:
+        model_path.write_text(json.dumps(payload))
+        assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(tmp_path / "s.csv")]) == rc
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_config_precedence(tmp_path):

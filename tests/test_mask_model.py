@@ -14,10 +14,8 @@ from zicopula.mask_model import (
     enumerate_states,
     fit_bernoulli,
     fit_rbm,
-    mask_logprob,
     mask_logprob_rows,
 )
-from zicopula.rgd_copula import ZeroPattern
 
 LOG_FLOOR = np.log(1e-15)
 
@@ -81,16 +79,13 @@ def test_bernoulli_mask_rejects_certain_zero():
 
 def test_mask_logprob_fair_bernoulli():
     model = BernoulliMask(q=np.array([0.5, 0.5]))
-    for zero_set in [(), (0,), (1,), (0, 1)]:
-        positive_set = tuple(sorted(set(range(2)) - set(zero_set)))
-        pattern = ZeroPattern(zero_set=zero_set, positive_set=positive_set)
-        assert mask_logprob(model, pattern) == pytest.approx(np.log(0.25))
+    for state in enumerate_states(2):
+        assert mask_logprob_rows(model, state[None, :])[0] == pytest.approx(np.log(0.25))
 
 
 def test_mask_logprob_impossible_pattern_floored():
     model = BernoulliMask(q=np.array([0.0, 0.5]))
-    pattern = ZeroPattern(zero_set=(0,), positive_set=(1,))
-    assert mask_logprob(model, pattern) == pytest.approx(LOG_FLOOR)
+    assert mask_logprob_rows(model, np.array([[0.0, 1.0]]))[0] == pytest.approx(LOG_FLOOR)
 
 
 def test_bernoulli_normalization_and_marginals():
@@ -160,7 +155,7 @@ def test_rbm_marginal_consistency():
     for i in range(2):
         zero_mass = probs[states[:, i] == 0].sum()
         per_pattern = sum(
-            np.exp(mask_logprob(model, ZeroPattern.from_zero_mask(s == 0)))
+            np.exp(mask_logprob_rows(model, s[None, :])[0])
             for s in states
             if s[i] == 0
         )
@@ -198,14 +193,13 @@ def test_mask_logprob_rows_matches_single_pattern():
     states = enumerate_states(3)
     batch = mask_logprob_rows(model, states)
     for row, logp in zip(states, batch):
-        pattern = ZeroPattern.from_zero_mask(row == 0)
-        assert mask_logprob(model, pattern) == pytest.approx(logp, abs=1e-14)
+        assert mask_logprob_rows(model, row[None, :])[0] == pytest.approx(logp, abs=1e-14)
 
 
 def test_mask_logprob_dimension_mismatch():
     model = BernoulliMask(q=np.array([0.3, 0.6]))
     with pytest.raises(ValueError):
-        mask_logprob(model, ZeroPattern(zero_set=(0,), positive_set=(1, 2)))
+        mask_logprob_rows(model, np.array([[0.0, 1.0, 1.0]]))
 
 
 def test_mask_logprob_rows_rejects_nonbinary():

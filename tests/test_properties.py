@@ -1,0 +1,160 @@
+"""Invariants every scorer must keep, checked with hypothesis.
+
+- A batch scores the same as its sub-batches put back together.
+- Fitting on column-permuted data permutes the model and its scores.
+- A model file round trip scores bit-identically, for every model kind.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
+from zicopula.cli import load_model, save_model
+from zicopula.rgd_copula import BRENT_TOL, RgdParams
+from zicopula.synth_bench import make_ground_truth, sample_dataset
+from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
+from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
+
+DIM = 4
+N_TRAIN = 300
+N_SCORE = 120
+
+# Batched linear algebra may round differently from a smaller batch.
+BATCH_RTOL = 1e-13
+BATCH_ATOL = 1e-12
+
+# estimate_rho is symmetric in its two columns only up to the Brent polish
+# tolerance: swapping a pair may move rho by about 2 * BRENT_TOL.
+RHO_ATOL = 4 * BRENT_TOL
+# zicar's correlation is a sample correlation: permuting only reorders sums.
+ZICAR_SIGMA_ATOL = 1e-10
+
+
+def _perm_rtol(sigma: np.ndarray) -> float:
+    """Scores of a permuted model differ only by the rounding of its permuted
+    Cholesky factor, which the condition number of sigma amplifies. The
+    fitted sigmas here sit at the repair_correlation eigenvalue floor
+    (condition number about 2e6), so the bound is about 3e-8."""
+    return 64 * np.finfo(float).eps * np.linalg.cond(sigma)
+
+
+@functools.lru_cache(maxsize=None)
+def _data(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    truth = make_ground_truth(kind, DIM, seed=11)
+    return sample_dataset(truth, N_TRAIN, seed=12), sample_dataset(truth, N_SCORE, seed=13)
+
+
+@functools.lru_cache(maxsize=None)
+def _model(name: str):
+    if name in ("zibt-approx", "zibt-exact"):
+        return fit_zibt(_data("zibt")[0], likelihood_mode=name.split("-")[1])
+    if name in ("zicar-bernoulli", "zicar-rbm"):
+        return fit_zicar(_data("zicar")[0], mask_kind=name.split("-")[1], seed=3)
+    if name == "gmm":
+        return fit_gmm(_data("zicar")[0], 2, seed=4)
+    return fit_kde_multi(_data("zicar")[0])
+
+
+def _score(name: str, model, rows: np.ndarray) -> np.ndarray:
+    if name.startswith("zibt"):
+        return zibt_loglik_rows(model, rows, base_seed=7)
+    if name.startswith("zicar"):
+        return zicar_loglik_rows(model, rows)
+    if name == "gmm":
+        return gmm_loglik_rows(model, rows)
+    return kde_loglik_rows(model, rows)
+
+
+def _rows(name: str) -> np.ndarray:
+    rows = _data("zibt" if name.startswith("zibt") else "zicar")[1]
+    if name == "zibt-exact":
+        # Rows with at most two zeros use closed-form orthants and no seed;
+        # with three or more, each row's Monte Carlo seed is its batch index.
+        rows = rows[(rows == 0).sum(axis=1) <= 2]
+    return rows
+
+
+MODELS = ["zibt-approx", "zibt-exact", "zicar-bernoulli", "zicar-rbm", "gmm", "kde"]
+
+
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=15, deadline=None)
+@given(cuts=st.lists(st.integers(min_value=0, max_value=N_SCORE), max_size=4))
+def test_batch_scores_equal_concatenated_sub_batches(name, cuts):
+    model = _model(name)
+    rows = _rows(name)
+    edges = [0, *sorted(min(c, rows.shape[0]) for c in cuts), rows.shape[0]]
+    pieces = [
+        _score(name, model, rows[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo
+    ]
+    np.testing.assert_allclose(
+        np.concatenate(pieces), _score(name, model, rows), rtol=BATCH_RTOL, atol=BATCH_ATOL
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(perm=st.permutations(range(DIM)))
+def test_zibt_approx_scores_are_column_permutation_equivariant(perm):
+    perm = list(perm)
+    train, rows = _data("zibt")
+    base = _model("zibt-approx")
+    sigma = base.copula.sigma[np.ix_(perm, perm)]
+    permuted = fit_zibt(train[:, perm], likelihood_mode="approx")
+    np.testing.assert_allclose(permuted.copula.sigma, sigma, rtol=0, atol=RHO_ATOL)
+    np.testing.assert_array_equal(permuted.copula.a, base.copula.a[perm])
+    np.testing.assert_array_equal(permuted.rescales, base.rescales[perm])
+    # Pin sigma to the exact permutation so the check isolates the scorer.
+    pinned = dataclasses.replace(permuted, copula=RgdParams(sigma, permuted.copula.a))
+    np.testing.assert_allclose(
+        zibt_loglik_rows(pinned, rows[:, perm]),
+        zibt_loglik_rows(base, rows),
+        rtol=_perm_rtol(sigma),
+        atol=BATCH_ATOL,
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(perm=st.permutations(range(DIM)))
+def test_zicar_bernoulli_scores_are_column_permutation_equivariant(perm):
+    perm = list(perm)
+    train, rows = _data("zicar")
+    base = _model("zicar-bernoulli")
+    sigma = base.sigma[np.ix_(perm, perm)]
+    permuted = fit_zicar(train[:, perm], mask_kind="bernoulli", seed=3)
+    np.testing.assert_allclose(permuted.sigma, sigma, rtol=0, atol=ZICAR_SIGMA_ATOL)
+    np.testing.assert_array_equal(permuted.mask.q, base.mask.q[perm])
+    np.testing.assert_array_equal(permuted.rescales, base.rescales[perm])
+    pinned = dataclasses.replace(permuted, sigma=sigma)
+    np.testing.assert_allclose(
+        zicar_loglik_rows(pinned, rows[:, perm]),
+        zicar_loglik_rows(base, rows),
+        rtol=_perm_rtol(sigma),
+        atol=BATCH_ATOL,
+    )
+
+
+@pytest.mark.parametrize("name", MODELS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_model_file_round_trip_scores_bit_identically(name, seed):
+    model = _model(name)
+    kind = "zibt" if name.startswith("zibt") else "zicar"
+    rows = sample_dataset(make_ground_truth(kind, DIM, seed=11), 40, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model)
+        loaded = load_model(path)
+        again = os.path.join(tmp, "again.json")
+        save_model(again, loaded)
+        with open(path, "rb") as fa, open(again, "rb") as fb:
+            assert fa.read() == fb.read()
+    np.testing.assert_array_equal(_score(name, loaded, rows), _score(name, model, rows))

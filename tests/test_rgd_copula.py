@@ -169,29 +169,31 @@ def test_assemble_sigma_flags_agree_without_ties() -> None:
     assert np.allclose(with_mle, without, atol=1e-3)
 
 
+def _copula(p, omega, zero, exact):
+    """copula_loglik_rows for one row whose coordinates in `zero` are rectified."""
+    positive = np.ones(p.dim, dtype=bool)
+    positive[list(zero)] = False
+    omega = np.asarray(omega, dtype=float)[None, :]
+    return rc.copula_loglik_rows(p.sigma, p.a, omega, positive[None, :], exact=exact)[0]
+
+
 def test_copula_exact_identity_matrix_is_flat() -> None:
     p = _params(np.eye(3), [0.0, 0.5, -0.5])
     omega = np.array([0.0, 1.2, 0.7])
     for zero in [(), (0,), (0, 1)]:
-        pos = tuple(i for i in range(3) if i not in zero)
-        om = omega.copy()
-        for i in zero:
-            om[i] = p.a[i]
-        pat = rc.ZeroPattern(zero_set=zero, positive_set=pos)
-        assert rc.copula_logdensity_exact(p, om, pat) == pytest.approx(0.0, abs=1e-9)
+        assert _copula(p, omega, zero, exact=True) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_copula_exact_all_positive_is_gaussian_copula() -> None:
     sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 1.0]])
     p = _params(sigma, [-1.0, 0.0, -0.5])
     omega = np.array([0.4, 1.1, -0.2])
-    pat = rc.ZeroPattern(zero_set=(), positive_set=(0, 1, 2))
-    got = rc.copula_logdensity_exact(p, omega, pat)
+    got = _copula(p, omega, (), exact=True)
     want = sc.mvn_logpdf(omega, sigma) - float(np.sum(sc.std_normal_logpdf(omega)))
     assert got == pytest.approx(want, abs=1e-12)
     # Thresholds at -inf change nothing for all-positive patterns.
     p2 = _params(sigma, [-math.inf] * 3)
-    assert rc.copula_logdensity_exact(p2, omega, pat) == pytest.approx(want, abs=1e-12)
+    assert _copula(p2, omega, (), exact=True) == pytest.approx(want, abs=1e-12)
 
 
 def test_copula_exact_single_zero_matches_hand_algebra() -> None:
@@ -199,33 +201,27 @@ def test_copula_exact_single_zero_matches_hand_algebra() -> None:
     a = np.array([-0.3, -0.8])
     p = _params([[1.0, rho], [rho, 1.0]], a)
     w2 = 0.9
-    pat = rc.ZeroPattern(zero_set=(0,), positive_set=(1,))
-    got = rc.copula_logdensity_exact(p, np.array([a[0], w2]), pat)
+    got = _copula(p, [a[0], w2], (0,), exact=True)
     want = sc.std_normal_logcdf((a[0] - rho * w2) / math.sqrt(1 - rho**2))
     want -= sc.std_normal_logcdf(a[0])
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_copula_exact_rejects_inconsistent_pattern() -> None:
-    p = _params([[1.0, 0.2], [0.2, 1.0]], [0.0, 0.0])
-    pat = rc.ZeroPattern(zero_set=(0,), positive_set=(1,))
-    with pytest.raises(ValueError):
-        rc.copula_logdensity_exact(p, np.array([0.7, 0.9]), pat)
     pinf = _params([[1.0, 0.2], [0.2, 1.0]], [-math.inf, 0.0])
-    with pytest.raises(ValueError):
-        rc.copula_logdensity_exact(pinf, np.array([-math.inf, 0.9]), pat)
+    with pytest.raises(ValueError, match="no zero mass"):
+        _copula(pinf, [-math.inf, 0.9], (0,), exact=True)
 
 
 def test_copula_approx_identity_and_block_independence() -> None:
     p = _params(np.eye(3), [0.2, -0.1, 0.3])
     om = np.array([0.2, 0.5, 1.1])
-    pat = rc.ZeroPattern(zero_set=(0,), positive_set=(1, 2))
-    assert rc.copula_logdensity_approx(p, om, pat) == pytest.approx(0.0, abs=1e-12)
+    assert _copula(p, om, (0,), exact=False) == pytest.approx(0.0, abs=1e-12)
     sigma = np.eye(3)
     sigma[1, 2] = sigma[2, 1] = 0.5
     pb = _params(sigma, [0.2, -0.1, 0.3])
-    approx = rc.copula_logdensity_approx(pb, om, pat)
-    exact = rc.copula_logdensity_exact(pb, om, pat)
+    approx = _copula(pb, om, (0,), exact=False)
+    exact = _copula(pb, om, (0,), exact=True)
     assert approx == pytest.approx(exact, abs=1e-12)
 
 
@@ -233,9 +229,8 @@ def test_copula_approx_close_to_exact_for_mild_correlation() -> None:
     sigma = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
     p = _params(sigma, [0.1, -0.4, 0.2])
     om = np.array([p.a[0], 0.3, 0.5])  # typical positive values
-    pat = rc.ZeroPattern(zero_set=(0,), positive_set=(1, 2))
-    approx = rc.copula_logdensity_approx(p, om, pat)
-    exact = rc.copula_logdensity_exact(p, om, pat)
+    approx = _copula(p, om, (0,), exact=False)
+    exact = _copula(p, om, (0,), exact=True)
 
     # Monte Carlo oracle for the conditional orthant term, 1e5 draws.
     cond = sc.conditional_gaussian(sigma, [1, 2], om[[1, 2]])
@@ -249,8 +244,7 @@ def test_copula_approx_close_to_exact_for_mild_correlation() -> None:
 
 def test_copula_approx_empty_positive_set_is_zero() -> None:
     p = _params([[1.0, 0.2], [0.2, 1.0]], [0.0, 0.5])
-    pat = rc.ZeroPattern(zero_set=(0, 1), positive_set=())
-    assert rc.copula_logdensity_approx(p, np.array([0.0, 0.5]), pat) == 0.0
+    assert _copula(p, [0.0, 0.5], (0, 1), exact=False) == 0.0
 
 
 def test_zero_pattern_logprob_independence() -> None:

@@ -14,7 +14,6 @@ from zicopula.zibt_model import (
     ZibtModel,
     fit_zibt,
     zero_pattern_prob,
-    zibt_loglik,
     zibt_loglik_rows,
 )
 
@@ -123,9 +122,9 @@ def test_all_zero_row_branches():
     exact = dataclasses.replace(approx, likelihood_mode="exact")
     row = np.zeros(2)
     q0, q1 = approx.marginals[0].q, approx.marginals[1].q
-    assert zibt_loglik(approx, row) == pytest.approx(np.log(q0) + np.log(q1))
+    assert zibt_loglik_rows(approx, row[None, :])[0] == pytest.approx(np.log(q0) + np.log(q1))
     pattern = ZeroPattern(zero_set=(0, 1), positive_set=())
-    assert zibt_loglik(exact, row) == pytest.approx(
+    assert zibt_loglik_rows(exact, row[None, :])[0] == pytest.approx(
         np.log(zero_pattern_prob(exact, pattern)), abs=1e-10
     )
 
@@ -225,8 +224,7 @@ def test_unseen_zero_in_fully_positive_column_is_finite_penalty():
     for mode in ("approx", "exact"):
         model = fit_zibt(x, likelihood_mode=mode)
         assert np.isneginf(model.copula.a[0])
-        weird = zibt_loglik(model, np.array([0.0, 1.0]))
-        typical = zibt_loglik(model, x[0])
+        weird, typical = zibt_loglik_rows(model, np.array([[0.0, 1.0], x[0]]))
         assert np.isfinite(weird)
         assert weird < typical - 20.0
 
@@ -275,14 +273,14 @@ def test_scoring_validation():
     with pytest.raises(DataError, match="columns"):
         zibt_loglik_rows(model, np.ones((4, 3)))
     with pytest.raises(DataError, match="negative"):
-        zibt_loglik(model, np.array([1.0, -2.0]))
+        zibt_loglik_rows(model, np.array([[1.0, -2.0]]))
 
 
 def test_single_row_matches_batch_in_approx_mode():
     x = rectified_sample(800, TWO_COL_SIGMA, np.array([0.3, 0.2]), seed=20)
     model = fit_zibt(x)
     batch = zibt_loglik_rows(model, x[:30])
-    singles = np.array([zibt_loglik(model, row) for row in x[:30]])
+    singles = np.array([zibt_loglik_rows(model, row[None, :])[0] for row in x[:30]])
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
 

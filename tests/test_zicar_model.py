@@ -7,9 +7,8 @@ import pytest
 
 from zicopula.errors import DataError
 from zicopula.marginals import positive_logpdf
-from zicopula.mask_model import enumerate_states, mask_logprob, mask_logprob_rows
-from zicopula.rgd_copula import ZeroPattern
-from zicopula.zicar_model import fit_zicar, zicar_loglik, zicar_loglik_rows
+from zicopula.mask_model import enumerate_states, mask_logprob_rows
+from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
 
 
 def _correlated_sample(n, rho, zero_rate, seed):
@@ -64,7 +63,7 @@ def test_univariate_loglik_branches():
     x[rng.random(500) < 0.4, 0] = 0.0
     model = fit_zicar(x)
     q = model.marginals[0].q
-    assert zicar_loglik(model, np.array([0.0])) == pytest.approx(np.log(q))
+    assert zicar_loglik_rows(model, np.array([[0.0]]))[0] == pytest.approx(np.log(q))
     b = model.rescales[0]
     value = 1.7
     expected = (
@@ -72,7 +71,7 @@ def test_univariate_loglik_branches():
         + positive_logpdf(model.marginals[0], np.array([value / b]))[0]
         - np.log(b)
     )
-    assert zicar_loglik(model, np.array([value])) == pytest.approx(expected)
+    assert zicar_loglik_rows(model, np.array([[value]]))[0] == pytest.approx(expected)
 
 
 def test_identity_sigma_is_pure_additivity():
@@ -103,9 +102,9 @@ def test_mask_term_recovered_exactly_under_identity_sigma():
     for j, m in enumerate(model.marginals):
         marginal_sum += positive_logpdf(m, np.array([row[j] / model.rescales[j]]))[0]
         marginal_sum -= np.log(model.rescales[j])
-    pattern = ZeroPattern(zero_set=(), positive_set=(0, 1))
-    got = zicar_loglik(model, row) - marginal_sum
-    assert got == pytest.approx(mask_logprob(model.mask, pattern), abs=1e-12)
+    got = zicar_loglik_rows(model, row[None, :])[0] - marginal_sum
+    all_positive = np.ones((1, 2))
+    assert got == pytest.approx(mask_logprob_rows(model.mask, all_positive)[0], abs=1e-12)
 
 
 def _gl_nodes(hi, n):
@@ -192,7 +191,7 @@ def test_scoring_validates_input():
     x = _correlated_sample(400, rho=0.1, zero_rate=0.2, seed=12)
     model = fit_zicar(x)
     with pytest.raises(DataError, match="negative"):
-        zicar_loglik(model, np.array([-1.0, 2.0]))
+        zicar_loglik_rows(model, np.array([[-1.0, 2.0]]))
     with pytest.raises(DataError, match="columns"):
         zicar_loglik_rows(model, np.ones((5, 3)))
 
@@ -201,7 +200,7 @@ def test_single_row_matches_batch():
     x = _correlated_sample(500, rho=0.4, zero_rate=0.3, seed=13)
     model = fit_zicar(x)
     batch = zicar_loglik_rows(model, x[:20])
-    singles = np.array([zicar_loglik(model, row) for row in x[:20]])
+    singles = np.array([zicar_loglik_rows(model, row[None, :])[0] for row in x[:20]])
     # Batched linear algebra may reorder float ops relative to row-at-a-time.
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
