@@ -486,6 +486,11 @@ def cmd_fit(args) -> None:
     print(f"wrote model to {args.out}")
 
 
+def _check_mc_samples(args) -> None:
+    if int(args.mc_samples) < 1:
+        raise _UsageError("--mc-samples must be at least 1")
+
+
 def cmd_score(args) -> None:
     _resolve(
         args,
@@ -498,6 +503,7 @@ def cmd_score(args) -> None:
         },
         required=("model", "data", "out"),
     )
+    _check_mc_samples(args)
     model = load_model(args.model)
     data = read_data_csv(args.data, clip_negatives=args.clip_negatives)
     nll = -_KINDS[_kind_of(model)].loglik_rows(model, data, args)
@@ -543,6 +549,7 @@ def cmd_bench(args) -> None:
         },
         required=("kind", "dim"),
     )
+    _check_mc_samples(args)
     variants = None
     if args.variants is not None:
         variants = tuple(t.strip() for t in str(args.variants).split(",") if t.strip())

@@ -13,11 +13,12 @@ from scipy.stats import rankdata
 
 from .baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from .errors import DataError
+from .marginals import PositiveTerms, fit_positive_terms
 from .mask_model import RbmMask, compute_log_z, enumerate_states, mask_logprob_rows
 from .rgd_copula import DEFAULT_MC_SAMPLES
 from .stat_core import std_normal_quantile, sub_seed
-from .zibt_model import fit_zibt, zibt_loglik_rows
-from .zicar_model import fit_zicar, zicar_loglik_rows
+from .zibt_model import fit_zibt_copula, zibt_loglik_terms
+from .zicar_model import fit_zicar_copula, zicar_loglik_terms
 
 N_SIGMOID_COMPONENTS = 5
 N_MAP_ANCHORS = 10_000
@@ -295,7 +296,35 @@ def default_variants(kind: str) -> tuple:
     return ZIBT_TAGS + ("zicar-full",) + BASELINE_TAGS
 
 
-def _tuned_bandwidth(family: str, train: np.ndarray, val: np.ndarray, cache: dict) -> float:
+def _terms(data: dict, name: str, bandwidth: float, use_rescale: bool, cache: dict):
+    """Marginal columns of one (bandwidth, use_rescale) configuration,
+    evaluated at one of the seed's data sets. Each configuration is fitted to
+    "train" once and evaluated once per set; the bandwidth search, every
+    variant and both families share the result."""
+    key = ("terms", bandwidth, use_rescale, name)
+    if key not in cache:
+        if name == "train":
+            cache[key] = fit_positive_terms(
+                data["train"], use_rescale=use_rescale, bandwidth_scale=bandwidth
+            )
+        else:
+            train = _terms(data, "train", bandwidth, use_rescale, cache)
+            cache[key] = PositiveTerms(train.models, train.rescales, data[name])
+    return cache[key]
+
+
+def _zibt_base(data: dict, bandwidth: float, use_mle: bool, use_rescale: bool, cache: dict):
+    """The seed's approx-mode zibt fit of one configuration, shared by the
+    bandwidth search and the zibt variants."""
+    key = ("zibt", bandwidth, use_mle, use_rescale)
+    if key not in cache:
+        cache[key] = fit_zibt_copula(
+            _terms(data, "train", bandwidth, use_rescale, cache), use_mle_sigma=use_mle
+        )
+    return cache[key]
+
+
+def _tuned_bandwidth(family: str, data: dict, cache: dict) -> float:
     """Pick the marginal-KDE bandwidth multiplier by validation log-likelihood.
     Tuned once per family with the full configuration; ablations reuse it so
     each ablation changes exactly one ingredient."""
@@ -304,71 +333,54 @@ def _tuned_bandwidth(family: str, train: np.ndarray, val: np.ndarray, cache: dic
         return cache[key]
     best_bw, best_ll = None, -np.inf
     for bw in BANDWIDTH_GRID:
+        val = _terms(data, "val", bw, True, cache)
         if family == "zibt":
-            candidate = fit_zibt(train, likelihood_mode="approx", bandwidth_scale=bw)
-            ll = float(zibt_loglik_rows(candidate, val).mean())
+            candidate = _zibt_base(data, bw, True, True, cache)
+            ll = float(zibt_loglik_terms(candidate, val).mean())
         else:
-            candidate = fit_zicar(train, mask_kind="bernoulli", bandwidth_scale=bw)
-            ll = float(zicar_loglik_rows(candidate, val).mean())
+            train = _terms(data, "train", bw, True, cache)
+            candidate = fit_zicar_copula(train, mask_kind="bernoulli")
+            ll = float(zicar_loglik_terms(candidate, val).mean())
         if ll > best_ll:
             best_bw, best_ll = bw, ll
     cache[key] = best_bw
     return best_bw
 
 
-def _zibt_base(train: np.ndarray, tag: str, bandwidth: float, cache: dict):
-    use_mle = tag != "zibt-no-mle"
-    use_rescale = tag != "zibt-no-rescale"
-    key = ("zibt", use_mle, use_rescale)
-    if key not in cache:
-        cache[key] = fit_zibt(
-            train,
-            use_mle_sigma=use_mle,
-            use_rescale=use_rescale,
-            likelihood_mode="exact",
-            bandwidth_scale=bandwidth,
-        )
-    return cache[key]
-
-
-def _fit_and_score(
-    tag: str,
-    train: np.ndarray,
-    normal: np.ndarray,
-    abnormal: np.ndarray,
-    val: np.ndarray,
-    seed: int,
-    mc_samples: int,
-    cache: dict,
-):
+def _fit_and_score(tag: str, data: dict, seed: int, mc_samples: int, cache: dict):
     """Returns (normal NLL rows, abnormal NLL rows, sigma estimate or None)."""
     if tag.startswith("zicar"):
-        bw = _tuned_bandwidth("zicar", train, val, cache)
-        model = fit_zicar(
-            train,
+        bw = _tuned_bandwidth("zicar", data, cache)
+        use_rescale = tag != "zicar-no-rescale"
+        model = fit_zicar_copula(
+            _terms(data, "train", bw, use_rescale, cache),
             mask_kind="bernoulli" if tag == "zicar-no-rbm" else "rbm",
             use_mle_sigma=tag != "zicar-no-mle",
-            use_rescale=tag != "zicar-no-rescale",
             seed=sub_seed(seed, 4),
-            bandwidth_scale=bw,
         )
         return (
-            -zicar_loglik_rows(model, normal),
-            -zicar_loglik_rows(model, abnormal),
+            -zicar_loglik_terms(model, _terms(data, "normal", bw, use_rescale, cache)),
+            -zicar_loglik_terms(model, _terms(data, "abnormal", bw, use_rescale, cache)),
             model.sigma,
         )
     if tag.startswith("zibt"):
-        bw = _tuned_bandwidth("zibt", train, val, cache)
-        model = _zibt_base(train, tag, bw, cache)
-        if tag == "zibt-approx":
-            model = dataclasses.replace(model, likelihood_mode="approx")
-        kwargs_n = {"mc_samples": mc_samples, "base_seed": sub_seed(seed, 5)}
-        kwargs_a = {"mc_samples": mc_samples, "base_seed": sub_seed(seed, 6)}
+        bw = _tuned_bandwidth("zibt", data, cache)
+        use_rescale = tag != "zibt-no-rescale"
+        model = _zibt_base(data, bw, tag != "zibt-no-mle", use_rescale, cache)
+        if tag != "zibt-approx":
+            model = dataclasses.replace(model, likelihood_mode="exact")
         return (
-            -zibt_loglik_rows(model, normal, **kwargs_n),
-            -zibt_loglik_rows(model, abnormal, **kwargs_a),
+            -zibt_loglik_terms(
+                model, _terms(data, "normal", bw, use_rescale, cache),
+                mc_samples, sub_seed(seed, 5),
+            ),
+            -zibt_loglik_terms(
+                model, _terms(data, "abnormal", bw, use_rescale, cache),
+                mc_samples, sub_seed(seed, 6),
+            ),
             model.copula.sigma,
         )
+    train, normal, abnormal = data["train"], data["normal"], data["abnormal"]
     if tag == "gmm":
         model = tune_gmm(train, seed=sub_seed(seed, 7))
         return -gmm_loglik_rows(model, normal), -gmm_loglik_rows(model, abnormal), None
@@ -390,16 +402,19 @@ def _bench_one_seed(
     truth = make_ground_truth(kind, dim, seed)
     train = sample_dataset(truth, n_train, sub_seed(seed, 1))
     normal = sample_dataset(truth, n_test, sub_seed(seed, 2))
-    abnormal = corrupt(normal, train, sub_seed(seed, 3))
-    # Fresh draw for hyperparameter tuning, disjoint from train and test.
-    val = sample_dataset(truth, n_test, sub_seed(seed, 9))
+    data = {
+        "train": train,
+        "normal": normal,
+        "abnormal": corrupt(normal, train, sub_seed(seed, 3)),
+        # Fresh draw for hyperparameter tuning, disjoint from train and test.
+        "val": sample_dataset(truth, n_test, sub_seed(seed, 9)),
+    }
 
     rows = []
+    # Column fits, their terms and zibt fits, shared by all variants of the seed.
     cache: dict = {}
     for tag in variants:
-        nll_n, nll_a, sigma_est = _fit_and_score(
-            tag, train, normal, abnormal, val, seed, mc_samples, cache
-        )
+        nll_n, nll_a, sigma_est = _fit_and_score(tag, data, seed, mc_samples, cache)
         err = (
             sigma_l2_error(sigma_est, truth.sigma_true)
             if sigma_est is not None

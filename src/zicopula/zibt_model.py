@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .marginals import (
-    MIN_FIT_ROWS,
     MarginalModel,
+    PositiveTerms,
     as_data_matrix,
-    fit_columns,
-    omega_transform,
-    positive_logpdf,
+    fit_positive_terms,
+    normal_scores,
 )
 from .rgd_copula import (
     DEFAULT_MC_SAMPLES,
@@ -80,23 +78,24 @@ def fit_zibt(
     bandwidth_scale: float = 1.0,
 ) -> ZibtModel:
     """Fit marginals, thresholds, and the copula correlation."""
-    arr = as_data_matrix(data)
-    n, d = arr.shape
-    if n < MIN_FIT_ROWS:
-        raise DataError(f"need at least {MIN_FIT_ROWS} rows, got {n}")
-    models, b, scaled = fit_columns(
-        arr, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale
-    )
+    train = fit_positive_terms(data, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale)
+    return fit_zibt_copula(train, use_mle_sigma, likelihood_mode)
 
-    omega = np.empty((n, d))
-    for j, m in enumerate(models):
-        omega[:, j] = omega_transform(m, scaled[:, j])
-    a = np.array([m.a for m in models])
-    sigma = assemble_sigma(omega, a, use_mle_sigma, zero_mask=scaled == 0)
+
+def fit_zibt_copula(
+    train: PositiveTerms,
+    use_mle_sigma: bool = True,
+    likelihood_mode: str = "approx",
+) -> ZibtModel:
+    """Copula stage of fit_zibt: thresholds and correlation on fitted columns."""
+    a = np.array([m.a for m in train.models])
+    q = np.array([m.q for m in train.models])
+    omega = np.where(train.positive, normal_scores(train.cdf, q), a)
+    sigma = assemble_sigma(omega, a, use_mle_sigma, zero_mask=~train.positive)
     return ZibtModel(
-        marginals=tuple(models),
+        marginals=train.models,
         copula=RgdParams(sigma=sigma, a=a),
-        rescales=b,
+        rescales=train.rescales,
         likelihood_mode=likelihood_mode,
     )
 
@@ -109,26 +108,33 @@ def zibt_loglik_rows(
 ) -> np.ndarray:
     """Log-likelihood of each row under the fitted rectified-copula law."""
     arr = as_data_matrix(data, dim=model.dim)
-    n, d = arr.shape
-    scaled = arr / model.rescales
-    positive = scaled > 0
+    terms = PositiveTerms(model.marginals, model.rescales, arr)
+    return zibt_loglik_terms(model, terms, mc_samples, base_seed)
 
-    total = np.zeros(n)
-    omega = np.zeros((n, d))
+
+def zibt_loglik_terms(
+    model: ZibtModel,
+    terms: PositiveTerms,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    base_seed: int = 0,
+) -> np.ndarray:
+    """Copula stage of zibt_loglik_rows, on the model's columns evaluated at
+    the rows to score."""
+    terms.check_columns(model.marginals)
+    positive = terms.positive
+    total = np.zeros(positive.shape[0])
     log_b = np.log(model.rescales)
     for j, m in enumerate(model.marginals):
         pos = positive[:, j]
         # log q floored so zeros in a column that never had any stay finite.
         total[~pos] += max(np.log(m.q), LOG_PROB_FLOOR) if m.q > 0 else LOG_PROB_FLOOR
-        if pos.any():
-            values = scaled[pos, j]
-            total[pos] += np.log1p(-m.q) + positive_logpdf(m, values) - log_b[j]
-            omega[pos, j] = omega_transform(m, values)
+        total[pos] += np.log1p(-m.q) + terms.logpdf[pos, j] - log_b[j]
 
+    q = np.array([m.q for m in model.marginals])
     total += copula_loglik_rows(
         model.copula.sigma,
         np.where(np.isfinite(model.copula.a), model.copula.a, _PATCHED_THRESHOLD),
-        omega,
+        np.where(positive, normal_scores(terms.cdf, q), 0.0),
         positive,
         exact=model.likelihood_mode == "exact",
         mc_samples=mc_samples,

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import DataError
 from .marginals import (
-    CDF_CEIL,
-    CDF_FLOOR,
-    MIN_FIT_ROWS,
     MarginalModel,
+    PositiveTerms,
     as_data_matrix,
-    fit_columns,
-    positive_cdf,
-    positive_logpdf,
+    fit_positive_terms,
+    normal_scores,
 )
 from .mask_model import (
     BernoulliMask,
@@ -69,20 +65,10 @@ class ZicarModel:
         return len(self.marginals)
 
 
-def parent_omega(m: MarginalModel, x) -> np.ndarray:
-    """Normal scores of positive values under the parent (positive-part) CDF."""
-    u = np.clip(positive_cdf(m, x), CDF_FLOOR, CDF_CEIL)
-    return std_normal_quantile(u)
-
-
-def _sigma_from_joint_positives(
-    scaled: np.ndarray, models: list[MarginalModel]
-) -> np.ndarray:
-    n, d = scaled.shape
-    omega = np.full((n, d), np.nan)
-    positive = scaled > 0
-    for j, m in enumerate(models):
-        omega[positive[:, j], j] = parent_omega(m, scaled[positive[:, j], j])
+def _sigma_from_joint_positives(train: PositiveTerms) -> np.ndarray:
+    positive = train.positive
+    d = positive.shape[1]
+    omega = np.where(positive, normal_scores(train.cdf), np.nan)
     sigma = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
@@ -135,15 +121,24 @@ def fit_zicar(
     bandwidth_scale: float = 1.0,
 ) -> ZicarModel:
     """Fit marginals, mask, and copula correlation from nonnegative data."""
-    arr = as_data_matrix(data)
-    n, d = arr.shape
-    if n < MIN_FIT_ROWS:
-        raise DataError(f"need at least {MIN_FIT_ROWS} rows, got {n}")
-    models, b, scaled = fit_columns(
-        arr, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale
+    train = fit_positive_terms(data, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale)
+    return fit_zicar_copula(
+        train, mask_kind, use_mle_sigma, n_hidden, rbm_epochs, rbm_lr, seed
     )
 
-    masks = binarize(arr)
+
+def fit_zicar_copula(
+    train: PositiveTerms,
+    mask_kind: str = "bernoulli",
+    use_mle_sigma: bool = True,
+    n_hidden: int | None = None,
+    rbm_epochs: int = 200,
+    rbm_lr: float = 0.05,
+    seed: int = 0,
+) -> ZicarModel:
+    """Copula stage of fit_zicar: mask law and correlation on fitted columns."""
+    masks = binarize(train.data)
+    d = masks.shape[1]
     if mask_kind == "bernoulli":
         mask = fit_bernoulli(masks)
     elif mask_kind == "rbm":
@@ -153,30 +148,33 @@ def fit_zicar(
         raise ValueError("mask_kind must be 'bernoulli' or 'rbm'")
 
     if use_mle_sigma:
-        sigma = _sigma_from_joint_positives(scaled, models)
+        sigma = _sigma_from_joint_positives(train)
     else:
-        sigma = _sigma_from_all_rows(scaled)
-    return ZicarModel(marginals=tuple(models), mask=mask, sigma=sigma, rescales=b)
+        sigma = _sigma_from_all_rows(train.scaled)
+    return ZicarModel(
+        marginals=train.models, mask=mask, sigma=sigma, rescales=train.rescales
+    )
 
 
 def zicar_loglik_rows(model: ZicarModel, data) -> np.ndarray:
     """Log-likelihood of each row: mask + positive marginals + copula."""
     arr = as_data_matrix(data, dim=model.dim)
-    n, d = arr.shape
-    scaled = arr / model.rescales
-    positive = scaled > 0
+    return zicar_loglik_terms(model, PositiveTerms(model.marginals, model.rescales, arr))
 
+
+def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
+    """Copula stage of zicar_loglik_rows, on the model's columns evaluated at
+    the rows to score."""
+    terms.check_columns(model.marginals)
+    positive = terms.positive
     total = mask_logprob_rows(model.mask, positive.astype(float))
 
     # log b is the change-of-variables term: the marginal was fit on x / b,
     # so its density in original units is g(x / b) / b.
     log_b = np.log(model.rescales)
-    omega = np.zeros((n, d))
-    for j, m in enumerate(model.marginals):
+    for j in range(model.dim):
         pos = positive[:, j]
-        if pos.any():
-            values = scaled[pos, j]
-            total[pos] += positive_logpdf(m, values) - log_b[j]
-            omega[pos, j] = parent_omega(m, values)
+        total[pos] += terms.logpdf[pos, j] - log_b[j]
 
+    omega = np.where(positive, normal_scores(terms.cdf), 0.0)
     return total + copula_loglik_rows(model.sigma, None, omega, positive)

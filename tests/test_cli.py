@@ -186,6 +186,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ERR:USAGE" in err
 
+    # --mc-samples below 1 is refused before any work, also where no orthant
+    # probability would be drawn (an approx model, rows with few zeros).
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_path), "--model", "zibt",
+                 "--out", str(model_path)]) == 0
+    scores, results = tmp_path / "scores.csv", tmp_path / "results.csv"
+    for n in ("0", "-5"):
+        assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(scores), "--mc-samples", n]) == 1
+        assert main(["bench", "--kind", "zibt", "--dim", "5", "--mc-samples", n,
+                     "--out", str(results)]) == 1
+        assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
+    assert not scores.exists() and not results.exists()
+
 
 def test_data_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "none.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,22 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zicopula.baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from zicopula.errors import DataError
 from zicopula.mask_model import RbmMask
-from zicopula.stat_core import std_normal_cdf
+from zicopula.stat_core import std_normal_cdf, sub_seed
 from zicopula.synth_bench import (
+    BANDWIDTH_GRID,
     PRESETS,
+    BenchResult,
     SigmoidMix,
     ZibtInverseMap,
+    _bench_one_seed,
     auc,
     corrupt,
+    default_variants,
     make_ground_truth,
     run_benchmark,
     sample_dataset,
     sigma_l2_error,
     write_results_csv,
 )
-from zicopula.zibt_model import fit_zibt
+from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
+from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
 
 
 def test_ground_truth_sigma_is_correlation_matrix():
@@ -245,9 +252,69 @@ def test_run_benchmark_rows_and_determinism():
     assert math.isnan(rows[1].sigma_l2_error)
 
 
-def test_write_results_csv_appends_without_duplicate_header(tmp_path):
-    from zicopula.synth_bench import BenchResult
+def _alone(kind, tag, dim, seed, n_train, n_test, mc_samples) -> BenchResult:
+    """One benchmark variant fitted and scored on its own through the public
+    fit_* and *_loglik_rows, following the benchmark protocol step by step."""
+    truth = make_ground_truth(kind, dim, seed)
+    train = sample_dataset(truth, n_train, sub_seed(seed, 1))
+    normal = sample_dataset(truth, n_test, sub_seed(seed, 2))
+    abnormal = corrupt(normal, train, sub_seed(seed, 3))
+    val = sample_dataset(truth, n_test, sub_seed(seed, 9))
+    sigma = None
+    if tag.startswith("zibt"):
+        bw = max(BANDWIDTH_GRID, key=lambda b: float(zibt_loglik_rows(
+            fit_zibt(train, likelihood_mode="approx", bandwidth_scale=b), val).mean()))
+        model = fit_zibt(
+            train,
+            use_mle_sigma=tag != "zibt-no-mle",
+            use_rescale=tag != "zibt-no-rescale",
+            likelihood_mode="approx" if tag == "zibt-approx" else "exact",
+            bandwidth_scale=bw,
+        )
+        nll_n = -zibt_loglik_rows(model, normal, mc_samples, sub_seed(seed, 5))
+        nll_a = -zibt_loglik_rows(model, abnormal, mc_samples, sub_seed(seed, 6))
+        sigma = model.copula.sigma
+    elif tag.startswith("zicar"):
+        bw = max(BANDWIDTH_GRID, key=lambda b: float(zicar_loglik_rows(
+            fit_zicar(train, mask_kind="bernoulli", bandwidth_scale=b), val).mean()))
+        model = fit_zicar(
+            train,
+            mask_kind="bernoulli" if tag == "zicar-no-rbm" else "rbm",
+            use_mle_sigma=tag != "zicar-no-mle",
+            use_rescale=tag != "zicar-no-rescale",
+            seed=sub_seed(seed, 4),
+            bandwidth_scale=bw,
+        )
+        nll_n, nll_a = -zicar_loglik_rows(model, normal), -zicar_loglik_rows(model, abnormal)
+        sigma = model.sigma
+    elif tag == "gmm":
+        model = tune_gmm(train, seed=sub_seed(seed, 7))
+        nll_n, nll_a = -gmm_loglik_rows(model, normal), -gmm_loglik_rows(model, abnormal)
+    else:
+        model = tune_kde(train, seed=sub_seed(seed, 8))
+        nll_n, nll_a = -kde_loglik_rows(model, normal), -kde_loglik_rows(model, abnormal)
+    err = float("nan") if sigma is None else sigma_l2_error(sigma, truth.sigma_true)
+    return BenchResult(tag, kind, dim, seed, auc(nll_n, nll_a), err)
 
+
+@pytest.mark.parametrize("kind, single", [("zibt", "zibt-no-mle"), ("zicar", "zibt-full")])
+def test_shared_bench_rows_equal_independent_fits(kind, single):
+    # The benchmark shares column fits, marginal terms and zibt fits across
+    # variants; each row must still be exactly what fitting it alone gives,
+    # whatever else ran before it.
+    size = dict(dim=3, seed=0, n_train=300, n_test=150, mc_samples=256)
+    rows = _bench_one_seed(kind, variants=default_variants(kind), **size)
+    assert [r.model_tag for r in rows] == list(default_variants(kind))
+    for row in rows:
+        np.testing.assert_equal(
+            dataclasses.astuple(row), dataclasses.astuple(_alone(kind, row.model_tag, **size))
+        )
+    (alone,) = _bench_one_seed(kind, variants=(single,), **size)
+    (shared,) = [r for r in rows if r.model_tag == single]
+    np.testing.assert_equal(dataclasses.astuple(alone), dataclasses.astuple(shared))
+
+
+def test_write_results_csv_appends_without_duplicate_header(tmp_path):
     path = tmp_path / "results.csv"
     row = BenchResult("gmm", "zibt", 2, 0, 0.75, float("nan"))
     write_results_csv(path, [row])
