@@ -14,7 +14,8 @@ from .stat_core import CHUNK_BUDGET, LOG_2PI, mvn_logpdf
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
 GMM_MAX_REINITS = 3
-DEFAULT_REG = 1e-6
+# Added to every covariance at each EM step.
+GMM_REG = 1e-6
 
 _GMM_GRID = (1, 2, 4, 8, 16)
 _KDE_GRID = (0.5, 1.0, 2.0)
@@ -99,7 +100,6 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 def fit_gmm(
     data,
     k: int,
-    reg: float = DEFAULT_REG,
     seed: int = 0,
     return_trace: bool = False,
 ):
@@ -113,7 +113,7 @@ def fit_gmm(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     means = _kmeans_pp_init(x, k, rng)
-    base_cov = np.cov(x, rowvar=False).reshape(d, d) + reg * np.eye(d)
+    base_cov = np.cov(x, rowvar=False).reshape(d, d) + GMM_REG * np.eye(d)
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     model = GmmModel(weights=weights, means=means, covariances=covs)
@@ -153,7 +153,7 @@ def fit_gmm(
         for j in range(k):
             centered = x - means[j]
             covs[j] = (resp[:, j][:, None] * centered).T @ centered / counts[j]
-            covs[j] += reg * np.eye(d)
+            covs[j] += GMM_REG * np.eye(d)
         model = GmmModel(weights=weights, means=means, covariances=covs)
         if mean_ll - prev < GMM_TOL and np.isfinite(prev):
             break
@@ -213,7 +213,7 @@ def _validation_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return order[:cut], order[cut:]
 
 
-def tune_gmm(data, reg: float = DEFAULT_REG, seed: int = 0) -> GmmModel:
+def tune_gmm(data, seed: int = 0) -> GmmModel:
     """Pick k on an 80/20 held-out split, then refit on all rows."""
     x = np.asarray(data, dtype=float)
     train_idx, val_idx = _validation_split(x.shape[0], seed)
@@ -222,7 +222,7 @@ def tune_gmm(data, reg: float = DEFAULT_REG, seed: int = 0) -> GmmModel:
         if train_idx.size < k * (x.shape[1] + 1):
             continue
         try:
-            candidate = fit_gmm(x[train_idx], k, reg=reg, seed=seed)
+            candidate = fit_gmm(x[train_idx], k, seed=seed)
         except NumericError:
             continue
         ll = float(gmm_loglik_rows(candidate, x[val_idx]).mean())
@@ -230,7 +230,7 @@ def tune_gmm(data, reg: float = DEFAULT_REG, seed: int = 0) -> GmmModel:
             best_k, best_ll = k, ll
     if best_k is None:
         raise DataError("no mixture size fits the training split")
-    return fit_gmm(x, best_k, reg=reg, seed=seed)
+    return fit_gmm(x, best_k, seed=seed)
 
 
 def tune_kde(data, seed: int = 0) -> KdeModel:

@@ -223,12 +223,20 @@ def _zicar_to_dict(model: ZicarModel) -> dict:
     }
 
 
+def _marginals_from_dict(d: dict) -> tuple[MarginalModel, ...]:
+    """A copula model's marginals; its "rescales" list must repeat their
+    rescale divisors exactly, since scoring reads only the marginals."""
+    marginals = tuple(_marginal_from_dict(m) for m in d["marginals"])
+    if [float(b) for b in d["rescales"]] != [m.rescale_b for m in marginals]:
+        raise ValueError("rescales must equal the marginals' rescale_b")
+    return marginals
+
+
 def _zicar_from_dict(d: dict) -> ZicarModel:
     return ZicarModel(
-        marginals=tuple(_marginal_from_dict(m) for m in d["marginals"]),
+        marginals=_marginals_from_dict(d),
         mask=_mask_from_dict(d["mask"]),
         sigma=np.asarray(d["sigma"], dtype=float),
-        rescales=np.asarray(d["rescales"], dtype=float),
     )
 
 
@@ -244,12 +252,11 @@ def _zibt_to_dict(model: ZibtModel) -> dict:
 
 def _zibt_from_dict(d: dict) -> ZibtModel:
     return ZibtModel(
-        marginals=tuple(_marginal_from_dict(m) for m in d["marginals"]),
+        marginals=_marginals_from_dict(d),
         copula=RgdParams(
             sigma=np.asarray(d["sigma"], dtype=float),
             a=np.array([_threshold_from_json(v) for v in d["thresholds"]]),
         ),
-        rescales=np.asarray(d["rescales"], dtype=float),
         likelihood_mode=d["likelihood_mode"],
     )
 
@@ -259,7 +266,6 @@ def _fit_zicar(args, data) -> ZicarModel:
         data,
         mask_kind=args.mask,
         use_mle_sigma=not args.no_mle,
-        use_rescale=not args.no_rescale,
         n_hidden=args.n_hidden,
         seed=int(args.seed),
         bandwidth_scale=float(args.bandwidth_scale),
@@ -270,7 +276,6 @@ def _fit_zibt(args, data) -> ZibtModel:
     return fit_zibt(
         data,
         use_mle_sigma=not args.no_mle,
-        use_rescale=not args.no_rescale,
         likelihood_mode=args.likelihood,
         bandwidth_scale=float(args.bandwidth_scale),
     )
@@ -464,7 +469,6 @@ def cmd_fit(args) -> None:
             "mask": "rbm",
             "likelihood": "approx",
             "no_mle": False,
-            "no_rescale": False,
             "bandwidth_scale": 1.0,
             "n_hidden": None,
             "k": None,
@@ -670,8 +674,6 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--likelihood", choices=("exact", "approx"), help="zibt scoring mode")
     p_fit.add_argument("--no-mle", action="store_true", default=None,
                        help="plain correlation instead of pairwise MLE")
-    p_fit.add_argument("--no-rescale", action="store_true", default=None,
-                       help="skip the per-column rescaling pass")
     p_fit.add_argument("--bandwidth-scale", type=float,
                        help="marginal KDE bandwidth multiplier (default 1.0)")
     p_fit.add_argument("--n-hidden", type=int, help="RBM hidden units (default 2D)")

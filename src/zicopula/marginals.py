@@ -138,13 +138,6 @@ def positive_cdf(m: MarginalModel, x):
     return float(out[0]) if scalar else out
 
 
-def marginal_cdf(m: MarginalModel, x):
-    """Zero-inflated CDF q + (1-q) * F_tilde(x); equals q at x = 0."""
-    tail = positive_cdf(m, x)
-    out = m.q + (1.0 - m.q) * tail
-    return out
-
-
 def normal_scores(cdf, q=0.0):
     """Phi^-1 of q + (1 - q) F for positive-part CDF values F, clamped to
     [CDF_FLOOR, CDF_CEIL]. With the zero rate q this is the zero-inflated
@@ -193,14 +186,12 @@ def as_data_matrix(data, dim: int | None = None) -> np.ndarray:
 
 def fit_columns(
     data: np.ndarray,
-    use_rescale: bool = True,
     bandwidth_scale: float = 1.0,
 ) -> tuple[list[MarginalModel], np.ndarray, np.ndarray]:
-    """Fit every column, optionally running the rescale-and-refit pass.
+    """Fit every column and run the rescale-and-refit pass.
 
     Returns (models, b, scaled_data) where scaled_data = data / b columnwise
-    and each model carries its rescale divisor. With use_rescale=False, b is
-    all ones and scaled_data is the input.
+    and each model carries its rescale divisor.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -214,12 +205,9 @@ def fit_columns(
             first = fit_marginal(col, bandwidth_scale)
         except DataError as exc:
             raise DataError(f"column {j + 1}: {exc}") from None
-        if use_rescale:
-            b[j] = rescale_factor(first, col[col > 0])
-            refit = fit_marginal(col / b[j], bandwidth_scale)
-            models.append(replace(refit, rescale_b=float(b[j])))
-        else:
-            models.append(first)
+        b[j] = rescale_factor(first, col[col > 0])
+        refit = fit_marginal(col / b[j], bandwidth_scale)
+        models.append(replace(refit, rescale_b=float(b[j])))
     scaled = data / b
     return models, b, scaled
 
@@ -228,14 +216,14 @@ class PositiveTerms:
     """Fitted columns evaluated at the positive entries of one data matrix.
 
     ``positive`` marks the positive entries of the data divided by the
-    rescale divisors. ``logpdf`` holds each column's positive_logpdf there
-    and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each is
+    columns' rescale divisors. ``logpdf`` holds each column's positive_logpdf
+    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each is
     evaluated on first use only: a fit reads F, a scorer both.
     """
 
-    def __init__(self, models, rescales, data) -> None:
+    def __init__(self, models, data) -> None:
         self.models = tuple(models)
-        self.rescales = np.asarray(rescales, dtype=float)
+        self.rescales = np.array([m.rescale_b for m in self.models])
         self.data = np.asarray(data, dtype=float)
         self.positive = self.scaled > 0
 
@@ -270,13 +258,11 @@ class PositiveTerms:
             raise ValueError("marginal terms were evaluated with other fitted columns")
 
 
-def fit_positive_terms(
-    data, use_rescale: bool = True, bandwidth_scale: float = 1.0
-) -> PositiveTerms:
+def fit_positive_terms(data, bandwidth_scale: float = 1.0) -> PositiveTerms:
     """Marginal stage of both copula fits: validate the training matrix, fit
     its columns and return them with their terms at the training rows."""
     arr = as_data_matrix(data)
     if arr.shape[0] < MIN_FIT_ROWS:
         raise DataError(f"need at least {MIN_FIT_ROWS} rows, got {arr.shape[0]}")
-    models, b, _ = fit_columns(arr, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale)
-    return PositiveTerms(models, b, arr)
+    models, _, _ = fit_columns(arr, bandwidth_scale=bandwidth_scale)
+    return PositiveTerms(models, arr)

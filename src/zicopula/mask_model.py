@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 MAX_EXACT_DIM = 20
 CD_BATCH_SIZE = 64
+CD_LEARNING_RATE = 0.05
 _ENUM_CHUNK = 1 << 16
 
 
@@ -174,7 +175,6 @@ def fit_rbm(
     masks: np.ndarray,
     n_hidden: int,
     epochs: int = 200,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> RbmMask:
     """Train an RBM on mask rows with one-step contrastive divergence."""
@@ -201,9 +201,9 @@ def fit_rbm(
             pv1 = expit(visible_bias[None, :] + h0 @ weights.T)
             ph1 = expit(hidden_bias[None, :] + pv1 @ weights)
             batch = v0.shape[0]
-            weights += lr * (v0.T @ ph0 - pv1.T @ ph1) / batch
-            visible_bias += lr * (v0 - pv1).mean(axis=0)
-            hidden_bias += lr * (ph0 - ph1).mean(axis=0)
+            weights += CD_LEARNING_RATE * (v0.T @ ph0 - pv1.T @ ph1) / batch
+            visible_bias += CD_LEARNING_RATE * (v0 - pv1).mean(axis=0)
+            hidden_bias += CD_LEARNING_RATE * (ph0 - ph1).mean(axis=0)
         if logger.isEnabledFor(logging.DEBUG):
             npl = -_pseudo_loglik(weights, visible_bias, hidden_bias, arr)
             logger.debug("epoch %d: negative pseudo-likelihood %.6f", epoch + 1, npl)

@@ -265,10 +265,10 @@ def conditional_gaussian(
 EIG_FLOOR = 1e-6
 
 
-def repair_correlation(raw: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+def repair_correlation(raw: np.ndarray) -> np.ndarray:
     """Project an almost-correlation matrix onto valid correlation matrices.
 
-    Eigenvalues are clipped at ``floor`` and the diagonal renormalized to 1;
+    Eigenvalues are clipped at ``EIG_FLOOR`` and the diagonal renormalized to 1;
     the pair of projections is iterated because the renormalization alone can
     push the smallest eigenvalue back under the floor. A positive definite
     input is returned unchanged (up to symmetrization).
@@ -285,23 +285,23 @@ def repair_correlation(raw: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     np.fill_diagonal(mat, 1.0)
 
     eigvals = np.linalg.eigvalsh(mat)
-    if eigvals[0] >= floor:
+    if eigvals[0] >= EIG_FLOOR:
         return mat
 
     for _ in range(100):
         vals, vecs = np.linalg.eigh(mat)
-        vals = np.maximum(vals, floor)
+        vals = np.maximum(vals, EIG_FLOOR)
         mat = (vecs * vals) @ vecs.T
         scale = 1.0 / np.sqrt(np.diag(mat))
         mat = mat * np.outer(scale, scale)
         mat = 0.5 * (mat + mat.T)
         np.fill_diagonal(mat, 1.0)
-        if np.linalg.eigvalsh(mat)[0] >= floor * (1.0 - 1e-9):
+        if np.linalg.eigvalsh(mat)[0] >= EIG_FLOOR * (1.0 - 1e-9):
             break
     lam_min = np.linalg.eigvalsh(mat)[0]
-    if lam_min < floor:
+    if lam_min < EIG_FLOOR:
         # Uniform blend toward identity keeps the diagonal at exactly 1.
-        eps = (floor - lam_min) / (1.0 - floor) + 1e-12
+        eps = (EIG_FLOOR - lam_min) / (1.0 - EIG_FLOOR) + 1e-12
         mat = (mat + eps * np.eye(d)) / (1.0 + eps)
         np.fill_diagonal(mat, 1.0)
     return mat

@@ -23,8 +23,8 @@ from .zicar_model import fit_zicar_copula, zicar_loglik_terms
 N_SIGMOID_COMPONENTS = 5
 N_MAP_ANCHORS = 10_000
 
-ZICAR_TAGS = ("zicar-full", "zicar-no-rbm", "zicar-no-mle", "zicar-no-rescale")
-ZIBT_TAGS = ("zibt-full", "zibt-approx", "zibt-no-mle", "zibt-no-rescale")
+ZICAR_TAGS = ("zicar-full", "zicar-no-rbm", "zicar-no-mle")
+ZIBT_TAGS = ("zibt-full", "zibt-approx", "zibt-no-mle")
 BASELINE_TAGS = ("gmm", "kde")
 ALL_TAGS = ZICAR_TAGS + ZIBT_TAGS + BASELINE_TAGS
 
@@ -296,30 +296,28 @@ def default_variants(kind: str) -> tuple:
     return ZIBT_TAGS + ("zicar-full",) + BASELINE_TAGS
 
 
-def _terms(data: dict, name: str, bandwidth: float, use_rescale: bool, cache: dict):
-    """Marginal columns of one (bandwidth, use_rescale) configuration,
-    evaluated at one of the seed's data sets. Each configuration is fitted to
-    "train" once and evaluated once per set; the bandwidth search, every
-    variant and both families share the result."""
-    key = ("terms", bandwidth, use_rescale, name)
+def _terms(data: dict, name: str, bandwidth: float, cache: dict):
+    """Marginal columns of one bandwidth, evaluated at one of the seed's data
+    sets. Each bandwidth is fitted to "train" once and evaluated once per
+    set; the bandwidth search, every variant and both families share the
+    result."""
+    key = ("terms", bandwidth, name)
     if key not in cache:
         if name == "train":
-            cache[key] = fit_positive_terms(
-                data["train"], use_rescale=use_rescale, bandwidth_scale=bandwidth
-            )
+            cache[key] = fit_positive_terms(data["train"], bandwidth_scale=bandwidth)
         else:
-            train = _terms(data, "train", bandwidth, use_rescale, cache)
-            cache[key] = PositiveTerms(train.models, train.rescales, data[name])
+            train = _terms(data, "train", bandwidth, cache)
+            cache[key] = PositiveTerms(train.models, data[name])
     return cache[key]
 
 
-def _zibt_base(data: dict, bandwidth: float, use_mle: bool, use_rescale: bool, cache: dict):
+def _zibt_base(data: dict, bandwidth: float, use_mle: bool, cache: dict):
     """The seed's approx-mode zibt fit of one configuration, shared by the
     bandwidth search and the zibt variants."""
-    key = ("zibt", bandwidth, use_mle, use_rescale)
+    key = ("zibt", bandwidth, use_mle)
     if key not in cache:
         cache[key] = fit_zibt_copula(
-            _terms(data, "train", bandwidth, use_rescale, cache), use_mle_sigma=use_mle
+            _terms(data, "train", bandwidth, cache), use_mle_sigma=use_mle
         )
     return cache[key]
 
@@ -333,12 +331,12 @@ def _tuned_bandwidth(family: str, data: dict, cache: dict) -> float:
         return cache[key]
     best_bw, best_ll = None, -np.inf
     for bw in BANDWIDTH_GRID:
-        val = _terms(data, "val", bw, True, cache)
+        val = _terms(data, "val", bw, cache)
         if family == "zibt":
-            candidate = _zibt_base(data, bw, True, True, cache)
+            candidate = _zibt_base(data, bw, True, cache)
             ll = float(zibt_loglik_terms(candidate, val).mean())
         else:
-            train = _terms(data, "train", bw, True, cache)
+            train = _terms(data, "train", bw, cache)
             candidate = fit_zicar_copula(train, mask_kind="bernoulli")
             ll = float(zicar_loglik_terms(candidate, val).mean())
         if ll > best_ll:
@@ -351,32 +349,28 @@ def _fit_and_score(tag: str, data: dict, seed: int, mc_samples: int, cache: dict
     """Returns (normal NLL rows, abnormal NLL rows, sigma estimate or None)."""
     if tag.startswith("zicar"):
         bw = _tuned_bandwidth("zicar", data, cache)
-        use_rescale = tag != "zicar-no-rescale"
         model = fit_zicar_copula(
-            _terms(data, "train", bw, use_rescale, cache),
+            _terms(data, "train", bw, cache),
             mask_kind="bernoulli" if tag == "zicar-no-rbm" else "rbm",
             use_mle_sigma=tag != "zicar-no-mle",
             seed=sub_seed(seed, 4),
         )
         return (
-            -zicar_loglik_terms(model, _terms(data, "normal", bw, use_rescale, cache)),
-            -zicar_loglik_terms(model, _terms(data, "abnormal", bw, use_rescale, cache)),
+            -zicar_loglik_terms(model, _terms(data, "normal", bw, cache)),
+            -zicar_loglik_terms(model, _terms(data, "abnormal", bw, cache)),
             model.sigma,
         )
     if tag.startswith("zibt"):
         bw = _tuned_bandwidth("zibt", data, cache)
-        use_rescale = tag != "zibt-no-rescale"
-        model = _zibt_base(data, bw, tag != "zibt-no-mle", use_rescale, cache)
+        model = _zibt_base(data, bw, tag != "zibt-no-mle", cache)
         if tag != "zibt-approx":
             model = dataclasses.replace(model, likelihood_mode="exact")
         return (
             -zibt_loglik_terms(
-                model, _terms(data, "normal", bw, use_rescale, cache),
-                mc_samples, sub_seed(seed, 5),
+                model, _terms(data, "normal", bw, cache), mc_samples, sub_seed(seed, 5)
             ),
             -zibt_loglik_terms(
-                model, _terms(data, "abnormal", bw, use_rescale, cache),
-                mc_samples, sub_seed(seed, 6),
+                model, _terms(data, "abnormal", bw, cache), mc_samples, sub_seed(seed, 6)
             ),
             model.copula.sigma,
         )
@@ -465,16 +459,13 @@ def run_benchmark(
     return [row for rows in per_seed for row in rows]
 
 
-def write_results_csv(path, rows, append: bool = True) -> None:
+def write_results_csv(path, rows) -> None:
     """Append benchmark rows to a CSV, writing the header only when needed."""
     import csv
     import os
 
-    need_header = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
-        need_header = False
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+    need_header = not (os.path.exists(path) and os.path.getsize(path) > 0)
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if need_header:
             writer.writerow(RESULT_COLUMNS)

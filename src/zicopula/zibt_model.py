@@ -42,17 +42,12 @@ class ZibtModel:
 
     marginals: tuple[MarginalModel, ...]
     copula: RgdParams
-    rescales: np.ndarray
     likelihood_mode: str = "approx"
 
     def __post_init__(self) -> None:
         marginals = tuple(self.marginals)
-        rescales = np.asarray(self.rescales, dtype=float)
-        d = len(marginals)
-        if self.copula.dim != d:
+        if self.copula.dim != len(marginals):
             raise ValueError("copula dimension must match the marginals")
-        if rescales.shape != (d,) or (rescales <= 0).any():
-            raise ValueError("rescales must be positive, one per variable")
         if self.likelihood_mode not in ("exact", "approx"):
             raise ValueError("likelihood_mode must be 'exact' or 'approx'")
         for i, m in enumerate(marginals):
@@ -63,22 +58,25 @@ class ZibtModel:
             elif abs(a_i - std_normal_quantile(m.q)) > 1e-9:
                 raise ValueError(f"threshold {i} inconsistent with its zero rate")
         object.__setattr__(self, "marginals", marginals)
-        object.__setattr__(self, "rescales", rescales)
 
     @property
     def dim(self) -> int:
         return len(self.marginals)
 
+    @property
+    def rescales(self) -> np.ndarray:
+        """Each column's rescale divisor, as its marginal stores it."""
+        return np.array([m.rescale_b for m in self.marginals])
+
 
 def fit_zibt(
     data,
     use_mle_sigma: bool = True,
-    use_rescale: bool = True,
     likelihood_mode: str = "approx",
     bandwidth_scale: float = 1.0,
 ) -> ZibtModel:
     """Fit marginals, thresholds, and the copula correlation."""
-    train = fit_positive_terms(data, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale)
+    train = fit_positive_terms(data, bandwidth_scale=bandwidth_scale)
     return fit_zibt_copula(train, use_mle_sigma, likelihood_mode)
 
 
@@ -95,7 +93,6 @@ def fit_zibt_copula(
     return ZibtModel(
         marginals=train.models,
         copula=RgdParams(sigma=sigma, a=a),
-        rescales=train.rescales,
         likelihood_mode=likelihood_mode,
     )
 
@@ -108,7 +105,7 @@ def zibt_loglik_rows(
 ) -> np.ndarray:
     """Log-likelihood of each row under the fitted rectified-copula law."""
     arr = as_data_matrix(data, dim=model.dim)
-    terms = PositiveTerms(model.marginals, model.rescales, arr)
+    terms = PositiveTerms(model.marginals, arr)
     return zibt_loglik_terms(model, terms, mc_samples, base_seed)
 
 
@@ -123,7 +120,7 @@ def zibt_loglik_terms(
     terms.check_columns(model.marginals)
     positive = terms.positive
     total = np.zeros(positive.shape[0])
-    log_b = np.log(model.rescales)
+    log_b = np.log(terms.rescales)
     for j, m in enumerate(model.marginals):
         pos = positive[:, j]
         # log q floored so zeros in a column that never had any stay finite.

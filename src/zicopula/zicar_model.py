@@ -42,27 +42,27 @@ class ZicarModel:
     marginals: tuple[MarginalModel, ...]
     mask: BernoulliMask | RbmMask
     sigma: np.ndarray
-    rescales: np.ndarray
 
     def __post_init__(self) -> None:
         marginals = tuple(self.marginals)
         sigma = np.asarray(self.sigma, dtype=float)
-        rescales = np.asarray(self.rescales, dtype=float)
         d = len(marginals)
         if sigma.shape != (d, d):
             raise ValueError("sigma dimension must match the marginals")
-        if rescales.shape != (d,) or (rescales <= 0).any():
-            raise ValueError("rescales must be positive, one per variable")
         mask_dim = self.mask.dim
         if mask_dim != d:
             raise ValueError("mask dimension must match the marginals")
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "rescales", rescales)
 
     @property
     def dim(self) -> int:
         return len(self.marginals)
+
+    @property
+    def rescales(self) -> np.ndarray:
+        """Each column's rescale divisor, as its marginal stores it."""
+        return np.array([m.rescale_b for m in self.marginals])
 
 
 def _sigma_from_joint_positives(train: PositiveTerms) -> np.ndarray:
@@ -113,18 +113,13 @@ def fit_zicar(
     data,
     mask_kind: str = "bernoulli",
     use_mle_sigma: bool = True,
-    use_rescale: bool = True,
     n_hidden: int | None = None,
-    rbm_epochs: int = 200,
-    rbm_lr: float = 0.05,
     seed: int = 0,
     bandwidth_scale: float = 1.0,
 ) -> ZicarModel:
     """Fit marginals, mask, and copula correlation from nonnegative data."""
-    train = fit_positive_terms(data, use_rescale=use_rescale, bandwidth_scale=bandwidth_scale)
-    return fit_zicar_copula(
-        train, mask_kind, use_mle_sigma, n_hidden, rbm_epochs, rbm_lr, seed
-    )
+    train = fit_positive_terms(data, bandwidth_scale=bandwidth_scale)
+    return fit_zicar_copula(train, mask_kind, use_mle_sigma, n_hidden, seed)
 
 
 def fit_zicar_copula(
@@ -132,8 +127,6 @@ def fit_zicar_copula(
     mask_kind: str = "bernoulli",
     use_mle_sigma: bool = True,
     n_hidden: int | None = None,
-    rbm_epochs: int = 200,
-    rbm_lr: float = 0.05,
     seed: int = 0,
 ) -> ZicarModel:
     """Copula stage of fit_zicar: mask law and correlation on fitted columns."""
@@ -143,7 +136,7 @@ def fit_zicar_copula(
         mask = fit_bernoulli(masks)
     elif mask_kind == "rbm":
         hidden = 2 * d if n_hidden is None else int(n_hidden)
-        mask = fit_rbm(masks, hidden, epochs=rbm_epochs, lr=rbm_lr, seed=seed)
+        mask = fit_rbm(masks, hidden, seed=seed)
     else:
         raise ValueError("mask_kind must be 'bernoulli' or 'rbm'")
 
@@ -151,15 +144,13 @@ def fit_zicar_copula(
         sigma = _sigma_from_joint_positives(train)
     else:
         sigma = _sigma_from_all_rows(train.scaled)
-    return ZicarModel(
-        marginals=train.models, mask=mask, sigma=sigma, rescales=train.rescales
-    )
+    return ZicarModel(marginals=train.models, mask=mask, sigma=sigma)
 
 
 def zicar_loglik_rows(model: ZicarModel, data) -> np.ndarray:
     """Log-likelihood of each row: mask + positive marginals + copula."""
     arr = as_data_matrix(data, dim=model.dim)
-    return zicar_loglik_terms(model, PositiveTerms(model.marginals, model.rescales, arr))
+    return zicar_loglik_terms(model, PositiveTerms(model.marginals, arr))
 
 
 def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
@@ -171,7 +162,7 @@ def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
 
     # log b is the change-of-variables term: the marginal was fit on x / b,
     # so its density in original units is g(x / b) / b.
-    log_b = np.log(model.rescales)
+    log_b = np.log(terms.rescales)
     for j in range(model.dim):
         pos = positive[:, j]
         total[pos] += terms.logpdf[pos, j] - log_b[j]

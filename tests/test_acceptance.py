@@ -321,7 +321,7 @@ def test_criterion_7_rescaling_contract():
     for kind in ("zicar", "zibt"):
         truth = make_ground_truth(kind, 4, seed=9)
         data = sample_dataset(truth, 3000, seed=13)
-        models, _, scaled = fit_columns(data, use_rescale=True)
+        models, _, scaled = fit_columns(data)
         for j, marginal in enumerate(models):
             col = scaled[:, j]
             offset = float(positive_logpdf(marginal, col[col > 0]).mean())

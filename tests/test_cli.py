@@ -202,6 +202,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
     assert not scores.exists() and not results.exists()
 
+    # The rescale pass always runs; it has no off switch.
+    unwritten = tmp_path / "unwritten.json"
+    assert main(["fit", "--data", str(data_path), "--model", "zibt",
+                 "--out", str(unwritten), "--no-rescale"]) == 1
+    assert capsys.readouterr().err.startswith("ERR:USAGE")
+    assert not unwritten.exists()
+
 
 def test_data_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "none.json"
@@ -225,26 +232,35 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         model_from_dict([1, 2, 3])
 
     data_path = tmp_path / "train.csv"
-    good = model_to_dict(fit_zibt(_toy_zibt_csv(data_path)))
+    data = _toy_zibt_csv(data_path)
+    good = model_to_dict(fit_zibt(data))
+    zicar = model_to_dict(fit_zicar(data, mask_kind="bernoulli"))
     first, second = good["marginals"]
+    # The rescale divisors are stored twice; the copies must agree.
+    mismatched = [good["rescales"][0], 10 * good["rescales"][1]]
     bad_fields = {
         "marginals": (5, [1, 2, 3])
         + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]]))
         + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0)),
         "sigma": ("abc",),
         "thresholds": (good["thresholds"][:1],),
+        "rescales": (mismatched, good["rescales"][:1]),
         "likelihood_mode": ("fast",),
     }
     for field, values in bad_fields.items():
         for value in values:
             with pytest.raises(DataError, match="malformed zibt model file"):
                 model_from_dict({**good, field: value})
+    for value in ([zicar["rescales"][0], 10 * zicar["rescales"][1]], zicar["rescales"][:1]):
+        with pytest.raises(DataError, match="malformed zicar model file"):
+            model_from_dict({**zicar, "rescales": value})
 
     # Through the command line a malformed file is a data error (exit 2); a
     # well-formed sigma that is not positive definite is a numeric one (exit 3).
     model_path = tmp_path / "m.json"
     cases = (
         ({**good, "marginals": 5}, 2, "ERR:DATA"),
+        ({**good, "rescales": mismatched}, 2, "ERR:DATA malformed zibt model file"),
         ({**good, "sigma": [[1.0, 2.0], [2.0, 1.0]]}, 3, "ERR:NUMERIC"),
     )
     for payload, rc, prefix in cases:
@@ -254,7 +270,7 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix)
 
 
-def test_config_precedence(tmp_path):
+def test_config_precedence(tmp_path, capsys):
     data_path = tmp_path / "train.csv"
     _toy_zibt_csv(data_path)
     cfg = tmp_path / "cfg.json"
@@ -270,10 +286,12 @@ def test_config_precedence(tmp_path):
                  "--bandwidth-mult", "1.0",
                  "--out", str(tmp_path / "flag.json")]) == 0
     assert json.loads((tmp_path / "flag.json").read_text())["kind"] == "kde"
-    cfg.write_text(json.dumps({"modle": "gmm"}))
-    assert main(["fit", "--config", str(cfg), "--data", str(data_path),
-                 "--model", "gmm", "--k", "1",
-                 "--out", str(tmp_path / "x.json")]) == 2
+    for unknown in ({"modle": "gmm"}, {"no_rescale": True}):
+        cfg.write_text(json.dumps(unknown))
+        assert main(["fit", "--config", str(cfg), "--data", str(data_path),
+                     "--model", "gmm", "--k", "1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert f"config has unknown keys: {next(iter(unknown))}" in capsys.readouterr().err
 
 
 def test_env_seed_used_as_default(tmp_path, monkeypatch):
@@ -319,10 +337,11 @@ def test_bench_command_appends_and_summarizes(tmp_path, capsys):
 
 
 def test_bench_rejects_unknown_variant(tmp_path, capsys):
-    rc = main(["bench", "--kind", "zibt", "--dim", "2",
-               "--variants", "mystery", "--out", str(tmp_path / "r.csv")])
-    assert rc == 1
-    assert "unknown variant" in capsys.readouterr().err
+    for tag in ("mystery", "zibt-no-rescale"):
+        rc = main(["bench", "--kind", "zibt", "--dim", "2",
+                   "--variants", tag, "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "unknown variant" in capsys.readouterr().err
 
 
 def _write_raw_credit(path, n=30, negatives=True):

@@ -92,13 +92,15 @@ def test_positive_pdf_rejects_nonpositive() -> None:
 
 def test_marginal_cdf_boundary_values() -> None:
     m = _model([1.0, 4.0], 0.4, q=0.25)
-    assert mg.marginal_cdf(m, 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert mg.marginal_cdf(m, 1e6) == pytest.approx(1.0, abs=1e-12)
+    # Zero-inflated CDF q + (1 - q) F(x): q at x = 0, 1 far out.
+    assert m.q + (1 - m.q) * mg.positive_cdf(m, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert m.q + (1 - m.q) * mg.positive_cdf(m, 1e6) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_cdf_two_center_midpoint() -> None:
     m = _model([5.0, 15.0], 0.5, q=0.2)
-    assert mg.marginal_cdf(m, 10.0) == pytest.approx(0.2 + 0.8 * 0.5, abs=1e-6)
+    cdf = m.q + (1 - m.q) * mg.positive_cdf(m, 10.0)
+    assert cdf == pytest.approx(0.2 + 0.8 * 0.5, abs=1e-6)
 
 
 def test_marginal_cdf_monotone_in_unit_interval() -> None:
@@ -106,7 +108,7 @@ def test_marginal_cdf_monotone_in_unit_interval() -> None:
     col = rng.lognormal(size=300) * (rng.uniform(size=300) > 0.3)
     m = mg.fit_marginal(col)
     grid = np.linspace(0.0, float(col.max()) * 1.5, 400)
-    vals = mg.marginal_cdf(m, grid)
+    vals = m.q + (1 - m.q) * mg.positive_cdf(m, grid)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
@@ -188,7 +190,7 @@ def test_rescale_refit_centers_log_density() -> None:
         rng.exponential(0.02, size=600) * (rng.uniform(size=600) > 0.3),
         rng.lognormal(3.0, 1.0, size=600) * (rng.uniform(size=600) > 0.1),
     ])
-    models, b, scaled = mg.fit_columns(data, use_rescale=True)
+    models, b, scaled = mg.fit_columns(data)
     assert np.all(b > 0)
     for j, m in enumerate(models):
         pos = scaled[:, j][scaled[:, j] > 0]
@@ -196,16 +198,6 @@ def test_rescale_refit_centers_log_density() -> None:
         assert abs(mean_log) <= 0.05
         # Fixed point: a second rescale pass moves b by no more than 5%.
         assert mg.rescale_factor(m, pos) == pytest.approx(1.0, abs=0.05)
-
-
-def test_fit_columns_without_rescale_keeps_scale() -> None:
-    rng = np.random.default_rng(1)
-    data = rng.exponential(size=(200, 2)) * (rng.uniform(size=(200, 2)) > 0.2)
-    models, b, scaled = mg.fit_columns(data, use_rescale=False)
-    assert np.array_equal(b, np.ones(2))
-    assert scaled is not data  # divided copy, numerically identical
-    assert np.array_equal(scaled, data)
-    assert all(m.rescale_b == 1.0 for m in models)
 
 
 def test_fit_columns_names_offending_column() -> None:

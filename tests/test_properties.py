@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
 from zicopula.cli import load_model, save_model
+from zicopula.marginals import PositiveTerms, fit_marginal
 from zicopula.rgd_copula import BRENT_TOL, RgdParams
 from zicopula.synth_bench import make_ground_truth, sample_dataset
-from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
-from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
+from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
+from zicopula.zicar_model import fit_zicar, fit_zicar_copula, zicar_loglik_rows
 
 DIM = 4
 N_TRAIN = 300
@@ -220,18 +221,19 @@ def test_zibt_approx_unit_change_shifts_scores_by_log_scale(column, log10_s):
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_rescale_pass_leaves_scores_unchanged(kind, seed):
     # The rescaled refit has bandwidth h / b on data x / b, so its density in
-    # original units, g(x / b) / b, is the unrescaled one: the *-no-rescale
-    # ablations equal *-full by construction, up to rounding.
+    # original units, g(x / b) / b, is the unrescaled one: the fitted model
+    # equals one built on the raw columns (rescale_b = 1), up to rounding.
     train = sample_dataset(make_ground_truth(kind, DIM, seed=11), N_TRAIN, seed=seed)
     rows = _data(kind)[1]
+    raw = PositiveTerms([fit_marginal(train[:, j]) for j in range(DIM)], train)
     if kind == "zicar":
         full = fit_zicar(train, mask_kind="bernoulli")
-        plain = fit_zicar(train, mask_kind="bernoulli", use_rescale=False)
+        plain = fit_zicar_copula(raw, mask_kind="bernoulli")
         np.testing.assert_allclose(plain.sigma, full.sigma, rtol=0, atol=ZICAR_SIGMA_ATOL)
         pinned, score = dataclasses.replace(plain, sigma=full.sigma), zicar_loglik_rows
     else:
         full = fit_zibt(train, likelihood_mode="approx")
-        plain = fit_zibt(train, likelihood_mode="approx", use_rescale=False)
+        plain = fit_zibt_copula(raw, likelihood_mode="approx")
         np.testing.assert_allclose(
             plain.copula.sigma, full.copula.sigma, rtol=0, atol=RHO_ATOL
         )

@@ -267,7 +267,6 @@ def _alone(kind, tag, dim, seed, n_train, n_test, mc_samples) -> BenchResult:
         model = fit_zibt(
             train,
             use_mle_sigma=tag != "zibt-no-mle",
-            use_rescale=tag != "zibt-no-rescale",
             likelihood_mode="approx" if tag == "zibt-approx" else "exact",
             bandwidth_scale=bw,
         )
@@ -281,7 +280,6 @@ def _alone(kind, tag, dim, seed, n_train, n_test, mc_samples) -> BenchResult:
             train,
             mask_kind="bernoulli" if tag == "zicar-no-rbm" else "rbm",
             use_mle_sigma=tag != "zicar-no-mle",
-            use_rescale=tag != "zicar-no-rescale",
             seed=sub_seed(seed, 4),
             bandwidth_scale=bw,
         )

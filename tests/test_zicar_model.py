@@ -149,7 +149,7 @@ def test_scoring_is_deterministic():
 
 def test_rescale_centers_mean_log_density():
     x = _correlated_sample(3000, rho=0.3, zero_rate=0.25, seed=9)
-    model = fit_zicar(x, use_rescale=True)
+    model = fit_zicar(x)
     for j, m in enumerate(model.marginals):
         col = x[:, j] / model.rescales[j]
         mean_log = positive_logpdf(m, col[col > 0]).mean()
