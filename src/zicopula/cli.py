@@ -689,7 +689,8 @@ def build_parser() -> _Parser:
     p_score.add_argument("--data", help="CSV to score")
     p_score.add_argument("--out", help="scores CSV to write")
     p_score.add_argument("--mc-samples", type=int,
-                         help="orthant MC draws for exact zibt scoring")
+                         help="orthant estimator points per row with 3+ zeros "
+                              f"in exact zibt scoring (default {DEFAULT_MC_SAMPLES})")
     p_score.add_argument("--clip-negatives", action="store_true", default=None)
 
     p_synth = sub.add_parser("synth", help="draw a synthetic dataset")
@@ -709,7 +710,9 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--preset", choices=tuple(PRESETS))
     p_bench.add_argument("--out", help="results CSV (appended; default results.csv)")
     p_bench.add_argument("--jobs", type=int, help="concurrent seeds (default 1)")
-    p_bench.add_argument("--mc-samples", type=int)
+    p_bench.add_argument("--mc-samples", type=int,
+                         help="orthant estimator points per row for the exact "
+                              f"zibt variants (default {DEFAULT_MC_SAMPLES})")
     p_bench.add_argument("--variants", help="comma-separated model tags")
     p_bench.add_argument("--seeds", help="comma-separated seed list (overrides preset)")
 

@@ -26,19 +26,22 @@ from .stat_core import (
     clamp_probability,
     conditional_gaussian,
     mvn_logpdf,
+    mvn_orthant_logprob,
     mvn_orthant_mc,
     repair_correlation,
     std_normal_cdf,
     std_normal_logcdf,
     std_normal_logpdf,
-    sub_seed,
 )
 
 RHO_BRACKET = 0.9999
 GRID_POINTS = 41
 BRENT_TOL = 1e-6
 BRENT_MAXITER = 200
-DEFAULT_MC_SAMPLES = 4096
+# Estimator points per row for the exact copula term (mvn_orthant_logprob).
+DEFAULT_MC_SAMPLES = 512
+# Shared Monte Carlo draws for zero_pattern_logprob (mvn_orthant_mc).
+PATTERN_MC_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -277,27 +280,6 @@ def assemble_sigma(
     return repair_correlation(sigma)
 
 
-def _orthant_logprob(
-    cond: ConditionalGaussian, a_zero: np.ndarray, mc_samples: int, seed: int
-) -> float:
-    """log P(nu <= a_zero) for nu ~ cond, the rectified block given the rest."""
-    if a_zero.size == 1:
-        sd = math.sqrt(max(float(cond.cov[0, 0]), 1e-300))
-        return float(std_normal_logcdf((a_zero[0] - cond.mean[0]) / sd))
-    if a_zero.size == 2:
-        s0 = math.sqrt(max(float(cond.cov[0, 0]), 1e-300))
-        s1 = math.sqrt(max(float(cond.cov[1, 1]), 1e-300))
-        r = float(np.clip(cond.cov[0, 1] / (s0 * s1), -1 + 1e-12, 1 - 1e-12))
-        p = bivariate_normal_cdf(
-            (a_zero[0] - cond.mean[0]) / s0,
-            (a_zero[1] - cond.mean[1]) / s1,
-            r,
-        )
-        return float(np.log(clamp_probability(p)))
-    est = mvn_orthant_mc(cond, a_zero, mc_samples, seed)
-    return float(np.log(clamp_probability(est.estimate)))
-
-
 def copula_loglik_rows(
     sigma,
     a,
@@ -315,8 +297,10 @@ def copula_loglik_rows(
     single coordinate, where it is 0 under a unit diagonal. That is the
     approximate form. The exact form (which reads the thresholds ``a``) adds
     each row's orthant term log P(nu_zero <= a_zero | nu_pos = omega_pos),
-    closed form up to two zeros and Monte Carlo seeded by
-    sub_seed(base_seed, row index) beyond, minus sum log Phi(a_zero).
+    minus sum log Phi(a_zero). The conditional law is computed once per
+    pattern; the orthant is closed form up to two zeros and, beyond, one
+    mvn_orthant_logprob call per zero count with ``mc_samples`` points per
+    row and shifts drawn from ``base_seed``.
     """
     sigma = np.asarray(sigma, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -329,13 +313,16 @@ def copula_loglik_rows(
         if a.shape != (d,):
             raise ValueError("thresholds must match sigma dimension")
     total = np.zeros(n)
+    # zero count -> [(rows, conditional covariance, upper bounds per row)]
+    orthants: dict[int, list] = {}
+    log_phi_a = np.zeros(n)
     patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(inverse == g)
         pos = np.flatnonzero(pattern)
         if pos.size >= 2:
-            block = omega[np.ix_(rows, pos)]
-            total[rows] += mvn_logpdf(block, sigma[np.ix_(pos, pos)])
+            block = omega[rows[:, None], pos]
+            total[rows] += mvn_logpdf(block, sigma[pos[:, None], pos])
             total[rows] -= std_normal_logpdf(block).sum(axis=1)
         if not exact or pos.size == d:
             continue
@@ -346,20 +333,35 @@ def copula_loglik_rows(
             raise ValueError(
                 f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
             )
-        for i in rows:
-            if pos.size:
-                cond = conditional_gaussian(sigma, pos, omega[i, pos])
-            else:
-                cond = ConditionalGaussian(np.zeros(zero.size), sigma[np.ix_(zero, zero)])
-            total[i] += _orthant_logprob(cond, a_zero, mc_samples, sub_seed(base_seed, i))
-        total[rows] -= float(np.sum(std_normal_logcdf(a_zero)))
-    return total
+        if pos.size:
+            cond = conditional_gaussian(sigma, pos, omega[rows[:, None], pos].T)
+            upper, cov = a_zero[:, None] - cond.mean, cond.cov
+        else:
+            upper = np.repeat(a_zero[:, None], rows.size, axis=1)
+            cov = sigma[zero[:, None], zero]
+        orthants.setdefault(zero.size, []).append((rows, cov, upper.T))
+        log_phi_a[rows] = float(np.sum(std_normal_logcdf(a_zero)))
+    for count, groups in orthants.items():
+        rows = np.concatenate([r for r, _, _ in groups])
+        cov = np.concatenate([np.broadcast_to(c, (r.size, *c.shape)) for r, c, _ in groups])
+        upper = np.concatenate([u for _, _, u in groups])
+        if count > 2:
+            total[rows] += mvn_orthant_logprob(cov, upper, mc_samples, base_seed)
+            continue
+        sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
+        z = upper / sd
+        if count == 1:
+            total[rows] += std_normal_logcdf(z[:, 0])
+        else:
+            r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
+            total[rows] += np.log(clamp_probability(bivariate_normal_cdf(z[:, 0], z[:, 1], r)))
+    return total - log_phi_a
 
 
 def zero_pattern_logprob(
     params: RgdParams,
     pattern: ZeroPattern,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int = PATTERN_MC_SAMPLES,
     seed: int = 0,
 ) -> float:
     """log P(the rectified law produces exactly this zero pattern).

@@ -23,6 +23,7 @@ from .marginals import (
 )
 from .rgd_copula import (
     DEFAULT_MC_SAMPLES,
+    PATTERN_MC_SAMPLES,
     RgdParams,
     ZeroPattern,
     assemble_sigma,
@@ -143,7 +144,7 @@ def zibt_loglik_terms(
 def zero_pattern_prob(
     model: ZibtModel,
     pattern: ZeroPattern,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int = PATTERN_MC_SAMPLES,
     seed: int = 0,
 ) -> float:
     """Probability that a draw from the fitted law shows this zero pattern."""

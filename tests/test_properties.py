@@ -87,12 +87,7 @@ def _score(name: str, model, rows: np.ndarray) -> np.ndarray:
 
 
 def _rows(name: str) -> np.ndarray:
-    rows = _data("zibt" if name.startswith("zibt") else "zicar")[1]
-    if name == "zibt-exact":
-        # Rows with at most two zeros use closed-form orthants and no seed;
-        # with three or more, each row's Monte Carlo seed is its batch index.
-        rows = rows[(rows == 0).sum(axis=1) <= 2]
-    return rows
+    return _data("zibt" if name.startswith("zibt") else "zicar")[1]
 
 
 MODELS = ["zibt-approx", "zibt-exact", "zicar-bernoulli", "zicar-rbm", "gmm", "kde"]
@@ -110,6 +105,18 @@ def test_batch_scores_equal_concatenated_sub_batches(name, cuts):
     ]
     np.testing.assert_allclose(
         np.concatenate(pieces), _score(name, model, rows), rtol=BATCH_RTOL, atol=BATCH_ATOL
+    )
+
+
+def test_exact_rows_score_alone_as_in_their_batch():
+    # The orthant estimator's shifts come from the seed alone, so a row with
+    # three or more zeros scores the same wherever it sits in a batch.
+    model = _model("zibt-exact")
+    rows = _rows("zibt-exact")
+    assert ((rows == 0).sum(axis=1) >= 3).any()
+    alone = [_score("zibt-exact", model, rows[i:i + 1])[0] for i in range(rows.shape[0])]
+    np.testing.assert_allclose(
+        alone, _score("zibt-exact", model, rows), rtol=BATCH_RTOL, atol=BATCH_ATOL
     )
 
 

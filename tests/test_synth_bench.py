@@ -312,6 +312,26 @@ def test_shared_bench_rows_equal_independent_fits(kind, single):
     np.testing.assert_equal(dataclasses.astuple(alone), dataclasses.astuple(shared))
 
 
+def test_bench_fits_the_rbm_mask_once_per_seed(monkeypatch):
+    # zicar-full and zicar-no-mle fit the same RBM (same binarised rows, same
+    # seed); the bench fits it once and both rows equal their own fits.
+    from zicopula import zicar_model
+
+    calls = []
+    fit_rbm = zicar_model.fit_rbm
+    monkeypatch.setattr(
+        zicar_model, "fit_rbm", lambda *a, **k: calls.append(1) or fit_rbm(*a, **k)
+    )
+    size = dict(dim=3, seed=0, n_train=300, n_test=150, mc_samples=256)
+    tags = ("zicar-full", "zicar-no-rbm", "zicar-no-mle")
+    rows = _bench_one_seed("zicar", variants=tags, **size)
+    assert len(calls) == 1
+    for row in rows:
+        np.testing.assert_equal(
+            dataclasses.astuple(row), dataclasses.astuple(_alone("zicar", row.model_tag, **size))
+        )
+
+
 def test_write_results_csv_appends_without_duplicate_header(tmp_path):
     path = tmp_path / "results.csv"
     row = BenchResult("gmm", "zibt", 2, 0, 0.75, float("nan"))

@@ -238,7 +238,7 @@ def test_exact_scoring_deterministic_per_seed():
     second = zibt_loglik_rows(model, rows, base_seed=5)
     assert np.array_equal(first, second)
     counts = (rows == 0).sum(axis=1)
-    assert (counts >= 3).any()  # some rows exercise the Monte Carlo branch
+    assert (counts >= 3).any()  # some rows exercise the orthant estimator
 
 
 def test_approx_scoring_scales_to_fifteen_dimensions():
