@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -657,7 +658,9 @@ def cmd_ingest_credit(args) -> None:
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built once per process: parsing writes only to its own namespace.
     parser = _Parser(prog="zicopula", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -689,8 +692,9 @@ def build_parser() -> _Parser:
     p_score.add_argument("--data", help="CSV to score")
     p_score.add_argument("--out", help="scores CSV to write")
     p_score.add_argument("--mc-samples", type=int,
-                         help="orthant estimator points per row with 3+ zeros "
-                              f"in exact zibt scoring (default {DEFAULT_MC_SAMPLES})")
+                         help="orthant estimator points per row with 3+ zeros, or "
+                              "2 zeros below 1e-8, in exact zibt scoring "
+                              f"(default {DEFAULT_MC_SAMPLES})")
     p_score.add_argument("--clip-negatives", action="store_true", default=None)
 
     p_synth = sub.add_parser("synth", help="draw a synthetic dataset")
@@ -711,8 +715,9 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--out", help="results CSV (appended; default results.csv)")
     p_bench.add_argument("--jobs", type=int, help="concurrent seeds (default 1)")
     p_bench.add_argument("--mc-samples", type=int,
-                         help="orthant estimator points per row for the exact "
-                              f"zibt variants (default {DEFAULT_MC_SAMPLES})")
+                         help="orthant estimator points per row with 3+ zeros, or "
+                              "2 zeros below 1e-8, for the exact zibt variants "
+                              f"(default {DEFAULT_MC_SAMPLES})")
     p_bench.add_argument("--variants", help="comma-separated model tags")
     p_bench.add_argument("--seeds", help="comma-separated seed list (overrides preset)")
 

@@ -184,32 +184,23 @@ def as_data_matrix(data, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def fit_columns(
-    data: np.ndarray,
-    bandwidth_scale: float = 1.0,
-) -> tuple[list[MarginalModel], np.ndarray, np.ndarray]:
-    """Fit every column and run the rescale-and-refit pass.
-
-    Returns (models, b, scaled_data) where scaled_data = data / b columnwise
-    and each model carries its rescale divisor.
-    """
+def fit_columns(data: np.ndarray, bandwidth_scale: float = 1.0) -> list[MarginalModel]:
+    """Fit every column and run the rescale-and-refit pass; each model
+    carries its rescale divisor."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DataError("expected a 2-D data matrix")
-    n, d = data.shape
-    b = np.ones(d, dtype=float)
     models: list[MarginalModel] = []
-    for j in range(d):
+    for j in range(data.shape[1]):
         col = data[:, j]
         try:
             first = fit_marginal(col, bandwidth_scale)
         except DataError as exc:
             raise DataError(f"column {j + 1}: {exc}") from None
-        b[j] = rescale_factor(first, col[col > 0])
-        refit = fit_marginal(col / b[j], bandwidth_scale)
-        models.append(replace(refit, rescale_b=float(b[j])))
-    scaled = data / b
-    return models, b, scaled
+        b = rescale_factor(first, col[col > 0])
+        refit = fit_marginal(col / b, bandwidth_scale)
+        models.append(replace(refit, rescale_b=b))
+    return models
 
 
 class PositiveTerms:
@@ -264,5 +255,4 @@ def fit_positive_terms(data, bandwidth_scale: float = 1.0) -> PositiveTerms:
     arr = as_data_matrix(data)
     if arr.shape[0] < MIN_FIT_ROWS:
         raise DataError(f"need at least {MIN_FIT_ROWS} rows, got {arr.shape[0]}")
-    models, _, _ = fit_columns(arr, bandwidth_scale=bandwidth_scale)
-    return PositiveTerms(models, arr)
+    return PositiveTerms(fit_columns(arr, bandwidth_scale=bandwidth_scale), arr)

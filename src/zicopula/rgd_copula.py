@@ -42,6 +42,9 @@ BRENT_MAXITER = 200
 DEFAULT_MC_SAMPLES = 512
 # Shared Monte Carlo draws for zero_pattern_logprob (mvn_orthant_mc).
 PATTERN_MC_SAMPLES = 4096
+# Two-zero orthants whose closed form is below this go to the estimator: the
+# closed form's absolute error of about 1e-16 is a relative one of 1e-8 here.
+CLOSED_FORM_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -298,9 +301,10 @@ def copula_loglik_rows(
     approximate form. The exact form (which reads the thresholds ``a``) adds
     each row's orthant term log P(nu_zero <= a_zero | nu_pos = omega_pos),
     minus sum log Phi(a_zero). The conditional law is computed once per
-    pattern; the orthant is closed form up to two zeros and, beyond, one
-    mvn_orthant_logprob call per zero count with ``mc_samples`` points per
-    row and shifts drawn from ``base_seed``.
+    pattern. The orthant is closed form for one zero, and for two zeros down
+    to CLOSED_FORM_MIN. Rows below it and rows with three or more zeros go to
+    one mvn_orthant_logprob call per zero count with ``mc_samples`` points
+    per row and shifts drawn from ``base_seed``.
     """
     sigma = np.asarray(sigma, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -354,7 +358,13 @@ def copula_loglik_rows(
             total[rows] += std_normal_logcdf(z[:, 0])
         else:
             r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
-            total[rows] += np.log(clamp_probability(bivariate_normal_cdf(z[:, 0], z[:, 1], r)))
+            p = bivariate_normal_cdf(z[:, 0], z[:, 1], r)
+            tail = p < CLOSED_FORM_MIN
+            total[rows[~tail]] += np.log(p[~tail])
+            if tail.any():
+                total[rows[tail]] += mvn_orthant_logprob(
+                    cov[tail], upper[tail], mc_samples, base_seed
+                )
     return total - log_phi_a
 
 

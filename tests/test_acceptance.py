@@ -21,7 +21,7 @@ from zicopula.baselines import (
 )
 from zicopula.cli import main as cli_main
 from zicopula.cli import read_data_csv
-from zicopula.marginals import fit_columns, positive_logpdf
+from zicopula.marginals import PositiveTerms, fit_columns, positive_logpdf
 from zicopula.mask_model import (
     BernoulliMask,
     RbmMask,
@@ -321,9 +321,9 @@ def test_criterion_7_rescaling_contract():
     for kind in ("zicar", "zibt"):
         truth = make_ground_truth(kind, 4, seed=9)
         data = sample_dataset(truth, 3000, seed=13)
-        models, _, scaled = fit_columns(data)
-        for j, marginal in enumerate(models):
-            col = scaled[:, j]
+        terms = PositiveTerms(fit_columns(data), data)
+        for j, marginal in enumerate(terms.models):
+            col = terms.scaled[:, j]
             offset = float(positive_logpdf(marginal, col[col > 0]).mean())
             worst = max(worst, abs(offset))
             assert abs(offset) <= 0.05

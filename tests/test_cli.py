@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zicopula.cli import (
+    build_parser,
     load_model,
     main,
     model_from_dict,
@@ -14,6 +15,7 @@ from zicopula.cli import (
     write_data_csv,
 )
 from zicopula.errors import DataError
+from zicopula.rgd_copula import DEFAULT_MC_SAMPLES
 from zicopula.synth_bench import make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
@@ -136,6 +138,28 @@ def test_score_rerun_byte_identical(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_built_once_and_flags_do_not_carry_over(tmp_path):
+    # Rows with three zeros make the exact score depend on --mc-samples; a
+    # flag given to one call must not become the next call's default.
+    truth = make_ground_truth("zibt", 3, seed=4)
+    train_path, rows_path = tmp_path / "train.csv", tmp_path / "rows.csv"
+    write_data_csv(train_path, sample_dataset(truth, 400, seed=5))
+    write_data_csv(rows_path, np.vstack([np.zeros((2, 3)), sample_dataset(truth, 8, seed=6)]))
+    model_path = tmp_path / "m.json"
+    assert main(["fit", "--data", str(train_path), "--model", "zibt",
+                 "--likelihood", "exact", "--out", str(model_path)]) == 0
+    outs = {}
+    for name, flags in (("seven", ["--mc-samples", "7"]), ("bare", []),
+                        ("default", ["--mc-samples", str(DEFAULT_MC_SAMPLES)])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["score", "--model", str(model_path), "--data", str(rows_path),
+                     "--out", str(out), *flags]) == 0
+        outs[name] = out.read_bytes()
+    assert build_parser() is build_parser()
+    assert outs["bare"] == outs["default"]
+    assert outs["bare"] != outs["seven"]
 
 
 def test_read_data_csv_errors(tmp_path):

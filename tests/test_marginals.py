@@ -190,9 +190,10 @@ def test_rescale_refit_centers_log_density() -> None:
         rng.exponential(0.02, size=600) * (rng.uniform(size=600) > 0.3),
         rng.lognormal(3.0, 1.0, size=600) * (rng.uniform(size=600) > 0.1),
     ])
-    models, b, scaled = mg.fit_columns(data)
-    assert np.all(b > 0)
-    for j, m in enumerate(models):
+    terms = mg.PositiveTerms(mg.fit_columns(data), data)
+    assert np.all(terms.rescales > 0)
+    scaled = terms.scaled
+    for j, m in enumerate(terms.models):
         pos = scaled[:, j][scaled[:, j] > 0]
         mean_log = float(np.mean(mg.positive_logpdf(m, pos)))
         assert abs(mean_log) <= 0.05

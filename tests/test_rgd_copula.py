@@ -213,6 +213,60 @@ def test_copula_exact_rejects_inconsistent_pattern() -> None:
         _copula(pinf, [-math.inf, 0.9], (0,), exact=True)
 
 
+def _log_orthant_reference(h: float, k: float, rho: float) -> float:
+    """log P(X <= h, Y <= k) by Plackett's identity integrated from t = -1:
+    the mass there is max(0, Phi(h) + Phi(k) - 1) = 0 for h + k <= 0, so the
+    probability is the integral of phi2(h, k; t) over t in (-1, rho]. Taken in
+    log space and shifted by its maximum, it holds far below 1e-300."""
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
+    assert h + k <= 0.0
+    def log_density(t: float) -> float:
+        return rc._log_bivariate_density(h, k, t)
+
+    inner = minimize_scalar(lambda t: -log_density(t), bounds=(-1.0 + 1e-15, rho),
+                            method="bounded", options={"xatol": 1e-12})
+    peak, top = max((-inner.fun, inner.x), (log_density(rho), rho))
+    val, _ = quad(lambda t: math.exp(log_density(t) - peak), -1.0, rho,
+                  points=[top], limit=500, epsabs=0.0, epsrel=1e-10)
+    return peak + math.log(val)
+
+
+@pytest.mark.parametrize(
+    "sigma, a, w",
+    [
+        # Conditional correlation -0.14 and +0.87 between the two zeros.
+        ([[1.0, 0.5, 0.8], [0.5, 1.0, 0.7], [0.8, 0.7, 1.0]], [-0.5, -0.3, -1.0],
+         np.linspace(-0.5, 20.1, 42)),
+        ([[1.0, 0.9, 0.6], [0.9, 1.0, 0.5], [0.6, 0.5, 1.0]], [-0.2, 0.4, -1.0],
+         np.linspace(0.5, 48.9, 45)),
+    ],
+)
+def test_copula_exact_two_zero_tail_matches_quadrature(sigma, a, w) -> None:
+    # Raising the one positive coordinate moves the conditional orthant of the
+    # two zeros from about 0.2 down to just above 1e-300; the two-zero term
+    # stays within 0.05 nats of the quadrature reference all the way.
+    assert _log_orthant_reference(-37.0, -2.0, 0.0) == pytest.approx(
+        sc.std_normal_logcdf(-37.0) + sc.std_normal_logcdf(-2.0), abs=1e-9
+    )
+    sigma, a = np.array(sigma), np.array(a)
+    omega = np.column_stack([np.full((w.size, 2), a[:2]), w])
+    positive = np.zeros(omega.shape, dtype=bool)
+    positive[:, 2] = True
+    got = rc.copula_loglik_rows(sigma, a, omega, positive, exact=True)
+    got += float(np.sum(sc.std_normal_logcdf(a[:2])))
+    cov = sigma[:2, :2] - np.outer(sigma[:2, 2], sigma[:2, 2])
+    sd = np.sqrt(np.diag(cov))
+    h = (a[0] - sigma[0, 2] * w) / sd[0]
+    k = (a[1] - sigma[1, 2] * w) / sd[1]
+    want = np.array([_log_orthant_reference(x, y, cov[0, 1] / (sd[0] * sd[1]))
+                     for x, y in zip(h, k)])
+    assert math.log(1e-300) < want.min() < math.log(1e-290)
+    assert want.max() > math.log(0.05)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=0.05)
+
+
 def test_copula_approx_identity_and_block_independence() -> None:
     p = _params(np.eye(3), [0.2, -0.1, 0.3])
     om = np.array([0.2, 0.5, 1.1])

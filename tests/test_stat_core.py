@@ -108,21 +108,47 @@ def test_bivariate_cdf_rejects_degenerate_rho(rho: float) -> None:
         sc.bivariate_normal_cdf(0.0, 0.0, rho)
 
 
+def _plackett_reference(h: float, k: float, rho: float) -> float:
+    """Plackett's identity, Phi2 = Phi(h) Phi(k) + int_0^rho phi2(h, k; t) dt,
+    by adaptive quadrature; the density vanishes at an infinite bound."""
+    from scipy.integrate import quad
+
+    base = float(sc.std_normal_cdf(h) * sc.std_normal_cdf(k))
+    if not (math.isfinite(h) and math.isfinite(k)):
+        return base
+
+    def density(t: float) -> float:
+        om = (1.0 - t) * (1.0 + t)
+        return math.exp(-(h * h - 2.0 * t * h * k + k * k) / (2.0 * om)) / (
+            2.0 * math.pi * math.sqrt(om)
+        )
+
+    val, _ = quad(density, 0.0, rho, epsabs=1e-16, epsrel=1e-13, limit=500)
+    return base + val
+
+
+_PHI2_BOUNDS = [-math.inf, -40.0, -9.0, -1.3, -0.0, -5e-324, -1e-200,
+                0.0, 5e-324, 1e-200, 0.7, 8.0, 40.0, math.inf]
+
+
 def test_bivariate_cdf_arrays_match_scalar_path() -> None:
-    # Every |rho| branch (Gauss-Legendre rules at 0.3 and 0.75, the
-    # near-one expansion from 0.925), both signs, and infinite bounds.
-    bounds = [-math.inf, -4.0, -1.3, -0.2, 0.0, 0.7, 2.5, math.inf]
-    rhos = [-0.999, -0.95, -0.8, -0.5, -0.1, 0.0, 0.25, 0.6, 0.74, 0.9, 0.93, 0.999]
-    a, b, r = np.meshgrid(bounds, bounds, rhos, indexing="ij")
+    # Owen's T against Plackett's identity, with infinite, signed-zero,
+    # subnormal and far bounds, and correlations up to 0.9999 either way.
+    rhos = [-0.9999, -0.9, -0.5, -1e-3, 1e-3, 0.5, 0.9, 0.9999]
+    a, b, r = np.meshgrid(_PHI2_BOUNDS, _PHI2_BOUNDS, rhos, indexing="ij")
     got = sc.bivariate_normal_cdf(a, b, r)
     assert isinstance(got, np.ndarray) and got.shape == a.shape
-    want = [sc.bivariate_normal_cdf(x, y, z) for x, y, z in zip(a.flat, b.flat, r.flat)]
-    assert all(type(w) is float for w in want)
-    np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-15)
+    want = [_plackett_reference(x, y, z) for x, y, z in zip(a.flat, b.flat, r.flat)]
+    np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-14)
+    # One body for scalars and arrays: each scalar call is a float equal to
+    # its array element.
+    scalar = [sc.bivariate_normal_cdf(x, y, z) for x, y, z in zip(a.flat, b.flat, r.flat)]
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_allclose(got.ravel(), scalar, rtol=0.0, atol=1e-15)
     # Broadcasting a scalar correlation over arrays of bounds.
-    row = sc.bivariate_normal_cdf(np.array(bounds), 0.3, -0.6)
+    row = sc.bivariate_normal_cdf(np.array(_PHI2_BOUNDS), 0.3, -0.6)
     np.testing.assert_allclose(
-        row, [sc.bivariate_normal_cdf(x, 0.3, -0.6) for x in bounds], rtol=0.0, atol=1e-15
+        row, [sc.bivariate_normal_cdf(x, 0.3, -0.6) for x in _PHI2_BOUNDS], rtol=0.0, atol=1e-15
     )
     with pytest.raises(ValueError, match="NaN"):
         sc.bivariate_normal_cdf(np.array([0.0, math.nan]), 0.0, 0.5)
@@ -132,6 +158,18 @@ def test_bivariate_cdf_arrays_match_scalar_path() -> None:
         sc.bivariate_normal_cdf(np.zeros(2), np.zeros(2), np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match="rho"):
         sc.bivariate_normal_cdf(np.zeros(2), np.zeros(2), math.nan)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bivariate_cdf_tends_to_unit_correlation_limits(sign: float) -> None:
+    # At |rho| = 1 - 2^-52, sqrt(1 - rho^2) is about 2e-8: Phi2 sits within
+    # about that of its limit, Phi(min(h, k)) for rho -> 1 and
+    # max(0, Phi(h) + Phi(k) - 1) for rho -> -1.
+    a, b = np.meshgrid(_PHI2_BOUNDS, _PHI2_BOUNDS, indexing="ij")
+    got = sc.bivariate_normal_cdf(a, b, sign * (1.0 - 2.0**-52))
+    fa, fb = sc.std_normal_cdf(a), sc.std_normal_cdf(b)
+    limit = np.minimum(fa, fb) if sign > 0 else np.maximum(0.0, fa + fb - 1.0)
+    np.testing.assert_allclose(got, limit, rtol=0.0, atol=1e-7)
 
 
 def test_mvn_logpdf_normalizing_constant() -> None:
