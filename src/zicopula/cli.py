@@ -769,3 +769,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _print_error("DATA", str(exc))
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

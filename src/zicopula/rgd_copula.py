@@ -12,7 +12,6 @@ score with (the exact form adds the rectified-block orthant term).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +101,18 @@ def sample_rgd(params: RgdParams, n: int, seed: int) -> np.ndarray:
     return np.maximum(params.a, nu)
 
 
-def _log_bivariate_density(w_i, w_j, rho: float):
-    """log of the bivariate standard normal density at (w_i, w_j)."""
+def _log_bivariate_density(w_i, w_j, rho):
+    """log of the bivariate standard normal density at (w_i, w_j); the
+    arguments broadcast."""
     om = 1.0 - rho * rho
     quad = (w_i * w_i - 2.0 * rho * w_i * w_j + w_j * w_j) / om
-    return -LOG_2PI - 0.5 * math.log(om) - 0.5 * quad
+    return -LOG_2PI - 0.5 * np.log(om) - 0.5 * quad
 
 
-def _log_mixed_branch(w_obs, a_zero: float, rho: float):
-    """log phi1(w_obs) + log Phi((a_zero - rho*w_obs)/sqrt(1-rho^2))."""
-    s = math.sqrt(1.0 - rho * rho)
+def _log_mixed_branch(w_obs, a_zero: float, rho):
+    """log phi1(w_obs) + log Phi((a_zero - rho*w_obs)/sqrt(1-rho^2)); w_obs
+    and rho broadcast."""
+    s = np.sqrt(1.0 - rho * rho)
     return std_normal_logpdf(w_obs) + std_normal_logcdf((a_zero - rho * w_obs) / s)
 
 
@@ -144,7 +145,7 @@ def pair_loglik(
         a_i,
         a_j,
     )
-    return _pair_total_loglik(rho, *branches)
+    return float(_pair_total_loglik(rho, *branches))
 
 
 def _pair_branches(w_i, w_j, zi, zj, a_i, a_j) -> tuple:
@@ -162,7 +163,7 @@ def _pair_branches(w_i, w_j, zi, zj, a_i, a_j) -> tuple:
 
 
 def _pair_total_loglik(
-    rho: float,
+    rho,
     n00: int,
     w_j_only_i_zero: np.ndarray,
     w_i_only_j_zero: np.ndarray,
@@ -170,18 +171,24 @@ def _pair_total_loglik(
     w_j_both: np.ndarray,
     a_i: float,
     a_j: float,
-) -> float:
+) -> np.ndarray:
     """Summed four-branch log-likelihood: both rectified (orthant mass), one
-    rectified (density of the other times a conditional CDF), none (density)."""
-    total = 0.0
+    rectified (density of the other times a conditional CDF), none (density).
+
+    ``rho`` is a scalar or an array; the result has its shape, the sum over
+    the rows at each of its values.
+    """
+    rho = np.asarray(rho, dtype=float)
+    r = rho[..., None]
+    total = np.zeros(rho.shape)
     if n00:
-        total += n00 * math.log(clamp_probability(bivariate_normal_cdf(a_i, a_j, rho)))
+        total += n00 * np.log(clamp_probability(bivariate_normal_cdf(a_i, a_j, rho)))
     if w_j_only_i_zero.size:
-        total += float(np.sum(_log_mixed_branch(w_j_only_i_zero, a_i, rho)))
+        total += _log_mixed_branch(w_j_only_i_zero, a_i, r).sum(axis=-1)
     if w_i_only_j_zero.size:
-        total += float(np.sum(_log_mixed_branch(w_i_only_j_zero, a_j, rho)))
+        total += _log_mixed_branch(w_i_only_j_zero, a_j, r).sum(axis=-1)
     if w_i_both.size:
-        total += float(np.sum(_log_bivariate_density(w_i_both, w_j_both, rho)))
+        total += _log_bivariate_density(w_i_both, w_j_both, r).sum(axis=-1)
     return total
 
 
@@ -222,12 +229,12 @@ def estimate_rho(
     args = _pair_branches(w_i, w_j, zi, zj, a_i, a_j)
 
     grid = np.linspace(-RHO_BRACKET, RHO_BRACKET, GRID_POINTS)
-    values = np.array([_pair_total_loglik(r, *args) for r in grid])
+    values = _pair_total_loglik(grid, *args)
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, GRID_POINTS - 1)]
     res = minimize_scalar(
-        lambda r: -_pair_total_loglik(r, *args),
+        lambda r: -float(_pair_total_loglik(r, *args)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": BRENT_TOL, "maxiter": BRENT_MAXITER},

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zicopula
 from zicopula.cli import (
     build_parser,
     load_model,
@@ -264,7 +268,7 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
     mismatched = [good["rescales"][0], 10 * good["rescales"][1]]
     bad_fields = {
         "marginals": (5, [1, 2, 3])
-        + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]]))
+        + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]], [0.0], [-1.0, 2.0]))
         + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0)),
         "sigma": ("abc",),
         "thresholds": (good["thresholds"][:1],),
@@ -435,3 +439,23 @@ def test_ingest_credit_missing_columns(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "missing columns" in err and "PAY_AMT1" in err
+
+
+def test_python_dash_m_runs_the_command() -> None:
+    # The package's own source directory first, whether or not it is installed.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zicopula.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "zicopula.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage:")
+    bad = run("no-such-command")
+    assert bad.returncode != 0
+    assert "invalid choice" in bad.stderr

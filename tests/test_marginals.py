@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from zicopula import marginals as mg
 from zicopula.errors import DataError
@@ -205,3 +206,71 @@ def test_fit_columns_names_offending_column() -> None:
     data = np.column_stack([np.ones(50), np.zeros(50)])
     with pytest.raises(DataError, match="column 2"):
         mg.fit_columns(data)
+
+
+def _brute_force(c, h, x):
+    """Reflected-kernel density and positive-part CDF summed term by term."""
+    pdf, cdf = np.empty(x.size), np.empty(x.size)
+    for lo in range(0, x.size, 256):
+        z1 = (x[lo : lo + 256, None] - c) / h
+        z2 = (x[lo : lo + 256, None] + c) / h
+        pdf[lo : lo + 256] = np.sum(np.exp(-0.5 * z1 * z1) + np.exp(-0.5 * z2 * z2), axis=1) / (
+            c.size * h * math.sqrt(2.0 * math.pi)
+        )
+        cdf[lo : lo + 256] = np.sum(ndtr(z1) + ndtr(z2) - 1.0, axis=1) / c.size
+    return pdf, np.clip(cdf, 0.0, 1.0)
+
+
+@st.composite
+def _positive_columns(draw):
+    n = draw(st.integers(min_value=50, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["lognormal", "gamma", "two clusters"]))
+    if kind == "lognormal":
+        mu = draw(st.floats(min_value=-3.0, max_value=8.0))
+        return rng.lognormal(mu, draw(st.floats(min_value=0.05, max_value=2.5)), n)
+    if kind == "gamma":
+        shape = draw(st.floats(min_value=0.2, max_value=20.0))
+        return rng.gamma(shape, draw(st.floats(min_value=1e-2, max_value=1e3)), n)
+    centers = draw(st.lists(st.floats(min_value=0.5, max_value=200.0), min_size=2, max_size=2))
+    spreads = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=2, max_size=2))
+    first = rng.random(n) < draw(st.floats(min_value=0.02, max_value=0.98))
+    draws = np.where(first, rng.normal(centers[0], spreads[0], n), rng.normal(centers[1], spreads[1], n))
+    return np.abs(draws) + 1e-9
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_positive_columns())
+def test_grid_matches_brute_force_sums(col) -> None:
+    # The grid serves a point only where it is within |d log f| < 1e-6 and
+    # |d F| < 1e-8 of the exact sums; every other point takes the exact sum.
+    m = mg.fit_marginal(col)
+    c, h = m.kde_centers, m.bandwidth
+    sweep = np.linspace(0.0, c.max() + 12.0 * h, 1001)[1:]
+    x = np.concatenate([c, sweep])
+    want_pdf, want_cdf = _brute_force(c, h, x)
+    pdf, cdf = mg.positive_pdf(m, x), mg.positive_cdf(m, x)
+    if m._grid is None:
+        on = on_cdf = np.zeros(x.size, dtype=bool)
+    else:
+        on, on_cdf = m._grid.read(x, cdf=False)[1], m._grid.read(x, cdf=True)[1]
+    assert np.all(np.abs(np.log(pdf[on]) - np.log(want_pdf[on])) < 1e-6)
+    assert np.all(np.abs(cdf[on_cdf] - want_cdf[on_cdf]) < 1e-8)
+    # Subnormal densities carry no relative precision (and positive_logpdf
+    # floors them at 1e-300), hence the atol.
+    np.testing.assert_allclose(pdf[~on], want_pdf[~on], rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(cdf[~on_cdf], want_cdf[~on_cdf], rtol=1e-12, atol=0)
+    assert mg.positive_cdf(m, 0.0) == 0.0
+
+
+def test_mixed_grid_and_tail_batch_equals_points_alone() -> None:
+    rng = np.random.default_rng(41)
+    m = mg.fit_marginal(rng.lognormal(0.0, 1.5, size=500))
+    c, h = m.kde_centers, m.bandwidth
+    x = np.concatenate([c[::25], c[-1] + h * np.array([4.0, 7.0, 30.0, 1e4]), [1e-12]])
+    for cdf, evaluate in ((False, mg.positive_pdf), (True, mg.positive_cdf)):
+        on = m._grid.read(x, cdf)[1]
+        assert on.any() and not on.all()
+        batch = evaluate(m, x)
+        alone = np.array([evaluate(m, xi) for xi in x])
+        assert np.array_equal(batch, alone)
