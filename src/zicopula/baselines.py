@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
-from .stat_core import CHUNK_BUDGET, LOG_2PI, mvn_logpdf
+from .stat_core import CHUNK_BUDGET, LOG_2PI
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -75,25 +75,45 @@ class KdeModel:
         return self.centers.shape[1]
 
 
-def _component_logpdfs(x: np.ndarray, model: GmmModel) -> np.ndarray:
-    parts = [
-        mvn_logpdf(x - model.means[j], model.covariances[j]) for j in range(model.k)
-    ]
-    return np.log(model.weights)[None, :] + np.stack(parts, axis=1)
+def _centered(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(k, d, n): the rows of x minus each mean, one dimension per row, so
+    every elementwise step runs along the n rows."""
+    return x.T[None, :, :] - means[:, :, None]
+
+
+def _component_logpdfs(centered: np.ndarray, model: GmmModel) -> np.ndarray:
+    """(k, n) log weight plus log normal density of each row under each
+    component, all components in one batched Cholesky step; `centered` is
+    `_centered(x, model.means)`."""
+    try:
+        lower = np.linalg.cholesky(model.covariances)
+    except np.linalg.LinAlgError:
+        raise NumericError("a mixture covariance is not positive definite") from None
+    white = np.linalg.inv(lower) @ centered
+    quad = np.einsum("kdn,kdn->kn", white, white)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+    log_norm = np.log(model.weights) - 0.5 * (model.dim * LOG_2PI + logdet)
+    return log_norm[:, None] - 0.5 * quad
+
+
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log of the column sums of exp(a), shifted by each column's maximum."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     means = [data[rng.integers(n)]]
+    # Squared distance from each row to its nearest chosen mean.
+    dist2 = np.sum((data - means[0]) ** 2, axis=1)
     for _ in range(1, k):
-        dist2 = np.min(
-            [np.sum((data - m) ** 2, axis=1) for m in means], axis=0
-        )
         total = dist2.sum()
         if total <= 0:
             means.append(data[rng.integers(n)])
-            continue
-        means.append(data[rng.choice(n, p=dist2 / total)])
+        else:
+            means.append(data[rng.choice(n, p=dist2 / total)])
+        dist2 = np.minimum(dist2, np.sum((data - means[-1]) ** 2, axis=1))
     return np.array(means)
 
 
@@ -117,17 +137,18 @@ def fit_gmm(
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     model = GmmModel(weights=weights, means=means, covariances=covs)
+    centered = _centered(x, means)
 
     trace: list[float] = []
     prev = -np.inf
     reinits = 0
     for _ in range(GMM_MAX_ITER):
-        joint = _component_logpdfs(x, model)
-        row_ll = logsumexp(joint, axis=1)
+        joint = _component_logpdfs(centered, model)
+        row_ll = _logsumexp_columns(joint)
         mean_ll = float(row_ll.mean())
 
-        resp = np.exp(joint - row_ll[:, None])
-        counts = resp.sum(axis=0)
+        resp = np.exp(joint - row_ll)
+        counts = resp.sum(axis=1)
         empty = np.flatnonzero(counts < 1e-6)
         if empty.size:
             if reinits >= GMM_MAX_REINITS:
@@ -142,18 +163,17 @@ def fit_gmm(
                 means[j] = x[int(np.argmax(dist2))]
                 covs[j] = base_cov
             model = GmmModel(weights=model.weights, means=means, covariances=covs)
+            centered = _centered(x, means)
             prev = -np.inf  # restart convergence tracking after the jolt
             trace.clear()
             continue
 
         trace.append(mean_ll)
         weights = counts / n
-        means = (resp.T @ x) / counts[:, None]
-        covs = np.empty((k, d, d))
-        for j in range(k):
-            centered = x - means[j]
-            covs[j] = (resp[:, j][:, None] * centered).T @ centered / counts[j]
-            covs[j] += GMM_REG * np.eye(d)
+        means = (resp @ x) / counts[:, None]
+        centered = _centered(x, means)
+        covs = (resp[:, None, :] * centered) @ centered.transpose(0, 2, 1)
+        covs = covs / counts[:, None, None] + GMM_REG * np.eye(d)
         model = GmmModel(weights=weights, means=means, covariances=covs)
         if mean_ll - prev < GMM_TOL and np.isfinite(prev):
             break
@@ -168,7 +188,7 @@ def gmm_loglik_rows(model: GmmModel, data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise DataError(f"expected {model.dim} columns")
-    return logsumexp(_component_logpdfs(x, model), axis=1)
+    return _logsumexp_columns(_component_logpdfs(_centered(x, model.means), model))
 
 
 def _silverman_multi(data: np.ndarray, multiplier: float) -> np.ndarray:
@@ -197,12 +217,12 @@ def kde_loglik_rows(model: KdeModel, data) -> np.ndarray:
     n_centers, d = model.centers.shape
     h = model.bandwidths
     log_norm = float(np.log(h).sum() + 0.5 * d * LOG_2PI + np.log(n_centers))
+    points, centers = x / h, model.centers / h
     out = np.empty(x.shape[0])
-    step = max(1, CHUNK_BUDGET // max(1, n_centers * d))
+    step = max(1, CHUNK_BUDGET // max(1, n_centers))
     for lo in range(0, x.shape[0], step):
-        hi = min(lo + step, x.shape[0])
-        z = (x[lo:hi, None, :] - model.centers[None, :, :]) / h
-        out[lo:hi] = logsumexp(-0.5 * np.sum(z * z, axis=2), axis=1) - log_norm
+        dist2 = cdist(centers, points[lo:lo + step], "sqeuclidean")
+        out[lo:lo + step] = _logsumexp_columns(-0.5 * dist2) - log_norm
     return out
 
 

@@ -191,19 +191,21 @@ def fit_rbm(
     hidden_bias = np.zeros(n_hidden)
 
     for epoch in range(epochs):
-        order = rng.permutation(n)
+        shuffled = arr[rng.permutation(n)]
+        # One draw per epoch reads the same stream as one draw per batch.
+        uniforms = rng.random((n, n_hidden))
         for start in range(0, n, CD_BATCH_SIZE):
-            v0 = arr[order[start:start + CD_BATCH_SIZE]]
+            v0 = shuffled[start:start + CD_BATCH_SIZE]
             ph0 = expit(hidden_bias[None, :] + v0 @ weights)
-            h0 = (rng.random(ph0.shape) < ph0).astype(float)
+            h0 = (uniforms[start:start + CD_BATCH_SIZE] < ph0).astype(float)
             # Reconstruction uses probabilities, not samples; the sampled
             # reconstruction is too noisy to learn sharp pattern support.
             pv1 = expit(visible_bias[None, :] + h0 @ weights.T)
             ph1 = expit(hidden_bias[None, :] + pv1 @ weights)
             batch = v0.shape[0]
             weights += CD_LEARNING_RATE * (v0.T @ ph0 - pv1.T @ ph1) / batch
-            visible_bias += CD_LEARNING_RATE * (v0 - pv1).mean(axis=0)
-            hidden_bias += CD_LEARNING_RATE * (ph0 - ph1).mean(axis=0)
+            visible_bias += CD_LEARNING_RATE * ((v0 - pv1).sum(axis=0) / batch)
+            hidden_bias += CD_LEARNING_RATE * ((ph0 - ph1).sum(axis=0) / batch)
         if logger.isEnabledFor(logging.DEBUG):
             npl = -_pseudo_loglik(weights, visible_bias, hidden_bias, arr)
             logger.debug("epoch %d: negative pseudo-likelihood %.6f", epoch + 1, npl)

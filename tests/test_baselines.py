@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.special import logsumexp
 
+from zicopula import baselines
 from zicopula.baselines import (
+    GMM_REG,
     GmmModel,
+    _centered,
+    _component_logpdfs,
+    _validation_split,
     fit_gmm,
     fit_kde_multi,
     gmm_loglik_rows,
@@ -11,8 +19,8 @@ from zicopula.baselines import (
     tune_gmm,
     tune_kde,
 )
-from zicopula.errors import DataError
-from zicopula.stat_core import mvn_logpdf
+from zicopula.errors import DataError, NumericError
+from zicopula.stat_core import LOG_2PI, mvn_logpdf
 
 
 def test_single_component_recovers_mean_and_cov():
@@ -64,6 +72,58 @@ def test_gmm_loglik_matches_naive_sum():
     )
     np.testing.assert_allclose(gmm_loglik_rows(model, pts), naive, atol=1e-10)
     assert gmm_loglik_rows(model, pts[:1])[0] == pytest.approx(naive[0], abs=1e-10)
+
+
+@st.composite
+def _mixtures_and_rows(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=5))
+    scale = draw(st.floats(min_value=1e-2, max_value=1e2))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    means = rng.normal(0.0, scale, size=(k, d))
+    factors = rng.normal(0.0, scale, size=(k, d, d))
+    covs = factors @ factors.transpose(0, 2, 1) + GMM_REG * np.eye(d)
+    # Component 0 sits on a zero atom in one column, as EM leaves a component
+    # whose rows are all zero there: variance GMM_REG, no covariance.
+    atom = draw(st.integers(min_value=0, max_value=d - 1))
+    covs[0, atom, :] = covs[0, :, atom] = 0.0
+    covs[0, atom, atom] = GMM_REG
+    means[0, atom] = 0.0
+    x = means[rng.integers(k, size=40)] + rng.normal(0.0, scale, size=(40, d))
+    x[::2, atom] = 0.0
+    return GmmModel(rng.dirichlet(np.ones(k)), means, covs), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixtures_and_rows())
+def test_component_logpdfs_match_per_component_loop(case):
+    model, x = case
+    batched = _component_logpdfs(_centered(x, model.means), model)
+    loop = np.stack(
+        [
+            np.log(w) + mvn_logpdf(x - mu, cov)
+            for w, mu, cov in zip(model.weights, model.means, model.covariances)
+        ]
+    )
+    # atol covers the few values where the log weight, the normaliser and
+    # the quadratic form cancel to near 0.
+    np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=1e-12)
+
+
+def test_indefinite_covariance_raises_numeric_error():
+    covs = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    model = GmmModel(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)), covariances=covs)
+    with pytest.raises(NumericError, match="positive definite"):
+        gmm_loglik_rows(model, np.zeros((3, 2)))
+
+
+def test_tune_gmm_skips_a_collapsing_k():
+    rng = np.random.Generator(np.random.PCG64(0))
+    data = np.where(rng.random((60, 2)) < 0.5, 0.0, rng.lognormal(size=(60, 2)))
+    train, _ = _validation_split(data.shape[0], 0)
+    with pytest.raises(NumericError, match="collapsing"):
+        fit_gmm(data[train], 16, seed=0)
+    assert tune_gmm(data, seed=0).k < 16
 
 
 def test_gmm_needs_enough_rows():
@@ -120,6 +180,30 @@ def test_kde_chunking_matches_direct():
     batched = kde_loglik_rows(model, pts)
     single = np.array([kde_loglik_rows(model, p[None, :])[0] for p in pts])
     np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def _kde_brute_force(model, x):
+    z = (x[:, None, :] - model.centers[None, :, :]) / model.bandwidths
+    n, d = model.centers.shape
+    log_norm = np.log(model.bandwidths).sum() + 0.5 * d * LOG_2PI + np.log(n)
+    return logsumexp(-0.5 * np.sum(z * z, axis=2), axis=1) - log_norm
+
+
+def test_kde_matches_brute_force_sum(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(9))
+    train = rng.normal(0.0, [3.0, 30.0, 0.3], size=(250, 3))
+    model = fit_kde_multi(train)
+    h = model.bandwidths
+    near = rng.normal(0.0, [3.0, 30.0, 0.3], size=(150, 3))
+    # 50 bandwidths beyond every center in every column: each kernel term
+    # underflows to 0, so only the shifted log-sum-exp stays finite.
+    far = np.array([train.max(axis=0) + 50.0 * h, train.min(axis=0) - 50.0 * h])
+    x = np.vstack([near, far])
+    want = _kde_brute_force(model, x)
+    assert np.isfinite(want).all() and (want[-2:] < -3000).all()
+    # Seven rows per chunk: the batch spans many chunks and ends on a short one.
+    monkeypatch.setattr(baselines, "CHUNK_BUDGET", 7 * train.shape[0])
+    np.testing.assert_allclose(kde_loglik_rows(model, x), want, rtol=1e-12, atol=0)
 
 
 def test_baselines_finite_on_zero_inflated_data():
