@@ -393,9 +393,9 @@ def model_from_dict(payload) -> object:
 
 def save_model(path, model) -> None:
     payload = model_to_dict(model)
+    # Without indent, json.dumps runs on the C encoder.
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path):

@@ -190,22 +190,26 @@ def fit_rbm(
     visible_bias = np.zeros(d)
     hidden_bias = np.zeros(n_hidden)
 
+    bounds = [(start, min(start + CD_BATCH_SIZE, n)) for start in range(0, n, CD_BATCH_SIZE)]
+    rate = CD_LEARNING_RATE
+    # The updates are in place, so this view follows the weights.
+    weights_t = weights.T
     for epoch in range(epochs):
         shuffled = arr[rng.permutation(n)]
         # One draw per epoch reads the same stream as one draw per batch.
         uniforms = rng.random((n, n_hidden))
-        for start in range(0, n, CD_BATCH_SIZE):
-            v0 = shuffled[start:start + CD_BATCH_SIZE]
-            ph0 = expit(hidden_bias[None, :] + v0 @ weights)
-            h0 = (uniforms[start:start + CD_BATCH_SIZE] < ph0).astype(float)
+        for start, stop in bounds:
+            v0 = shuffled[start:stop]
+            ph0 = expit(hidden_bias + v0 @ weights)
+            h0 = (uniforms[start:stop] < ph0).astype(float)
             # Reconstruction uses probabilities, not samples; the sampled
             # reconstruction is too noisy to learn sharp pattern support.
-            pv1 = expit(visible_bias[None, :] + h0 @ weights.T)
-            ph1 = expit(hidden_bias[None, :] + pv1 @ weights)
-            batch = v0.shape[0]
-            weights += CD_LEARNING_RATE * (v0.T @ ph0 - pv1.T @ ph1) / batch
-            visible_bias += CD_LEARNING_RATE * ((v0 - pv1).sum(axis=0) / batch)
-            hidden_bias += CD_LEARNING_RATE * ((ph0 - ph1).sum(axis=0) / batch)
+            pv1 = expit(visible_bias + h0 @ weights_t)
+            ph1 = expit(hidden_bias + pv1 @ weights)
+            batch = stop - start
+            weights += rate * (v0.T @ ph0 - pv1.T @ ph1) / batch
+            visible_bias += rate * ((v0 - pv1).sum(axis=0) / batch)
+            hidden_bias += rate * ((ph0 - ph1).sum(axis=0) / batch)
         if logger.isEnabledFor(logging.DEBUG):
             npl = -_pseudo_loglik(weights, visible_bias, hidden_bias, arr)
             logger.debug("epoch %d: negative pseudo-likelihood %.6f", epoch + 1, npl)

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DataError, NumericError
 from .stat_core import (
     LOG_2PI,
+    PROB_CEIL,
+    PROB_FLOOR,
     ConditionalGaussian,
     bivariate_normal_cdf,
     clamp_probability,
@@ -35,8 +36,10 @@ from .stat_core import (
 
 RHO_BRACKET = 0.9999
 GRID_POINTS = 41
-BRENT_TOL = 1e-6
-BRENT_MAXITER = 200
+# The Newton polish of estimate_rho stops at a step below NEWTON_TOL; with
+# bisection as its fallback it needs about 60 steps at most.
+NEWTON_TOL = 1e-9
+NEWTON_MAXITER = 100
 # Estimator points per row for the exact copula term (mvn_orthant_logprob).
 DEFAULT_MC_SAMPLES = 512
 # Shared Monte Carlo draws for zero_pattern_logprob (mvn_orthant_mc).
@@ -101,19 +104,22 @@ def sample_rgd(params: RgdParams, n: int, seed: int) -> np.ndarray:
     return np.maximum(params.a, nu)
 
 
-def _log_bivariate_density(w_i, w_j, rho):
-    """log of the bivariate standard normal density at (w_i, w_j); the
-    arguments broadcast."""
+def _gaussian_pair_loglik(rho, m, s_ii, s_jj, s_ij):
+    """Summed log-density of m bivariate standard normal points at correlation
+    rho, from their sums s_ii, s_jj, s_ij of w_i^2, w_j^2 and w_i w_j; rho
+    may be an array."""
     om = 1.0 - rho * rho
-    quad = (w_i * w_i - 2.0 * rho * w_i * w_j + w_j * w_j) / om
-    return -LOG_2PI - 0.5 * np.log(om) - 0.5 * quad
+    return m * (-LOG_2PI - 0.5 * np.log(om)) - 0.5 * (s_ii - 2.0 * rho * s_ij + s_jj) / om
 
 
-def _log_mixed_branch(w_obs, a_zero: float, rho):
-    """log phi1(w_obs) + log Phi((a_zero - rho*w_obs)/sqrt(1-rho^2)); w_obs
-    and rho broadcast."""
-    s = np.sqrt(1.0 - rho * rho)
-    return std_normal_logpdf(w_obs) + std_normal_logcdf((a_zero - rho * w_obs) / s)
+def _gaussian_pair_derivs(rho: float, m, s_ii, s_jj, s_ij) -> tuple[float, float]:
+    """First and second rho-derivatives of _gaussian_pair_loglik."""
+    om = 1.0 - rho * rho
+    quad = s_ii - 2.0 * rho * s_ij + s_jj
+    num = s_ij * om - rho * quad
+    g = m * rho / om + num / om**2
+    h = m * (1.0 + rho * rho) / om**2 + (4.0 * rho * num - quad * om) / om**3
+    return g, h
 
 
 def pair_loglik(
@@ -149,14 +155,20 @@ def pair_loglik(
 
 
 def _pair_branches(w_i, w_j, zi, zj, a_i, a_j) -> tuple:
-    """Split paired samples into the arguments of _pair_total_loglik."""
+    """Reduce paired samples to the arguments of _pair_total_loglik: the
+    double-zero count, the positive values of the one-zero rows, and the
+    count and sums of squares and products of the both-positive rows."""
     both_pos = ~zi & ~zj
+    wi_pos = w_i[both_pos]
+    wj_pos = w_j[both_pos]
     return (
         int((zi & zj).sum()),
         w_j[zi & ~zj],
         w_i[~zi & zj],
-        w_i[both_pos],
-        w_j[both_pos],
+        wi_pos.size,
+        float(wi_pos @ wi_pos),
+        float(wj_pos @ wj_pos),
+        float(wi_pos @ wj_pos),
         float(a_i),
         float(a_j),
     )
@@ -167,29 +179,77 @@ def _pair_total_loglik(
     n00: int,
     w_j_only_i_zero: np.ndarray,
     w_i_only_j_zero: np.ndarray,
-    w_i_both: np.ndarray,
-    w_j_both: np.ndarray,
+    m: int,
+    s_ii: float,
+    s_jj: float,
+    s_ij: float,
     a_i: float,
     a_j: float,
 ) -> np.ndarray:
     """Summed four-branch log-likelihood: both rectified (orthant mass), one
-    rectified (density of the other times a conditional CDF), none (density).
+    rectified (density of the other times a conditional CDF), none (density,
+    from the m both-positive rows' sums of squares and products).
 
     ``rho`` is a scalar or an array; the result has its shape, the sum over
     the rows at each of its values.
     """
     rho = np.asarray(rho, dtype=float)
-    r = rho[..., None]
     total = np.zeros(rho.shape)
     if n00:
         total += n00 * np.log(clamp_probability(bivariate_normal_cdf(a_i, a_j, rho)))
-    if w_j_only_i_zero.size:
-        total += _log_mixed_branch(w_j_only_i_zero, a_i, r).sum(axis=-1)
-    if w_i_only_j_zero.size:
-        total += _log_mixed_branch(w_i_only_j_zero, a_j, r).sum(axis=-1)
-    if w_i_both.size:
-        total += _log_bivariate_density(w_i_both, w_j_both, r).sum(axis=-1)
+    r = rho[..., None]
+    s = np.sqrt(1.0 - r * r)
+    for w, a in ((w_j_only_i_zero, a_i), (w_i_only_j_zero, a_j)):
+        if w.size:
+            total += std_normal_logpdf(w).sum()
+            total += std_normal_logcdf((a - r * w) / s).sum(axis=-1)
+    if m:
+        total += _gaussian_pair_loglik(rho, m, s_ii, s_jj, s_ij)
     return total
+
+
+def _pair_score(
+    rho: float,
+    n00: int,
+    w_j_only_i_zero: np.ndarray,
+    w_i_only_j_zero: np.ndarray,
+    m: int,
+    s_ii: float,
+    s_jj: float,
+    s_ij: float,
+    a_i: float,
+    a_j: float,
+) -> tuple[float, float]:
+    """First and second derivative (g, h) of _pair_total_loglik at a scalar rho.
+
+    A one-zero row adds lambda(z) dz/drho with z = (a - rho w)/s, s^2 = 1 -
+    rho^2, lambda = phi/Phi and dz/drho = (rho a - w)/s^3. The double zeros
+    add n00 phi2/Phi2 by Plackett's identity dPhi2/drho = phi2, and nothing
+    where the likelihood clamps Phi2 and is flat.
+    """
+    g = h = 0.0
+    if n00:
+        p = bivariate_normal_cdf(a_i, a_j, rho)
+        if PROB_FLOOR < p < PROB_CEIL:
+            sums = (a_i * a_i, a_j * a_j, a_i * a_j)
+            ratio = np.exp(_gaussian_pair_loglik(rho, 1, *sums)) / p
+            dlog, _ = _gaussian_pair_derivs(rho, 1, *sums)
+            g += n00 * ratio
+            h += n00 * ratio * (dlog - ratio)
+    s = np.sqrt(1.0 - rho * rho)
+    for w, a in ((w_j_only_i_zero, a_i), (w_i_only_j_zero, a_j)):
+        if w.size:
+            z = (a - rho * w) / s
+            dz = (rho * a - w) / s**3
+            d2z = a / s**3 + 3.0 * rho * dz / (s * s)
+            lam = np.exp(std_normal_logpdf(z) - std_normal_logcdf(z))
+            g += float(lam @ dz)
+            h += float(lam @ (d2z - (z + lam) * dz * dz))
+    if m:
+        gm, hm = _gaussian_pair_derivs(rho, m, s_ii, s_jj, s_ij)
+        g += gm
+        h += hm
+    return g, h
 
 
 def estimate_rho(
@@ -202,10 +262,16 @@ def estimate_rho(
 ) -> float:
     """Maximize the summed pair log-likelihood over rho in (-1, 1).
 
-    A 41-point grid scan brackets the optimum before a bounded Brent polish
+    The rows are reduced once to _pair_branches, so only the one-zero rows
+    are visited per evaluation. A 41-point grid scan brackets the optimum
     (the likelihood is assumed unimodal; the scan guards against a bad
-    bracket). Without any rectified value in either coordinate the likelihood
-    is purely Gaussian and the estimate is the sample correlation.
+    bracket) between the neighbours of its best point. Newton steps on the
+    analytic score and curvature then polish it inside that bracket, which
+    shrinks to the score's sign change; a step that leaves the bracket or
+    meets non-negative curvature is replaced by bisection. The result is
+    never below the scan's best point. Without any
+    rectified value in either coordinate the likelihood is purely Gaussian
+    and the estimate is the sample correlation.
     """
     w_i = np.asarray(w_i, dtype=float)
     w_j = np.asarray(w_j, dtype=float)
@@ -231,17 +297,44 @@ def estimate_rho(
     grid = np.linspace(-RHO_BRACKET, RHO_BRACKET, GRID_POINTS)
     values = _pair_total_loglik(grid, *args)
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, GRID_POINTS - 1)]
-    res = minimize_scalar(
-        lambda r: -float(_pair_total_loglik(r, *args)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": BRENT_TOL, "maxiter": BRENT_MAXITER},
-    )
-    if not res.success:
-        raise NumericError(f"pairwise likelihood maximization failed: {res.message}")
-    return float(np.clip(res.x, -RHO_BRACKET, RHO_BRACKET))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, GRID_POINTS - 1)])
+    # An end of the grid may be a spurious maximum where the likelihood
+    # flattens out or turns up again towards |rho| = 1, so the polish starts
+    # inside the bracket there.
+    rho = float(grid[best]) if 0 < best < GRID_POINTS - 1 else 0.5 * (lo + hi)
+    # Safeguarded Newton (Numerical Recipes' rtsafe): a Newton step is taken
+    # only if it stays in the bracket and is at most half the step before
+    # the last, so the bracket shrinks at least as fast as by bisection.
+    step = step_before = hi - lo
+    for _ in range(NEWTON_MAXITER):
+        g, h = _pair_score(rho, *args)
+        if not (np.isfinite(g) and np.isfinite(h)):
+            raise NumericError(
+                f"pairwise likelihood maximization failed: score not finite at rho={rho}"
+            )
+        if g > 0.0:
+            lo = rho
+        else:
+            hi = rho
+        newton = rho - g / h if h < 0.0 else np.nan
+        if lo <= newton <= hi and abs(newton - rho) <= 0.5 * abs(step_before):
+            new = newton
+        else:
+            new = 0.5 * (lo + hi)
+        step_before, step = step, new - rho
+        rho = new
+        if abs(step) <= NEWTON_TOL:
+            break
+    else:
+        raise NumericError(
+            f"pairwise likelihood maximization failed: no convergence in {NEWTON_MAXITER} steps"
+        )
+    # The bracket may hold two maxima and the polish may find the lower one;
+    # the result is never below the scan's best point.
+    if _pair_total_loglik(rho, *args) < values[best]:
+        rho = float(grid[best])
+    return float(np.clip(rho, -RHO_BRACKET, RHO_BRACKET))
 
 
 def assemble_sigma(

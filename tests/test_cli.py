@@ -103,6 +103,35 @@ def test_zibt_model_round_trip_scores_identically(tmp_path):
     )
 
 
+def test_indented_model_file_scores_as_the_compact_one(tmp_path):
+    # Model files were once written with indent=2; those still load, and
+    # score bit-identically to the compact file of the same model.
+    data_path = tmp_path / "train.csv"
+    data = _toy_zibt_csv(data_path)
+    compact = tmp_path / "compact.json"
+    assert main(["fit", "--data", str(data_path), "--model", "zibt",
+                 "--out", str(compact)]) == 0
+    text = compact.read_text()
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    payload = json.loads(text)
+    indented = tmp_path / "indented.json"
+    with open(indented, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    assert json.loads(indented.read_text()) == payload
+    scores = []
+    for path in (compact, indented):
+        out = tmp_path / f"{path.stem}_scores.csv"
+        assert main(["score", "--model", str(path), "--data", str(data_path),
+                     "--out", str(out)]) == 0
+        scores.append(out.read_bytes())
+    assert scores[0] == scores[1]
+    np.testing.assert_array_equal(
+        zibt_loglik_rows(load_model(indented), data),
+        zibt_loglik_rows(load_model(compact), data),
+    )
+
+
 def test_score_zero_row_is_mask_term_under_identity_sigma(tmp_path):
     import dataclasses
 

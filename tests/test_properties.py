@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
 from zicopula.cli import load_model, save_model
 from zicopula.marginals import PositiveTerms, fit_marginal
-from zicopula.rgd_copula import BRENT_TOL, RgdParams
+from zicopula.rgd_copula import RgdParams
 from zicopula.synth_bench import make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, fit_zicar_copula, zicar_loglik_rows
@@ -35,9 +35,9 @@ N_SCORE = 120
 BATCH_RTOL = 1e-13
 BATCH_ATOL = 1e-12
 
-# estimate_rho is symmetric in its two columns only up to the Brent polish
-# tolerance: swapping a pair may move rho by about 2 * BRENT_TOL.
-RHO_ATOL = 4 * BRENT_TOL
+# estimate_rho is symmetric in its two columns only up to rounding and its
+# Newton polish, which stops within 1e-9; 4e-6 bounds that loosely.
+RHO_ATOL = 4e-6
 # zicar's correlation is a sample correlation: permuting only reorders sums.
 ZICAR_SIGMA_ATOL = 1e-10
 
