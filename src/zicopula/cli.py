@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -76,47 +77,66 @@ def _parse_float(token: str, lineno: int) -> float:
         raise DataError(f"line {lineno}: could not parse {token.strip()!r} as a number")
 
 
+def _blank(line: str) -> bool:
+    """A line whose fields are all empty or whitespace."""
+    return not line.replace(",", "").replace('"', "").strip()
+
+
 def read_data_csv(path, clip_negatives: bool = False) -> np.ndarray:
-    """Read a comma-separated matrix with a required header row."""
+    """Read a comma-separated matrix with a required header row.
+
+    Blank lines are skipped. numpy parses the body in one call; when it
+    rejects the body or a value is not allowed, the lines are scanned again
+    in order to name the first bad one."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}")
-    rows = []
     with fh:
-        reader = csv.reader(fh)
-        header = None
-        width = 0
-        for lineno, record in enumerate(reader, start=1):
-            if not record or all(c.strip() == "" for c in record):
-                continue
-            if header is None:
-                header = [c.strip() for c in record]
-                if all(_is_number(c) for c in header):
-                    raise DataError("line 1: expected a header row, found numbers")
-                width = len(header)
-                continue
-            if len(record) != width:
-                raise DataError(
-                    f"line {lineno}: expected {width} fields, got {len(record)}"
-                )
-            values = [_parse_float(c, lineno) for c in record]
-            for v in values:
-                if not math.isfinite(v):
-                    raise DataError(f"line {lineno}: non-finite value {v!r}")
-                if v < 0 and not clip_negatives:
-                    raise DataError(
-                        f"line {lineno}: negative value {v!r}; "
-                        "pass --clip-negatives to replace it with 0"
-                    )
-            if clip_negatives:
-                values = [max(0.0, v) for v in values]
-            rows.append(values)
-    if header is None:
+        text = fh.read()
+    records = [line for line in text.splitlines() if not _blank(line)]
+    if not records:
         raise DataError(f"{path} is empty")
-    if not rows:
+    header = [c.strip() for c in next(csv.reader(records[:1]))]
+    if all(_is_number(c) for c in header):
+        raise DataError("line 1: expected a header row, found numbers")
+    if len(records) == 1:
         raise DataError(f"{path} has a header but no data rows")
-    return np.array(rows, dtype=float)
+    try:
+        data = np.loadtxt(records[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_first_bad_line(text, len(header), clip_negatives)
+        raise DataError(f"{path}: {exc}") from None
+    bad = ~np.isfinite(data) | ((data < 0) & (not clip_negatives))
+    if data.shape[1] != len(header) or bad.any():
+        _raise_first_bad_line(text, len(header), clip_negatives)
+    if clip_negatives:
+        data = np.where(data > 0.0, data, 0.0)
+    return data
+
+
+def _raise_first_bad_line(text: str, width: int, clip_negatives: bool) -> None:
+    """Raise DataError for the first body line with the wrong field count, a
+    token that is not a number, a non-finite value or (unless clipped) a
+    negative one."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    body = (
+        (lineno, record)
+        for lineno, record in enumerate(reader, start=1)
+        if record and not all(c.strip() == "" for c in record)
+    )
+    next(body)  # the header
+    for lineno, record in body:
+        if len(record) != width:
+            raise DataError(f"line {lineno}: expected {width} fields, got {len(record)}")
+        for v in [_parse_float(c, lineno) for c in record]:
+            if not math.isfinite(v):
+                raise DataError(f"line {lineno}: non-finite value {v!r}")
+            if v < 0 and not clip_negatives:
+                raise DataError(
+                    f"line {lineno}: negative value {v!r}; "
+                    "pass --clip-negatives to replace it with 0"
+                )
 
 
 def _is_number(token: str) -> bool:

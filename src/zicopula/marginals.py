@@ -137,6 +137,36 @@ _STENCIL = np.arange(-2, 4)
 _STENCIL_DENOM = [math.prod(int(j - i) for i in _STENCIL if i != j) for j in _STENCIL]
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_spectra(n_fft: int) -> tuple:
+    """The spectra a _KernelGrid of FFT size ``n_fft`` convolves with, which
+    depend on nothing else: the Gaussian kernel ``gauss``, the rotation
+    -i theta, the powers (-i theta)^(p - 1) / p! for p = 1 .. GRID_MOMENTS,
+    and the spectrum of the step kernel Phi - H. Read-only; sizes are powers
+    of two up to twice GRID_MAX_NODES, so the cache stays small.
+
+    A center at node j + a: phi((d - a) / k) and Phi((d - a) / k) at node
+    offset d, expanded in a. Term p of the density kernel has the spectrum
+    gauss (-i theta)^p / p!, and of the CDF kernel -gauss / k (-i theta)^(p -
+    1) / p! for p >= 1. Phi itself, the p = 0 term, is H + (Phi - H): H by
+    cumulative sum, Phi - H (which decays) by convolution.
+    """
+    k, reach = GRID_STEPS, GRID_STEPS * GRID_REACH
+    theta = 2.0 * math.pi / n_fft * np.arange(n_fft // 2 + 1)
+    gauss = k * np.exp(-0.5 * (k * theta) ** 2)
+    rotation = -1j * theta
+    powers = [np.ones(theta.size, dtype=complex)]
+    for p in range(2, GRID_MOMENTS + 1):
+        powers.append(powers[-1] * rotation / p)
+    d = np.arange(-reach, reach + 1)
+    step_kernel = np.zeros(n_fft)
+    step_kernel[d] = std_normal_cdf(d / k) - (d > 0) - 0.5 * (d == 0)
+    step_spec = np.fft.rfft(step_kernel)
+    for array in (gauss, rotation, *powers, step_spec):
+        array.setflags(write=False)
+    return gauss, rotation, tuple(powers), step_spec
+
+
 class _KernelGrid:
     """Reflected-kernel density ``pdf`` and positive-part CDF ``cdf`` of one
     fitted column at ``nodes`` consecutive nodes from node ``first``."""
@@ -157,31 +187,18 @@ class _KernelGrid:
         pos = pos.astype(np.intp)
         size = last + reach + 1  # plain sums at nodes -reach .. last
         n_fft = 1 << (max(int(pos.max()) + 1 + 2 * reach, size) - 1).bit_length()
-        theta = 2.0 * math.pi / n_fft * np.arange(n_fft // 2 + 1)
-        # A center at node j + a: phi((d - a) / k) and Phi((d - a) / k) at
-        # node offset d, expanded in a. Term p of the density kernel has the
-        # spectrum gauss (-i theta)^p / p!, and of the CDF kernel
-        # -gauss / k (-i theta)^(p - 1) / p! for p >= 1. Phi itself, the
-        # p = 0 term, is H + (Phi - H): H by cumulative sum, Phi - H (which
-        # decays) by convolution.
-        gauss = k * np.exp(-0.5 * (k * theta) ** 2)
+        gauss, rotation, powers, step_spec = _grid_spectra(n_fft)
         counts = np.bincount(pos, minlength=size - reach).astype(float)
         spec_0 = np.fft.rfft(counts, n_fft)
         pdf_spec = spec_0.copy()
         cdf_spec = np.zeros_like(spec_0)
-        power = np.ones_like(spec_0)  # (-i theta)^(p - 1) / p!
         moment = np.ones_like(offset)
-        for p in range(1, GRID_MOMENTS + 1):
-            if p > 1:
-                power = power * (-1j * theta) / p
+        for power in powers:
             moment = moment * offset
             spec_p = np.fft.rfft(np.bincount(pos, moment), n_fft)
-            pdf_spec += spec_p * power * (-1j * theta)
+            pdf_spec += spec_p * power * rotation
             cdf_spec -= spec_p * power
-        d = np.arange(-reach, reach + 1)
-        step_kernel = np.zeros(n_fft)
-        step_kernel[d] = std_normal_cdf(d / k) - (d > 0) - 0.5 * (d == 0)
-        cdf_spec = cdf_spec * gauss / k + spec_0 * np.fft.rfft(step_kernel)
+        cdf_spec = cdf_spec * gauss / k + spec_0 * step_spec
 
         def at_nodes(spec):
             out = np.fft.irfft(spec, n_fft)

@@ -6,8 +6,11 @@ law marginalizes to any coordinate subset, which is what makes the pairwise
 maximum-likelihood estimation of Sigma work. This module provides sampling,
 the four-branch bivariate likelihood, pairwise correlation estimation, full
 matrix assembly, zero-pattern probabilities, and ``copula_loglik_rows``: the
-one copula log-density kernel, batched by zero pattern, that both models
-score with (the exact form adds the rectified-block orthant term).
+one copula log-density kernel that both models score with (the exact form
+adds the rectified-block orthant term). It is batched by zero pattern: the
+patterns with the same number of positives share one stacked factorisation
+and one stacked conditioning solve, and every row the orthant estimator
+serves shares one minimax-tilt solve.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from .stat_core import (
     PROB_CEIL,
     PROB_FLOOR,
     ConditionalGaussian,
+    _orthant_sample,
+    _orthant_standardise,
+    _pooled_minimax_tilt,
     bivariate_normal_cdf,
     clamp_probability,
-    conditional_gaussian,
-    mvn_logpdf,
-    mvn_orthant_logprob,
     mvn_orthant_mc,
     repair_correlation,
     std_normal_cdf,
@@ -392,19 +395,25 @@ def copula_loglik_rows(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     base_seed: int = 0,
 ) -> np.ndarray:
-    """Gaussian-copula log-density of each row, grouped by zero pattern.
+    """Gaussian-copula log-density of each row, batched by zero pattern.
 
     ``positive`` marks the coordinates that are not rectified; omega is read
-    only there. Each pattern costs one batched term on its positive block,
-    log N(omega_pos; 0, sigma_pos) - sum log phi(omega_pos), skipped for a
-    single coordinate, where it is 0 under a unit diagonal. That is the
-    approximate form. The exact form (which reads the thresholds ``a``) adds
-    each row's orthant term log P(nu_zero <= a_zero | nu_pos = omega_pos),
-    minus sum log Phi(a_zero). The conditional law is computed once per
+    only there. The approximate form is the Gaussian term on each row's
+    positive block, log N(omega_pos; 0, sigma_pos) - sum log phi(omega_pos),
+    which is 0 for a single coordinate under a unit diagonal. The exact form
+    (which reads the thresholds ``a``) adds the orthant term
+    log P(nu_zero <= a_zero | nu_pos = omega_pos), minus sum log Phi(a_zero).
+
+    The distinct zero patterns with the same number of positives are done
+    together: one stacked Cholesky factorisation of their positive blocks
+    (the Gaussian term by forward substitution) and one stacked solve for
+    the conditional law of their zero blocks, gathered to the rows by
     pattern. The orthant is closed form for one zero, and for two zeros down
-    to CLOSED_FORM_MIN. Rows below it and rows with three or more zeros go to
-    one mvn_orthant_logprob call per zero count with ``mc_samples`` points
-    per row and shifts drawn from ``base_seed``.
+    to CLOSED_FORM_MIN. Rows below it and rows with three or more zeros go
+    to the estimator of mvn_orthant_logprob: one minimax-tilt solve for all
+    of them (embedded in the dimension of sigma), then one sampling pass per
+    zero count with ``mc_samples`` points per row and shifts drawn from
+    ``base_seed``. A row's value does not depend on the other rows.
     """
     sigma = np.asarray(sigma, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -412,60 +421,115 @@ def copula_loglik_rows(
     n, d = omega.shape
     if sigma.shape != (d, d) or positive.shape != omega.shape:
         raise ValueError("sigma, omega and the positive mask disagree in shape")
+    total = np.zeros(n)
+    log_phi_a = np.zeros(n)
+    patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
+    inverse = inverse.reshape(n)
     if exact:
         a = np.asarray(a, dtype=float)
         if a.shape != (d,):
             raise ValueError("thresholds must match sigma dimension")
-    total = np.zeros(n)
-    # zero count -> [(rows, conditional covariance, upper bounds per row)]
-    orthants: dict[int, list] = {}
-    log_phi_a = np.zeros(n)
-    patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
-        rows = np.flatnonzero(inverse == g)
-        pos = np.flatnonzero(pattern)
-        if pos.size >= 2:
-            block = omega[rows[:, None], pos]
-            total[rows] += mvn_logpdf(block, sigma[pos[:, None], pos])
-            total[rows] -= std_normal_logpdf(block).sum(axis=1)
-        if not exact or pos.size == d:
-            continue
-        zero = np.flatnonzero(~pattern)
-        a_zero = a[zero]
-        if not np.isfinite(a_zero).all():
-            i = int(zero[~np.isfinite(a_zero)][0])
+        impossible = ~patterns & ~np.isfinite(a)
+        if impossible.any():
+            i = int(np.flatnonzero(impossible[impossible.any(axis=1)][0])[0])
             raise ValueError(
                 f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
             )
-        if pos.size:
-            cond = conditional_gaussian(sigma, pos, omega[rows[:, None], pos].T)
-            upper, cov = a_zero[:, None] - cond.mean, cond.cov
+    counts = patterns.sum(axis=1)
+    row_counts = counts[inverse]
+    # Each pattern's positive coordinates, then its zero coordinates, ascending.
+    order = np.argsort(~patterns, axis=1, kind="stable")
+    # (rows, standardised samplers) per zero count, for the estimator
+    samplers = []
+    for p in np.unique(counts):
+        group = np.flatnonzero(counts == p)
+        local = np.empty(patterns.shape[0], dtype=np.intp)
+        local[group] = np.arange(group.size)
+        rows = np.flatnonzero(row_counts == p)
+        of_row = local[inverse[rows]]
+        pos, zero = order[group, :p], order[group, p:]
+        x = omega[rows[:, None], pos[of_row]]
+        s_oo = sigma[pos[:, :, None], pos[:, None, :]]
+        if p >= 2:
+            total[rows] += _gaussian_block_logpdf(x, s_oo, of_row)
+            total[rows] -= std_normal_logpdf(x).sum(axis=1)
+        if not exact or p == d:
+            continue
+        if p:
+            gain = _stacked_inverse(s_oo, pos)
+            s_fo = sigma[zero[:, :, None], pos[:, None, :]]
+            proj = s_fo @ gain
+            cov = sigma[zero[:, :, None], zero[:, None, :]] - proj @ np.swapaxes(s_fo, 1, 2)
+            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))[of_row]
+            upper = a[zero[of_row]] - np.einsum("rkj,rj->rk", proj[of_row], x)
         else:
-            upper = np.repeat(a_zero[:, None], rows.size, axis=1)
-            cov = sigma[zero[:, None], zero]
-        orthants.setdefault(zero.size, []).append((rows, cov, upper.T))
-        log_phi_a[rows] = float(np.sum(std_normal_logcdf(a_zero)))
-    for count, groups in orthants.items():
-        rows = np.concatenate([r for r, _, _ in groups])
-        cov = np.concatenate([np.broadcast_to(c, (r.size, *c.shape)) for r, c, _ in groups])
-        upper = np.concatenate([u for _, _, u in groups])
-        if count > 2:
-            total[rows] += mvn_orthant_logprob(cov, upper, mc_samples, base_seed)
+            cov = np.broadcast_to(sigma, (rows.size, d, d))
+            upper = np.broadcast_to(a, (rows.size, d))
+        log_phi_a[rows] = std_normal_logcdf(a[zero]).sum(axis=1)[of_row]
+        if d - p > 2:
+            samplers.append((rows, *_orthant_standardise(cov, upper)))
             continue
         sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
         z = upper / sd
-        if count == 1:
+        if d - p == 1:
             total[rows] += std_normal_logcdf(z[:, 0])
-        else:
-            r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
-            p = bivariate_normal_cdf(z[:, 0], z[:, 1], r)
-            tail = p < CLOSED_FORM_MIN
-            total[rows[~tail]] += np.log(p[~tail])
-            if tail.any():
-                total[rows[tail]] += mvn_orthant_logprob(
-                    cov[tail], upper[tail], mc_samples, base_seed
-                )
+            continue
+        r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
+        prob = bivariate_normal_cdf(z[:, 0], z[:, 1], r)
+        tail = prob < CLOSED_FORM_MIN
+        total[rows[~tail]] += np.log(prob[~tail])
+        if tail.any():
+            samplers.append((rows[tail], *_orthant_standardise(cov[tail], upper[tail])))
+    if samplers:
+        tilts = _pooled_minimax_tilt([(low, b) for _, low, b in samplers], d)
+        for (rows, low, b), tilt in zip(samplers, tilts):
+            total[rows] += _orthant_sample(low, b, tilt, mc_samples, base_seed)
     return total - log_phi_a
+
+
+def _gaussian_block_logpdf(x: np.ndarray, cov: np.ndarray, of_row: np.ndarray) -> np.ndarray:
+    """log N(x_r; 0, cov[of_row[r]]) for each row r of x, from one stacked
+    Cholesky factorisation of ``cov`` and forward substitution."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        for block in cov:
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raise NumericError(
+                    f"covariance is not positive definite (condition number "
+                    f"{float(np.linalg.cond(block)):.3e})"
+                ) from None
+        raise
+    p = x.shape[1]
+    low = chol[of_row]
+    sol = np.empty_like(x)
+    for i in range(p):
+        sol[:, i] = (x[:, i] - np.einsum("rj,rj->r", low[:, i, :i], sol[:, :i])) / low[:, i, i]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return -0.5 * (p * LOG_2PI + logdet[of_row] + np.sum(sol * sol, axis=1))
+
+
+def _stacked_inverse(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of observed blocks; NumericError names the first
+    singular one by its coordinates ``index``."""
+    eye = np.eye(blocks.shape[1])
+    try:
+        inv = np.linalg.solve(blocks, np.broadcast_to(eye, blocks.shape))
+    except np.linalg.LinAlgError:
+        # Solve block by block to find the singular one.
+        inv = np.full(blocks.shape, np.nan)
+        for g, block in enumerate(blocks):
+            try:
+                inv[g] = np.linalg.solve(block, eye)
+            except np.linalg.LinAlgError:
+                pass
+    singular = ~np.isfinite(inv).all(axis=(1, 2))
+    if singular.any():
+        g = int(np.flatnonzero(singular)[0])
+        raise NumericError(f"observed block {tuple(int(i) for i in index[g])} is singular")
+    return inv
 
 
 def zero_pattern_logprob(

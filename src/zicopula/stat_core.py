@@ -302,6 +302,12 @@ TILT_MAX_STEPS = 15
 TILT_TOL = 1e-3
 
 
+# Bound of a padded coordinate in _pooled_minimax_tilt. It must be finite
+# (an infinite bound gives NaN curvature); at 40, log Phi is 0 and the Mills
+# ratio exactly 0.
+_TILT_PAD = _BVN_BOUND_CLIP
+
+
 def _richtmyer_generator(dim: int) -> np.ndarray:
     """Richtmyer lattice generator: the fractional parts of sqrt(prime)."""
     primes: list[int] = []
@@ -375,30 +381,64 @@ def _minimax_tilt(lower: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return np.where(done[:, None], mu, 0.0)
 
 
+def _pooled_minimax_tilt(samplers, dim: int) -> list[np.ndarray]:
+    """_minimax_tilt of several standardised samplers in one call.
+
+    ``samplers`` is a list of (lower, bound) pairs of at most ``dim``
+    coordinates. A row of q coordinates is embedded in the last q of dim,
+    after dim - q padded ones with zero rows and columns in ``lower`` and
+    bound _TILT_PAD. The padded coordinates start at their saddle x = mu = 0
+    with zero gradient and are coupled to no other coordinate, so the real
+    ones take the same Newton steps as in a call of their own, and a row's
+    tilt still depends on that row alone. Each sampler gets back its rows'
+    tilts.
+    """
+    sizes = [bound.shape[0] for _, bound in samplers]
+    lower = np.zeros((sum(sizes), dim, dim))
+    bound = np.full((sum(sizes), dim), _TILT_PAD)
+    edges = np.cumsum([0, *sizes])
+    for (low, b), lo, hi in zip(samplers, edges[:-1], edges[1:]):
+        pad = dim - b.shape[1]
+        lower[lo:hi, pad:, pad:] = low
+        bound[lo:hi, pad:] = b
+    tilt = _minimax_tilt(lower, bound)
+    return [
+        tilt[lo:hi, dim - b.shape[1]:]
+        for (_, b), lo, hi in zip(samplers, edges[:-1], edges[1:])
+    ]
+
+
 def mvn_orthant_logprob(cov, upper, n_points: int, seed: int) -> np.ndarray:
     """log P(nu <= upper[r]) for nu ~ N(0, cov[r]), one value per row r.
 
     Genz's separation-of-variables estimator (Genz 1992, JCGS 1(2); Genz &
     Bretz 2009, LNS 195) on a randomly shifted Richtmyer lattice with the
-    tent transform. Each row standardises its covariance and puts its most
-    restrictive bound first, and its sequential truncated-normal sampler is
-    shifted by Botev's minimax tilt (see _minimax_tilt), which keeps the
-    relative error small far into the tail and on nearly singular
-    covariances. The weights are accumulated in log space and averaged over
-    points by a max-shifted log-mean-exp, so tiny probabilities keep their
-    value instead of rounding to 0.
+    tent transform, in three stages that the exact copula term also runs
+    separately: ``_orthant_standardise`` standardises each row's covariance
+    and puts its most restrictive bound first; ``_minimax_tilt`` shifts its
+    sequential truncated-normal sampler by Botev's minimax tilt, which keeps
+    the relative error small far into the tail and on nearly singular
+    covariances; ``_orthant_sample`` accumulates the weights in log space
+    and averages them over points by a max-shifted log-mean-exp, so tiny
+    probabilities keep their value instead of rounding to 0.
 
     ``cov`` is a (n, d, d) stack and ``upper`` (n, d). n_points per row is
     rounded up to a multiple of QMC_SHIFTS; the shifts come from ``seed``
     alone, so a row's estimate does not depend on the other rows.
     """
+    lower, bound = _orthant_standardise(cov, upper)
+    return _orthant_sample(lower, bound, _minimax_tilt(lower, bound), n_points, seed)
+
+
+def _orthant_standardise(cov, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sampler: the strictly lower part of its unit-diagonal
+    Cholesky factor and its scaled bounds, most restrictive bound first.
+    With z ~ N(0, I), nu_k <= upper_k iff z_k <= bound_k - (lower z)_k."""
     cov = np.asarray(cov, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n, d = upper.shape
     if cov.shape != (n, d, d):
         raise ValueError("dimension mismatch between covariances and bounds")
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
     var = np.diagonal(cov, axis1=1, axis2=2)
     if not np.all(var > 0.0):
         raise NumericError("orthant covariance is not positive definite")
@@ -413,12 +453,18 @@ def mvn_orthant_logprob(cov, upper, n_points: int, seed: int) -> np.ndarray:
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         raise NumericError("orthant covariance is not positive definite") from None
-    # With z ~ N(0, I), nu_k <= upper_k iff z_k <= bound_k - (lower z)_k.
     diag = np.diagonal(chol, axis1=1, axis2=2)
-    lower = chol / diag[:, :, None] - np.eye(d)
-    bound = bound / diag
-    tilt = _minimax_tilt(lower, bound)
+    return chol / diag[:, :, None] - np.eye(d), bound / diag
 
+
+def _orthant_sample(
+    lower: np.ndarray, bound: np.ndarray, tilt: np.ndarray, n_points: int, seed: int
+) -> np.ndarray:
+    """The tilted estimator of each row's orthant log-probability from its
+    standardised sampler (``lower``, ``bound``) and tilt (last entry 0)."""
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
+    n, d = bound.shape
     per_shift = -(-int(n_points) // QMC_SHIFTS)
     shifts = np.random.Generator(np.random.PCG64(seed)).random((QMC_SHIFTS, 1, d - 1))
     steps = np.arange(1, per_shift + 1)[None, :, None] * _richtmyer_generator(d - 1)

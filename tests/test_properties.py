@@ -1,6 +1,7 @@
 """Invariants every scorer must keep, checked with hypothesis.
 
-- A batch scores the same as its sub-batches put back together.
+- A batch scores the same as its sub-batches put back together, and an
+  exact row scores the same alone as in its batch.
 - Fitting on column-permuted data permutes the model and its scores.
 - A model file round trip scores bit-identically, for every model kind.
 - A unit change in one column shifts each row by -log s per positive entry
@@ -23,7 +24,7 @@ from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_logl
 from zicopula.cli import load_model, save_model
 from zicopula.marginals import PositiveTerms, fit_marginal
 from zicopula.rgd_copula import RgdParams
-from zicopula.synth_bench import make_ground_truth, sample_dataset
+from zicopula.synth_bench import corrupt, make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, fit_zicar_copula, zicar_loglik_rows
 
@@ -117,6 +118,35 @@ def test_exact_rows_score_alone_as_in_their_batch():
     alone = [_score("zibt-exact", model, rows[i:i + 1])[0] for i in range(rows.shape[0])]
     np.testing.assert_allclose(
         alone, _score("zibt-exact", model, rows), rtol=BATCH_RTOL, atol=BATCH_ATOL
+    )
+
+
+def test_exact_rows_score_alone_as_in_their_batch_at_dimension_eight():
+    # All estimator rows of a batch share one minimax-tilt solve, embedded in
+    # the model's dimension, so rows of 2 (tail) to 7 zeros meet in it; each
+    # still scores as it does alone.
+    truth = make_ground_truth("zibt", 8, seed=0)
+    train = sample_dataset(truth, 1000, seed=0)
+    model = fit_zibt(train, likelihood_mode="exact")
+    normal = sample_dataset(truth, 300, seed=7)
+    pool = np.vstack([normal, corrupt(normal, train, seed=8)])
+    # The estimator serves a row iff its score depends on the point count.
+    served = zibt_loglik_rows(model, pool, base_seed=7) != zibt_loglik_rows(
+        model, pool, mc_samples=64, base_seed=7
+    )
+    zeros = (pool == 0).sum(axis=1)
+    tail = np.flatnonzero(served & (zeros == 2))[:4]
+    assert tail.size == 4
+    picks = [pool[tail], pool[zeros == 2][:2]]
+    picks += [pool[zeros == k][:3] for k in range(3, 7)]
+    # Rows with a single positive coordinate, which no draw here has.
+    lone = pool[(zeros == 1) & (pool[:, 0] > 0)][:3].copy()
+    lone[:, 1:] = 0.0
+    rows = np.vstack([*picks, lone])
+    assert set((rows == 0).sum(axis=1)) == set(range(2, 8))
+    alone = [zibt_loglik_rows(model, rows[i:i + 1], base_seed=7)[0] for i in range(len(rows))]
+    np.testing.assert_allclose(
+        alone, zibt_loglik_rows(model, rows, base_seed=7), rtol=BATCH_RTOL, atol=BATCH_ATOL
     )
 
 
