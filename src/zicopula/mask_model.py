@@ -1,10 +1,11 @@
 """Distributions over binary zero/positive masks.
 
 Two mask families: independent Bernoulli zero rates, and a small
-restricted Boltzmann machine trained with one-step contrastive
-divergence whose normalizer is computed exactly by enumerating the
-visible states.  Mask vectors use 1 for a positive entry and 0 for a
-zero entry throughout.
+restricted Boltzmann machine whose normalizer is computed exactly by
+enumerating the visible states.  Up to ``EXACT_FIT_MAX_DIM`` columns the
+RBM is fit by its exact penalised likelihood over pattern counts; above
+that, by one-step contrastive divergence.  Mask vectors use 1 for a
+positive entry and 0 for a zero entry throughout.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import DataError
@@ -21,6 +23,14 @@ from .stat_core import LOG_PROB_FLOOR
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_DIM = 20
+# Crossover of the two RBM fits at 2,000 rows and 2D hidden units (2-core x86
+# host, one BLAS thread, best of 3): the exact fit takes 0.39-0.41 s at D = 8
+# against 0.64-0.67 s for contrastive divergence, and 0.96-1.75 s at D = 10
+# against 0.72-0.80 s, because its cost per step grows as 2^D.
+EXACT_FIT_MAX_DIM = 8
+# L-BFGS stops when no gradient entry exceeds gtol; ftol = 0 turns off the
+# relative-decrease stop, which would otherwise end most fits short of it.
+_EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
 CD_BATCH_SIZE = 64
 CD_LEARNING_RATE = 0.05
 _ENUM_CHUNK = 1 << 16
@@ -171,25 +181,66 @@ def _pseudo_loglik(
     return total / v.shape[1]
 
 
-def fit_rbm(
-    masks: np.ndarray,
-    n_hidden: int,
-    epochs: int = 200,
-    seed: int = 0,
-) -> RbmMask:
-    """Train an RBM on mask rows with one-step contrastive divergence."""
-    arr = _validate_binary(masks, "fit_rbm")
+def _unpack(params: np.ndarray, d: int, n_hidden: int) -> tuple:
+    """Weights, visible bias and hidden bias from one flat parameter vector."""
+    split = d * n_hidden
+    return params[:split].reshape(d, n_hidden), params[split : split + d], params[split + d :]
+
+
+def _exact_objective(params: np.ndarray, states: np.ndarray, freq: np.ndarray,
+                     n_hidden: int, prior: float) -> tuple[float, np.ndarray]:
+    """Penalised mean negative log-likelihood of pattern frequencies and its
+    gradient, with log Z from one pass over every visible state."""
+    weights, visible_bias, hidden_bias = _unpack(params, states.shape[1], n_hidden)
+    activation = hidden_bias + states @ weights
+    # softplus and expit from one exp; np.logaddexp costs several times more.
+    tail = np.exp(-np.abs(activation))
+    softplus = np.maximum(activation, 0.0) + np.log1p(tail)
+    sigmoid = np.where(activation >= 0.0, 1.0, tail) / (1.0 + tail)
+    neg_energy = states @ visible_bias + softplus @ np.ones(n_hidden)
+    shift = neg_energy.max()
+    mass = np.exp(neg_energy - shift)
+    total = mass.sum()
+    value = shift + np.log(total) - freq @ neg_energy + 0.5 * prior * (weights * weights).sum()
+    # d(value)/d(-F(s)) = p(s) - freq(s); -F is linear in the visible bias
+    # and its derivative in the hidden bias and the weights runs through expit.
+    resid = mass / total - freq
+    grad = np.concatenate([
+        ((states.T * resid) @ sigmoid + prior * weights).ravel(),
+        states.T @ resid,
+        resid @ sigmoid,
+    ])
+    return float(value), grad
+
+
+def _fit_rbm_exact(arr: np.ndarray, weights: np.ndarray) -> tuple:
+    """Exact MAP fit on the mask rows' pattern frequencies, from ``weights``
+    and zero biases."""
     n, d = arr.shape
-    if d > MAX_EXACT_DIM:
-        raise DataError("exact normalization out of scope")
-    if n_hidden < 1:
-        raise ValueError("n_hidden must be positive")
+    n_hidden = weights.shape[1]
+    codes = (arr @ (1 << np.arange(d - 1, -1, -1))).astype(np.int64)
+    freq = np.bincount(codes, minlength=1 << d) / n
+    start = np.concatenate([weights.ravel(), np.zeros(d + n_hidden)])
+    result = minimize(
+        _exact_objective, start, args=(enumerate_states(d), freq, n_hidden, 1.0 / n),
+        method="L-BFGS-B", jac=True, options=_EXACT_FIT_OPTIONS,
+    )
+    logger.debug("exact RBM fit: %d iterations, %s, objective %.9f",
+                 result.nit, result.message, result.fun)
+    if not result.success:
+        logger.warning("exact RBM fit did not converge after %d iterations: %s",
+                       result.nit, result.message)
+    return _unpack(result.x, d, n_hidden)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    weights = rng.normal(0.0, 0.01, size=(d, n_hidden))
-    visible_bias = np.zeros(d)
+
+def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, epochs: int,
+                rng: np.random.Generator) -> tuple:
+    """One-step contrastive divergence from ``weights`` and zero biases,
+    updating ``weights`` in place."""
+    n = arr.shape[0]
+    n_hidden = weights.shape[1]
+    visible_bias = np.zeros(arr.shape[1])
     hidden_bias = np.zeros(n_hidden)
-
     bounds = [(start, min(start + CD_BATCH_SIZE, n)) for start in range(0, n, CD_BATCH_SIZE)]
     rate = CD_LEARNING_RATE
     # The updates are in place, so this view follows the weights.
@@ -213,7 +264,42 @@ def fit_rbm(
         if logger.isEnabledFor(logging.DEBUG):
             npl = -_pseudo_loglik(weights, visible_bias, hidden_bias, arr)
             logger.debug("epoch %d: negative pseudo-likelihood %.6f", epoch + 1, npl)
+    return weights, visible_bias, hidden_bias
 
+
+def fit_rbm(
+    masks: np.ndarray,
+    n_hidden: int,
+    epochs: int = 200,
+    seed: int = 0,
+) -> RbmMask:
+    """Fit an RBM to mask rows.
+
+    Up to ``EXACT_FIT_MAX_DIM`` columns the fit is exact: the rows reduce to
+    the frequencies of their 2^D patterns, and L-BFGS minimises the mean
+    negative log-likelihood plus ||W||^2 / (2n), the MAP estimate under
+    independent N(0, 1) priors on the weights with unpenalised biases.  The
+    prior fixes the penalty at 1/n by that rule, not by tuning; without it
+    the weights diverge whenever a pattern never occurs.  This fit depends on
+    the rows only through pattern counts, so it does not depend on row order.
+    Above ``EXACT_FIT_MAX_DIM`` columns, where 2^D enumeration per step costs
+    more than sampling, the fit is one-step contrastive divergence over
+    ``epochs`` passes of 64-row batches; ``epochs`` is used by that path only.
+    Both start from the same seeded N(0, 0.01^2) weights and zero biases.
+    """
+    arr = _validate_binary(masks, "fit_rbm")
+    d = arr.shape[1]
+    if d > MAX_EXACT_DIM:
+        raise DataError("exact normalization out of scope")
+    if n_hidden < 1:
+        raise ValueError("n_hidden must be positive")
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = rng.normal(0.0, 0.01, size=(d, n_hidden))
+    if d <= EXACT_FIT_MAX_DIM:
+        weights, visible_bias, hidden_bias = _fit_rbm_exact(arr, weights)
+    else:
+        weights, visible_bias, hidden_bias = _fit_rbm_cd(arr, weights, epochs, rng)
     log_z = compute_log_z(weights, visible_bias, hidden_bias)
     return RbmMask(weights=weights, visible_bias=visible_bias,
                    hidden_bias=hidden_bias, log_z=log_z)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -74,6 +75,24 @@ def test_zicar_rbm_model_file_round_trips(tmp_path):
     np.testing.assert_array_equal(
         zicar_loglik_rows(loaded, data), zicar_loglik_rows(model, data)
     )
+
+
+def test_zicar_rbm_files_do_not_depend_on_log_level(tmp_path, caplog):
+    data_path = tmp_path / "train.csv"
+    write_data_csv(data_path, sample_dataset(make_ground_truth("zicar", 3, seed=1), 300, seed=2))
+    outs = {}
+    for level in (logging.DEBUG, logging.WARNING):
+        caplog.clear()
+        model_path, score_path = tmp_path / f"m{level}.json", tmp_path / f"s{level}.csv"
+        with caplog.at_level(level, logger="zicopula"):
+            assert main(["fit", "--model", "zicar", "--mask", "rbm", "--data", str(data_path),
+                         "--out", str(model_path)]) == 0
+            assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                         "--out", str(score_path)]) == 0
+        fit_logged = any("exact RBM fit" in r.getMessage() for r in caplog.records)
+        assert fit_logged == (level == logging.DEBUG)
+        outs[level] = (model_path.read_bytes(), score_path.read_bytes())
+    assert outs[logging.DEBUG] == outs[logging.WARNING]
 
 
 def test_corrupted_log_z_rejected(tmp_path):

@@ -1,15 +1,19 @@
 """Tests for the binary mask distributions."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.special import expit
 from hypothesis import strategies as st
 
+from zicopula import mask_model
 from zicopula.errors import DataError
 from zicopula.mask_model import (
     CD_BATCH_SIZE,
     CD_LEARNING_RATE,
+    EXACT_FIT_MAX_DIM,
     BernoulliMask,
     RbmMask,
     binarize,
@@ -19,6 +23,8 @@ from zicopula.mask_model import (
     fit_rbm,
     mask_logprob_rows,
 )
+from zicopula.stat_core import LOG_PROB_FLOOR, sub_seed
+from zicopula.synth_bench import make_ground_truth, sample_dataset
 
 LOG_FLOOR = np.log(1e-15)
 
@@ -172,15 +178,127 @@ def test_fit_rbm_dimension_cap():
         fit_rbm(masks, n_hidden=2, epochs=1)
 
 
+def _rbm_bytes(model):
+    return (model.weights.tobytes(), model.visible_bias.tobytes(),
+            model.hidden_bias.tobytes(), np.float64(model.log_z).tobytes())
+
+
 def test_fit_rbm_deterministic_in_seed():
     rng = np.random.Generator(np.random.PCG64(3))
     masks = (rng.random((200, 3)) < 0.4).astype(float)
     a = fit_rbm(masks, n_hidden=2, epochs=10, seed=42)
     b = fit_rbm(masks, n_hidden=2, epochs=10, seed=42)
     c = fit_rbm(masks, n_hidden=2, epochs=10, seed=43)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.log_z == b.log_z
+    assert _rbm_bytes(a) == _rbm_bytes(b)
     assert not np.array_equal(a.weights, c.weights)
+
+
+def _pattern_freq(masks):
+    n, d = masks.shape
+    codes = (masks @ (1 << np.arange(d - 1, -1, -1))).astype(np.int64)
+    return np.bincount(codes, minlength=1 << d) / n
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_objective_gradient_matches_central_differences(d, n_hidden, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(5, 200))
+    masks = (rng.random((n, d)) < 0.6).astype(float)
+    # An all-positive column leaves every pattern with a zero there unseen.
+    masks[:, int(rng.integers(d))] = 1.0
+    freq = _pattern_freq(masks)
+    assert (freq == 0).any()
+    states = enumerate_states(d)
+    params = rng.normal(0.0, 1.0, size=d * n_hidden + d + n_hidden)
+    _, grad = mask_model._exact_objective(params, states, freq, n_hidden, 1.0 / n)
+    step = 1e-6
+    numeric = np.empty_like(params)
+    for k in range(params.size):
+        hi, lo = params.copy(), params.copy()
+        hi[k] += step
+        lo[k] -= step
+        numeric[k] = (
+            mask_model._exact_objective(hi, states, freq, n_hidden, 1.0 / n)[0]
+            - mask_model._exact_objective(lo, states, freq, n_hidden, 1.0 / n)[0]
+        ) / (2.0 * step)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=15, deadline=None)
+def test_exact_fit_row_permutation_invariant(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    masks = (rng.random((300, 4)) < rng.uniform(0.2, 0.9, size=4)).astype(float)
+    base = fit_rbm(masks, n_hidden=3, seed=5)
+    shuffled = fit_rbm(masks[rng.permutation(300)], n_hidden=3, seed=5)
+    assert _rbm_bytes(base) == _rbm_bytes(shuffled)
+
+
+def test_exact_fit_stops_below_gradient_tolerance():
+    rng = np.random.Generator(np.random.PCG64(8))
+    masks = (rng.random((2_000, 5)) < np.array([0.9, 0.7, 0.5, 0.3, 1.0])).astype(float)
+    model = fit_rbm(masks, n_hidden=10, seed=3)
+    params = np.concatenate([model.weights.ravel(), model.visible_bias, model.hidden_bias])
+    _, grad = mask_model._exact_objective(
+        params, enumerate_states(5), _pattern_freq(masks), 10, 1.0 / 2_000
+    )
+    assert np.abs(grad).max() <= mask_model._EXACT_FIT_OPTIONS["gtol"]
+
+
+def test_exact_fit_recovers_pattern_frequencies():
+    # Six hidden units can represent any law on three bits; at 4,000 rows the
+    # N(0, 1) weight prior moves no pattern probability by more than 0.01.
+    rng = np.random.Generator(np.random.PCG64(5))
+    probs = np.array([0.3, 0.05, 0.1, 0.2, 0.02, 0.08, 0.15, 0.1])
+    states = enumerate_states(3)
+    masks = states[rng.choice(8, size=4_000, p=probs)]
+    model = fit_rbm(masks, n_hidden=6, seed=0)
+    fitted = np.exp(mask_logprob_rows(model, states))
+    assert np.abs(fitted - _pattern_freq(masks)).max() <= 0.01
+
+
+@pytest.mark.parametrize("kind", ["zibt", "zicar"])
+def test_exact_fit_beats_cd_on_held_out_masks(kind):
+    # Desk seed 0 as the benchmark draws it: D = 5, 2,000 training rows,
+    # 1,000 held-out rows and 2D hidden units.
+    truth = make_ground_truth(kind, 5, 0)
+    train = binarize(sample_dataset(truth, 2_000, sub_seed(0, 1)))
+    held_out = binarize(sample_dataset(truth, 1_000, sub_seed(0, 2)))
+    fit_seed = sub_seed(0, 4)
+    exact = fit_rbm(train, n_hidden=10, seed=fit_seed)
+    rng = np.random.Generator(np.random.PCG64(fit_seed))
+    weights = rng.normal(0.0, 0.01, size=(5, 10))
+    cd_params = mask_model._fit_rbm_cd(train, weights, 200, rng)
+    cd = RbmMask(*cd_params, log_z=compute_log_z(*cd_params))
+    exact_rows = mask_logprob_rows(exact, held_out)
+    assert exact_rows.mean() >= mask_logprob_rows(cd, held_out).mean()
+    assert (exact_rows > LOG_PROB_FLOOR).all()
+
+
+def test_exact_fit_logs_its_outcome(caplog):
+    rng = np.random.Generator(np.random.PCG64(1))
+    masks = (rng.random((500, 4)) < 0.5).astype(float)
+    with caplog.at_level(logging.DEBUG, logger="zicopula.mask_model"):
+        fit_rbm(masks, n_hidden=4, seed=0)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "iterations" in record.getMessage() and "objective" in record.getMessage()
+
+
+def test_exact_fit_warns_at_iteration_cap(caplog, monkeypatch):
+    monkeypatch.setitem(mask_model._EXACT_FIT_OPTIONS, "maxiter", 3)
+    rng = np.random.Generator(np.random.PCG64(1))
+    masks = (rng.random((500, 4)) < 0.5).astype(float)
+    with caplog.at_level(logging.WARNING, logger="zicopula.mask_model"):
+        fit_rbm(masks, n_hidden=4, seed=0)
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "did not converge" in record.getMessage()
 
 
 def _reference_cd(masks, n_hidden, epochs, seed):
@@ -208,12 +326,14 @@ def _reference_cd(masks, n_hidden, epochs, seed):
 
 @pytest.mark.parametrize(
     "n, d, n_hidden",
-    [(1999, 5, 8), (CD_BATCH_SIZE, 3, 2), (130, 4, 5)],
+    [(1999, 9, 8), (CD_BATCH_SIZE, 9, 2), (130, 10, 5)],
 )
 def test_fit_rbm_matches_per_batch_draws(n, d, n_hidden):
-    # The hidden-unit uniforms may be drawn in any grouping that reads the
-    # same PCG64 stream, but the fit must stay bit-identical to one draw per
+    # Above EXACT_FIT_MAX_DIM the fit is contrastive divergence. Its
+    # hidden-unit uniforms may be drawn in any grouping that reads the same
+    # PCG64 stream, but the fit must stay bit-identical to one draw per
     # batch, including a short last batch (1999 = 31 * 64 + 15).
+    assert d > EXACT_FIT_MAX_DIM
     rng = np.random.Generator(np.random.PCG64(n))
     masks = (rng.random((n, d)) < 0.6).astype(float)
     model = fit_rbm(masks, n_hidden=n_hidden, epochs=4, seed=11)
