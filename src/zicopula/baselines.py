@@ -38,6 +38,8 @@ class GmmModel:
         k, d = mu.shape
         if w.shape != (k,) or cov.shape != (k, d, d):
             raise ValueError("component shapes disagree")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise ValueError("weights, means and covariances must be finite")
         if abs(w.sum() - 1.0) > 1e-9 or (w < 0).any():
             raise ValueError("weights must form a probability vector")
         object.__setattr__(self, "weights", w)
@@ -65,6 +67,8 @@ class KdeModel:
         bandwidths = np.asarray(self.bandwidths, dtype=float)
         if centers.ndim != 2 or bandwidths.shape != (centers.shape[1],):
             raise ValueError("centers must be 2-D with one bandwidth per column")
+        if not (np.isfinite(centers).all() and np.isfinite(bandwidths).all()):
+            raise ValueError("centers and bandwidths must be finite")
         if (bandwidths <= 0).any():
             raise ValueError("bandwidths must be positive")
         object.__setattr__(self, "centers", centers)

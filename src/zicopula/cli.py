@@ -147,21 +147,23 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def write_data_csv(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=float)
+def _write_csv(path, header, matrix: np.ndarray) -> None:
+    """A header line, then one line per row of a float matrix. csv writes a
+    Python float as its repr, the shortest string that reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(matrix.shape[1])])
+        writer.writerow(header)
         for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(row.tolist())
+
+
+def write_data_csv(path, matrix: np.ndarray) -> None:
+    matrix = np.asarray(matrix, dtype=float)
+    _write_csv(path, [f"x{j + 1}" for j in range(matrix.shape[1])], matrix)
 
 
 def write_scores_csv(path, scores: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["nll"])
-        for value in np.asarray(scores, dtype=float):
-            writer.writerow([repr(float(value))])
+    _write_csv(path, ["nll"], np.asarray(scores, dtype=float).reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +662,8 @@ def cmd_ingest_credit(args) -> None:
     n_train = 21_000 if n == 30_000 else int(round(0.7 * n))
     order = np.random.Generator(np.random.PCG64(int(args.seed))).permutation(n)
 
-    def _write(path, subset):
-        with open(path, "w", newline="") as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(list(wanted))
-            for row in subset:
-                writer.writerow([repr(float(v)) for v in row])
-
-    _write(args.out_train, matrix[order[:n_train]])
-    _write(args.out_test, matrix[order[n_train:]])
+    _write_csv(args.out_train, wanted, matrix[order[:n_train]])
+    _write_csv(args.out_test, wanted, matrix[order[n_train:]])
     print(f"read {n} rows from {raw_path}")
     print(f"train: {n_train} rows -> {args.out_train}")
     print(f"test: {n - n_train} rows -> {args.out_test}")

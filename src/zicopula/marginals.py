@@ -50,6 +50,8 @@ class MarginalModel:
             raise ValueError("zero rate q must lie in [0, 1)")
         if not (self.bandwidth > 0 and self.rescale_b > 0):
             raise ValueError("bandwidth and rescale_b must be positive")
+        if math.isnan(self.a) or self.a == math.inf:
+            raise ValueError("threshold a must be finite or -inf")
         object.__setattr__(self, "kde_centers", centers)
 
     @functools.cached_property

@@ -33,7 +33,7 @@ EXACT_FIT_MAX_DIM = 8
 _EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
 CD_BATCH_SIZE = 64
 CD_LEARNING_RATE = 0.05
-_ENUM_CHUNK = 1 << 16
+_ENUM_CHUNK_BITS = 16
 
 
 def binarize(data: np.ndarray) -> np.ndarray:
@@ -114,6 +114,13 @@ class RbmMask:
         return self.n_visible
 
 
+def _bit_places(dim: int) -> np.ndarray:
+    """Each mask column's place value in its state's integer code. Column 0
+    is the most significant bit, so the codes 0, 1, ... count through the
+    states in enumerate_states order."""
+    return 1 << np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
 def enumerate_states(dim: int) -> np.ndarray:
     """All binary vectors of the given length, one per row, in counting order."""
     if dim < 0:
@@ -121,8 +128,7 @@ def enumerate_states(dim: int) -> np.ndarray:
     if dim > MAX_EXACT_DIM:
         raise DataError("exact normalization out of scope")
     codes = np.arange(1 << dim, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(dim - 1, -1, -1)) & 1
-    return bits.astype(float)
+    return ((codes[:, None] & _bit_places(dim)) != 0).astype(float)
 
 
 def free_energy(
@@ -147,11 +153,14 @@ def compute_log_z(
     d = weights.shape[0]
     if d > MAX_EXACT_DIM:
         raise DataError("exact normalization out of scope")
-    total = 1 << d
+    # One chunk of 2^_ENUM_CHUNK_BITS states per state of the leading
+    # columns, so that D = 20 never holds all 2^20 states at once.
+    lead = max(d - _ENUM_CHUNK_BITS, 0)
+    states = np.empty((1 << (d - lead), d))
+    states[:, lead:] = enumerate_states(d - lead)
     pieces = []
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        states = ((codes[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(float)
+    for head in enumerate_states(lead):
+        states[:, :lead] = head
         pieces.append(logsumexp(-free_energy(weights, visible_bias, hidden_bias, states)))
     return float(logsumexp(pieces))
 
@@ -218,7 +227,7 @@ def _fit_rbm_exact(arr: np.ndarray, weights: np.ndarray) -> tuple:
     and zero biases."""
     n, d = arr.shape
     n_hidden = weights.shape[1]
-    codes = (arr @ (1 << np.arange(d - 1, -1, -1))).astype(np.int64)
+    codes = (arr @ _bit_places(d)).astype(np.int64)
     freq = np.bincount(codes, minlength=1 << d) / n
     start = np.concatenate([weights.ravel(), np.zeros(d + n_hidden)])
     result = minimize(

@@ -24,13 +24,11 @@ from .stat_core import (
     LOG_2PI,
     PROB_CEIL,
     PROB_FLOOR,
-    ConditionalGaussian,
     _orthant_sample,
     _orthant_standardise,
     _pooled_minimax_tilt,
     bivariate_normal_cdf,
     clamp_probability,
-    mvn_orthant_mc,
     repair_correlation,
     std_normal_cdf,
     std_normal_logcdf,
@@ -45,7 +43,7 @@ NEWTON_TOL = 1e-9
 NEWTON_MAXITER = 100
 # Estimator points per row for the exact copula term (mvn_orthant_logprob).
 DEFAULT_MC_SAMPLES = 512
-# Shared Monte Carlo draws for zero_pattern_logprob (mvn_orthant_mc).
+# Rectified draws (sample_rgd) that zero_pattern_logprob counts patterns in.
 PATTERN_MC_SAMPLES = 4096
 # Two-zero orthants whose closed form is below this go to the estimator: the
 # closed form's absolute error of about 1e-16 is a relative one of 1e-8 here.
@@ -66,6 +64,10 @@ class RgdParams:
             raise ValueError("sigma must be a square matrix")
         if a.shape != (sigma.shape[0],):
             raise ValueError("thresholds must match sigma dimension")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
+        if np.isnan(a).any() or np.isposinf(a).any():
+            raise ValueError("thresholds must be finite or -inf")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
 
@@ -540,12 +542,16 @@ def zero_pattern_logprob(
 ) -> float:
     """log P(the rectified law produces exactly this zero pattern).
 
-    Closed form for D <= 2, mvn_orthant_mc over N(0, sigma) otherwise. One
-    seed gives every pattern the same draws, so the probabilities of all 2^D
-    patterns sum to exactly 1.
+    Closed form for D <= 2. Otherwise the share of ``mc_samples`` draws of
+    sample_rgd that show the pattern, since a coordinate is rectified exactly
+    when its latent value is at or below its threshold. One seed gives every
+    pattern the same draws, so the probabilities of all 2^D patterns sum to
+    exactly 1.
     """
     if pattern.dim != params.dim:
         raise ValueError("pattern dimension mismatch")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be at least 1")
     a = params.a
     zero = list(pattern.zero_set)
     d = params.dim
@@ -573,11 +579,5 @@ def zero_pattern_logprob(
         return float(np.log(clamp_probability(p)))
     is_zero = np.zeros(d, dtype=bool)
     is_zero[zero] = True
-    est = mvn_orthant_mc(
-        ConditionalGaussian(mean=np.zeros(d), cov=params.sigma),
-        np.where(is_zero, a, np.inf),
-        mc_samples,
-        seed,
-        lower=np.where(is_zero, -np.inf, a),
-    )
-    return float(np.log(clamp_probability(est.estimate)))
+    rectified = sample_rgd(params, mc_samples, seed) == a
+    return float(np.log(clamp_probability(np.mean(np.all(rectified == is_zero, axis=1)))))

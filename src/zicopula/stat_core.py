@@ -2,9 +2,8 @@
 
 Scalar standard-normal helpers, the bivariate normal CDF through Owen's T,
 multivariate normal log-density, Gaussian conditioning, correlation-matrix
-repair, the seeded Monte Carlo estimator of box probabilities, the batched
-quasi-Monte Carlo estimator of orthant log-probabilities, and the seed
-derivation every seeded caller shares. All functions are pure; random state
+repair, the batched quasi-Monte Carlo estimator of orthant log-probabilities,
+and the seed derivation every seeded caller shares. All functions are pure; random state
 is always caller-supplied as a seed.
 """
 
@@ -233,60 +232,6 @@ def repair_correlation(raw: np.ndarray) -> np.ndarray:
         mat = (mat + eps * np.eye(d)) / (1.0 + eps)
         np.fill_diagonal(mat, 1.0)
     return mat
-
-
-class OrthantEstimate(NamedTuple):
-    estimate: float
-    std_error: float
-
-
-def mvn_orthant_mc(
-    cond: ConditionalGaussian,
-    upper: Sequence[float],
-    n_samples: int,
-    seed: int,
-    lower: Sequence[float] | None = None,
-) -> OrthantEstimate:
-    """Monte Carlo estimate of P(lower < nu <= upper) under N(mean, cov).
-
-    ``lower`` defaults to -inf. Uses antithetic standard-normal draws through
-    a triangular (or, for semidefinite covariances, eigenvalue) factor.
-    Deterministic given seed, so boxes that partition the space get estimates
-    summing to exactly 1; n_samples is rounded up to an even count so every
-    draw has its mirror.
-    """
-    mean = np.asarray(cond.mean, dtype=float)
-    cov = np.asarray(cond.cov, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    d = mean.shape[0]
-    lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    if cov.shape != (d, d) or upper.shape != (d,) or lower.shape != (d,):
-        raise ValueError("dimension mismatch between mean, cov and bounds")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if vals[0] < -1e-10 * max(1.0, abs(vals[-1])):
-            raise NumericError(
-                "orthant covariance is not positive semi-definite"
-            ) from None
-        factor = vecs * np.sqrt(np.maximum(vals, 0.0))
-    half = (int(n_samples) + 1) // 2
-    rng = np.random.Generator(np.random.PCG64(seed))
-    z = rng.standard_normal((half, d))
-    pts_a = mean + z @ factor.T
-    pts_b = mean - z @ factor.T
-    in_a = np.all((pts_a <= upper) & (pts_a > lower), axis=1).astype(float)
-    in_b = np.all((pts_b <= upper) & (pts_b > lower), axis=1).astype(float)
-    pair_means = 0.5 * (in_a + in_b)
-    estimate = float(np.mean(pair_means))
-    if half > 1:
-        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(half))
-    else:
-        std_error = 0.5
-    return OrthantEstimate(estimate=estimate, std_error=std_error)
 
 
 # Independent random shifts of the lattice in mvn_orthant_logprob; a call's

@@ -49,6 +49,8 @@ class ZicarModel:
         d = len(marginals)
         if sigma.shape != (d, d):
             raise ValueError("sigma dimension must match the marginals")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
         mask_dim = self.mask.dim
         if mask_dim != d:
             raise ValueError("mask dimension must match the marginals")

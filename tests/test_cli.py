@@ -19,6 +19,7 @@ from zicopula.cli import (
     save_model,
     write_data_csv,
 )
+from zicopula.baselines import fit_gmm, fit_kde_multi
 from zicopula.errors import DataError
 from zicopula.rgd_copula import DEFAULT_MC_SAMPLES
 from zicopula.synth_bench import make_ground_truth, sample_dataset
@@ -331,12 +332,41 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         with pytest.raises(DataError, match="malformed zicar model file"):
             model_from_dict({**zicar, "rescales": value})
 
+    # A non-finite number (JSON null or NaN) is refused, not scored as NaN.
+    # In a threshold, null stands for -inf, which is valid.
+    def first_replaced(values, bad):
+        if not isinstance(values, list):
+            return bad
+        return [first_replaced(values[0], bad), *values[1:]]
+
+    gmm = model_to_dict(fit_gmm(data, 2))
+    kde = model_to_dict(fit_kde_multi(data))
+    non_finite = [
+        ({**payload, field: first_replaced(payload[field], bad)}, payload["kind"])
+        for payload, fields in (
+            (gmm, ("weights", "means", "covariances")),
+            (kde, ("centers", "bandwidths")),
+            (good, ("sigma",)),
+            (zicar, ("sigma",)),
+        )
+        for field in fields
+        for bad in (None, math.nan)
+    ]
+    non_finite += [
+        ({**good, "thresholds": first_replaced(good["thresholds"], math.nan)}, "zibt"),
+        *(({**good, "marginals": [{**first, "a": a}, second]}, "zibt") for a in (math.nan, math.inf)),
+    ]
+    for payload, kind in non_finite:
+        with pytest.raises(DataError, match=f"malformed {kind} model file"):
+            model_from_dict(payload)
+
     # Through the command line a malformed file is a data error (exit 2); a
     # well-formed sigma that is not positive definite is a numeric one (exit 3).
     model_path = tmp_path / "m.json"
     cases = (
         ({**good, "marginals": 5}, 2, "ERR:DATA"),
         ({**good, "rescales": mismatched}, 2, "ERR:DATA malformed zibt model file"),
+        (non_finite[0][0], 2, "ERR:DATA malformed gmm model file"),
         ({**good, "sigma": [[1.0, 2.0], [2.0, 1.0]]}, 3, "ERR:NUMERIC"),
     )
     for payload, rc, prefix in cases:

@@ -592,17 +592,41 @@ def test_zero_pattern_logprob_univariate_and_bivariate_closed_forms() -> None:
 
 
 def test_zero_pattern_logprob_exhaustive_sum_matches_one() -> None:
+    from scipy.stats import multivariate_normal
+
     sigma = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, -0.3], [0.2, -0.3, 1.0]])
-    p = _params(sigma, [0.1, -0.4, 0.6])
+    a = np.array([0.1, -0.4, 0.6])
+    p = _params(sigma, a)
+    n = 20_000
     total = 0.0
     for bits in itertools.product([False, True], repeat=3):
         zero = tuple(i for i in range(3) if bits[i])
         pos = tuple(i for i in range(3) if not bits[i])
-        total += math.exp(
-            rc.zero_pattern_logprob(p, rc.ZeroPattern(zero, pos), mc_samples=20_000, seed=5)
-        )
+        pattern = rc.ZeroPattern(zero, pos)
+        log_got = rc.zero_pattern_logprob(p, pattern, mc_samples=n, seed=5)
+        assert rc.zero_pattern_logprob(p, pattern, mc_samples=n, seed=5) == log_got
+        got = math.exp(log_got)
+        total += got
+        # P(nu_zero <= a_zero, nu_pos > a_pos): flip the sign of the positives.
+        sign = np.where(bits, 1.0, -1.0)
+        want = float(multivariate_normal(cov=sigma * np.outer(sign, sign)).cdf(sign * a))
+        assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n)
     # Shared draws partition the sample space, so the sum is exact.
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_pattern_logprob_validates() -> None:
+    p = _params(np.eye(3), [0.1, -0.4, 0.6])
+    pattern = rc.ZeroPattern((0,), (1, 2))
+    with pytest.raises(ValueError, match="pattern dimension mismatch"):
+        rc.zero_pattern_logprob(p, rc.ZeroPattern((0,), (1,)))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="mc_samples must be at least 1"):
+            rc.zero_pattern_logprob(p, pattern, mc_samples=n)
+    # Not positive definite: the sampler has no Cholesky factor to draw with.
+    sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with pytest.raises(NumericError, match="not positive definite"):
+        rc.zero_pattern_logprob(_params(sigma, [0.1, -0.4, 0.6]), pattern)
 
 
 def test_marginal_pairs_are_again_rectified_gaussian() -> None:

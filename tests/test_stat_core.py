@@ -296,50 +296,6 @@ def test_repair_output_is_always_a_correlation_matrix(dim: int, seed: int) -> No
     assert np.linalg.eigvalsh(out)[0] >= 0.0
 
 
-def test_orthant_mc_univariate_matches_cdf() -> None:
-    cond = sc.ConditionalGaussian(mean=np.array([0.4]), cov=np.array([[2.25]]))
-    est = sc.mvn_orthant_mc(cond, [1.0], 20000, seed=3)
-    exact = sc.std_normal_cdf((1.0 - 0.4) / 1.5)
-    assert abs(est.estimate - exact) <= 3 * est.std_error
-    assert est.std_error > 0
-
-
-def test_orthant_mc_independent_product() -> None:
-    cond = sc.ConditionalGaussian(mean=np.zeros(2), cov=np.eye(2))
-    est = sc.mvn_orthant_mc(cond, [0.5, -0.3], 20000, seed=9)
-    exact = sc.std_normal_cdf(0.5) * sc.std_normal_cdf(-0.3)
-    assert abs(est.estimate - exact) <= 3 * est.std_error
-
-
-def test_orthant_mc_correlated_matches_bivariate_cdf() -> None:
-    cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-    cond = sc.ConditionalGaussian(mean=np.zeros(2), cov=cov)
-    est = sc.mvn_orthant_mc(cond, [0.3, -0.2], 40000, seed=7)
-    exact = sc.bivariate_normal_cdf(0.3, -0.2, 0.6)
-    assert abs(est.estimate - exact) <= 3 * est.std_error
-
-
-def test_orthant_mc_deterministic_and_validates() -> None:
-    cond = sc.ConditionalGaussian(mean=np.zeros(2), cov=np.eye(2))
-    a = sc.mvn_orthant_mc(cond, [0.1, 0.1], 999, seed=42)
-    b = sc.mvn_orthant_mc(cond, [0.1, 0.1], 999, seed=42)
-    assert a == b
-    with pytest.raises(ValueError):
-        sc.mvn_orthant_mc(cond, [0.1], 100, seed=0)
-    with pytest.raises(ValueError):
-        sc.mvn_orthant_mc(cond, [0.1, 0.1], 0, seed=0)
-    bad = sc.ConditionalGaussian(mean=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(NumericError):
-        sc.mvn_orthant_mc(bad, [0.0, 0.0], 100, seed=0)
-
-
-def test_orthant_mc_accepts_semidefinite_cov() -> None:
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-    cond = sc.ConditionalGaussian(mean=np.zeros(2), cov=cov)
-    est = sc.mvn_orthant_mc(cond, [0.5, 0.5], 20000, seed=1)
-    assert abs(est.estimate - sc.std_normal_cdf(0.5)) <= 3 * max(est.std_error, 1e-6)
-
-
 def test_probability_clamp_bounds() -> None:
     assert sc.clamp_probability(0.0) == 1e-15
     assert sc.clamp_probability(1.0) == 1.0 - 1e-15
