@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
-from .stat_core import CHUNK_BUDGET, LOG_2PI
+from .stat_core import CHUNK_BUDGET, LOG_2PI, logsumexp_columns
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -100,12 +100,6 @@ def _component_logpdfs(centered: np.ndarray, model: GmmModel) -> np.ndarray:
     return log_norm[:, None] - 0.5 * quad
 
 
-def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
-    """log of the column sums of exp(a), shifted by each column's maximum."""
-    top = a.max(axis=0)
-    return top + np.log(np.exp(a - top).sum(axis=0))
-
-
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     means = [data[rng.integers(n)]]
@@ -131,6 +125,8 @@ def fit_gmm(
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise DataError("expected a 2-D data matrix")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n, d = x.shape
     if n < k * (d + 1):
         raise DataError(f"need at least {k * (d + 1)} rows to fit {k} components")
@@ -148,7 +144,7 @@ def fit_gmm(
     reinits = 0
     for _ in range(GMM_MAX_ITER):
         joint = _component_logpdfs(centered, model)
-        row_ll = _logsumexp_columns(joint)
+        row_ll = logsumexp_columns(joint)
         mean_ll = float(row_ll.mean())
 
         resp = np.exp(joint - row_ll)
@@ -192,7 +188,7 @@ def gmm_loglik_rows(model: GmmModel, data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise DataError(f"expected {model.dim} columns")
-    return _logsumexp_columns(_component_logpdfs(_centered(x, model.means), model))
+    return logsumexp_columns(_component_logpdfs(_centered(x, model.means), model))
 
 
 def _silverman_multi(data: np.ndarray, multiplier: float) -> np.ndarray:
@@ -226,7 +222,7 @@ def kde_loglik_rows(model: KdeModel, data) -> np.ndarray:
     step = max(1, CHUNK_BUDGET // max(1, n_centers))
     for lo in range(0, x.shape[0], step):
         dist2 = cdist(centers, points[lo:lo + step], "sqeuclidean")
-        out[lo:lo + step] = _logsumexp_columns(-0.5 * dist2) - log_norm
+        out[lo:lo + step] = logsumexp_columns(-0.5 * dist2) - log_norm
     return out
 
 

@@ -33,7 +33,7 @@ from .baselines import (
 from .errors import DataError, NumericError
 from .marginals import MarginalModel
 from .mask_model import BernoulliMask, RbmMask, compute_log_z
-from .rgd_copula import DEFAULT_MC_SAMPLES, RgdParams
+from .rgd_copula import DEFAULT_MC_SAMPLES
 from .synth_bench import (
     ALL_TAGS,
     PRESETS,
@@ -46,7 +46,7 @@ from .synth_bench import (
 from .zibt_model import ZibtModel, fit_zibt, zibt_loglik_rows
 from .zicar_model import ZicarModel, fit_zicar, zicar_loglik_rows
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_SEED = "ZICOPULA_SEED"
 ENV_UCI_CSV = "ZICOPULA_UCI_CSV"
 DEFAULT_UCI_PATH = os.path.join("data", "UCI_Credit_Card.csv")
@@ -170,39 +170,6 @@ def write_scores_csv(path, scores: np.ndarray) -> None:
 # model files
 
 
-def _finite_or_none(value: float):
-    value = float(value)
-    if math.isinf(value):
-        if value > 0:
-            raise ValueError("+inf has no serialized form")
-        return None
-    return value
-
-
-def _threshold_from_json(value) -> float:
-    return -math.inf if value is None else float(value)
-
-
-def _marginal_to_dict(m: MarginalModel) -> dict:
-    return {
-        "q": float(m.q),
-        "kde_centers": np.asarray(m.kde_centers, dtype=float).tolist(),
-        "bandwidth": float(m.bandwidth),
-        "rescale_b": float(m.rescale_b),
-        "a": _finite_or_none(m.a),
-    }
-
-
-def _marginal_from_dict(d: dict) -> MarginalModel:
-    return MarginalModel(
-        q=float(d["q"]),
-        kde_centers=np.asarray(d["kde_centers"], dtype=float),
-        bandwidth=float(d["bandwidth"]),
-        rescale_b=float(d["rescale_b"]),
-        a=_threshold_from_json(d["a"]),
-    )
-
-
 def _fields_to_dict(obj) -> dict:
     """Every dataclass field of obj as (nested) lists of floats."""
     return {
@@ -237,51 +204,43 @@ def _mask_from_dict(d: dict):
     return mask
 
 
-def _zicar_to_dict(model: ZicarModel) -> dict:
-    return {
-        "marginals": [_marginal_to_dict(m) for m in model.marginals],
-        "mask": _mask_to_dict(model.mask),
-        "sigma": model.sigma.tolist(),
-        "rescales": model.rescales.tolist(),
-    }
+# JSON form of each field of the two copula models: (to JSON, from JSON).
+_COPULA_FIELDS = {
+    "marginals": (
+        lambda marginals: [_fields_to_dict(m) for m in marginals],
+        lambda dicts: tuple(_fields_from_dict(MarginalModel, d) for d in dicts),
+    ),
+    "sigma": (np.ndarray.tolist, lambda sigma: np.asarray(sigma, dtype=float)),
+    "mask": (_mask_to_dict, _mask_from_dict),
+    "likelihood_mode": (str, lambda mode: mode),
+}
 
 
-def _marginals_from_dict(d: dict) -> tuple[MarginalModel, ...]:
-    """A copula model's marginals; its "rescales" list must repeat their
-    rescale divisors exactly, since scoring reads only the marginals."""
-    marginals = tuple(_marginal_from_dict(m) for m in d["marginals"])
-    if [float(b) for b in d["rescales"]] != [m.rescale_b for m in marginals]:
+def _copula_to_dict(model) -> dict:
+    fields = dataclasses.fields(model)
+    return {f.name: _COPULA_FIELDS[f.name][0](getattr(model, f.name)) for f in fields}
+
+
+def _copula_from_dict(cls, d: dict):
+    return cls(**{f.name: _COPULA_FIELDS[f.name][1](d[f.name]) for f in dataclasses.fields(cls)})
+
+
+def _check_schema_1_copies(d: dict, model) -> None:
+    """A schema-1 copula file also stores copies of derived numbers: the
+    rescale divisors ("rescales"), each marginal's threshold "a" and, for
+    zibt, the thresholds again. Each copy must equal what it copies: the
+    divisors exactly, a threshold within 1e-9 (null stands for -inf)."""
+    if [float(b) for b in d["rescales"]] != model.rescales.tolist():
         raise ValueError("rescales must equal the marginals' rescale_b")
-    return marginals
-
-
-def _zicar_from_dict(d: dict) -> ZicarModel:
-    return ZicarModel(
-        marginals=_marginals_from_dict(d),
-        mask=_mask_from_dict(d["mask"]),
-        sigma=np.asarray(d["sigma"], dtype=float),
-    )
-
-
-def _zibt_to_dict(model: ZibtModel) -> dict:
-    return {
-        "marginals": [_marginal_to_dict(m) for m in model.marginals],
-        "sigma": model.copula.sigma.tolist(),
-        "thresholds": [_finite_or_none(a) for a in model.copula.a],
-        "rescales": model.rescales.tolist(),
-        "likelihood_mode": model.likelihood_mode,
-    }
-
-
-def _zibt_from_dict(d: dict) -> ZibtModel:
-    return ZibtModel(
-        marginals=_marginals_from_dict(d),
-        copula=RgdParams(
-            sigma=np.asarray(d["sigma"], dtype=float),
-            a=np.array([_threshold_from_json(v) for v in d["thresholds"]]),
-        ),
-        likelihood_mode=d["likelihood_mode"],
-    )
+    copies = [[m["a"] for m in d["marginals"]]]
+    if isinstance(model, ZibtModel):
+        copies.append(d["thresholds"])
+    for stored in copies:
+        stored = [-math.inf if v is None else float(v) for v in stored]
+        if len(stored) != model.dim or not all(
+            v == m.a or abs(v - m.a) <= 1e-9 for v, m in zip(stored, model.marginals)
+        ):
+            raise ValueError("thresholds must equal Phi^-1 of the zero rates")
 
 
 def _fit_zicar(args, data) -> ZicarModel:
@@ -316,10 +275,10 @@ def _fit_kde(args, data) -> KdeModel:
     return fit_kde_multi(data, multiplier=float(args.bandwidth_mult))
 
 
-def _describe_copula(model, sigma) -> list:
+def _describe_copula(model) -> list:
     return [
         f"q: {_format_vector([m.q for m in model.marginals])}",
-        f"sigma condition number: {np.linalg.cond(sigma):.6g}",
+        f"sigma condition number: {np.linalg.cond(model.sigma):.6g}",
         f"rescale factors: {_format_vector(model.rescales)}",
     ]
 
@@ -341,9 +300,9 @@ _KINDS = {
         type=ZicarModel,
         fit=_fit_zicar,
         loglik_rows=lambda model, data, args: zicar_loglik_rows(model, data),
-        describe=lambda model: _describe_copula(model, model.sigma),
-        to_dict=_zicar_to_dict,
-        from_dict=_zicar_from_dict,
+        describe=_describe_copula,
+        to_dict=_copula_to_dict,
+        from_dict=lambda d: _copula_from_dict(ZicarModel, d),
     ),
     "zibt": _Kind(
         type=ZibtModel,
@@ -351,9 +310,9 @@ _KINDS = {
         loglik_rows=lambda model, data, args: zibt_loglik_rows(
             model, data, mc_samples=int(args.mc_samples), base_seed=int(args.seed)
         ),
-        describe=lambda model: _describe_copula(model, model.copula.sigma),
-        to_dict=_zibt_to_dict,
-        from_dict=_zibt_from_dict,
+        describe=_describe_copula,
+        to_dict=_copula_to_dict,
+        from_dict=lambda d: _copula_from_dict(ZibtModel, d),
     ),
     "gmm": _Kind(
         type=GmmModel,
@@ -399,14 +358,17 @@ def model_from_dict(payload) -> object:
     if not isinstance(payload, dict):
         raise DataError("model file must contain a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise DataError(f"unsupported schema_version: {version!r}")
     kind = payload.get("kind")
     entry = _entry(kind)
     if entry is None:
         raise DataError(f"unknown model kind: {kind!r}")
     try:
-        return entry.from_dict(payload)
+        model = entry.from_dict(payload)
+        if version == 1 and entry.type in (ZibtModel, ZicarModel):
+            _check_schema_1_copies(payload, model)
+        return model
     except KeyError as exc:
         raise DataError(f"model file missing field: {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -648,9 +610,10 @@ def cmd_ingest_credit(args) -> None:
             raise DataError(f"missing columns: {', '.join(missing)}")
         for record in reader:
             lineno = reader.line_num
-            values = [
-                _parse_float(record[c], lineno) for c in wanted
-            ]
+            values = [_parse_float(record[c], lineno) for c in wanted]
+            for v in values:
+                if not math.isfinite(v):
+                    raise DataError(f"line {lineno}: non-finite value {v!r}")
             # The raw file carries a few negative amounts; the models need
             # nonnegative input, so they are clamped to zero.
             rows.append([max(0.0, v) for v in values])

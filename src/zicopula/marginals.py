@@ -32,15 +32,16 @@ _DENSITY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class MarginalModel:
-    """Fitted marginal: zero rate, positive-part KDE, rescale factor, threshold."""
+    """Fitted marginal: zero rate, positive-part KDE and rescale factor."""
 
     q: float
     kde_centers: np.ndarray
     bandwidth: float
     rescale_b: float
-    a: float
 
     def __post_init__(self) -> None:
+        for name in ("q", "bandwidth", "rescale_b"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         centers = np.asarray(self.kde_centers, dtype=float)
         if centers.ndim != 1 or centers.size == 0 or not np.isfinite(centers).all():
             raise ValueError("kde_centers must be a nonempty vector of finite values")
@@ -50,9 +51,12 @@ class MarginalModel:
             raise ValueError("zero rate q must lie in [0, 1)")
         if not (self.bandwidth > 0 and self.rescale_b > 0):
             raise ValueError("bandwidth and rescale_b must be positive")
-        if math.isnan(self.a) or self.a == math.inf:
-            raise ValueError("threshold a must be finite or -inf")
         object.__setattr__(self, "kde_centers", centers)
+
+    @functools.cached_property
+    def a(self) -> float:
+        """The rectified copula's threshold Phi^-1(q); -inf when q = 0."""
+        return std_normal_quantile(self.q) if self.q > 0 else -math.inf
 
     @functools.cached_property
     def _grid(self) -> _KernelGrid | None:
@@ -91,14 +95,7 @@ def fit_marginal(column, bandwidth_scale: float = 1.0) -> MarginalModel:
         raise DataError("need at least 2 strictly positive entries to fit a density")
     q = float((column == 0).sum() / column.size)
     h = silverman_bandwidth(positives) * float(bandwidth_scale)
-    a = std_normal_quantile(q) if q > 0 else -math.inf
-    return MarginalModel(
-        q=q,
-        kde_centers=np.sort(positives),
-        bandwidth=float(h),
-        rescale_b=1.0,
-        a=float(a),
-    )
+    return MarginalModel(q=q, kde_centers=np.sort(positives), bandwidth=h, rescale_b=1.0)
 
 
 # Kernel sums on a grid (_KernelGrid). Nodes sit at m h / GRID_STEPS for

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import DataError
-from .stat_core import LOG_PROB_FLOOR
+from .stat_core import LOG_PROB_FLOOR, logsumexp_columns
 
 logger = logging.getLogger(__name__)
 
@@ -161,8 +161,8 @@ def compute_log_z(
     pieces = []
     for head in enumerate_states(lead):
         states[:, :lead] = head
-        pieces.append(logsumexp(-free_energy(weights, visible_bias, hidden_bias, states)))
-    return float(logsumexp(pieces))
+        pieces.append(logsumexp_columns(-free_energy(weights, visible_bias, hidden_bias, states)))
+    return float(logsumexp_columns(np.array(pieces)))
 
 
 def fit_bernoulli(masks: np.ndarray) -> BernoulliMask:

@@ -40,6 +40,12 @@ def clamp_probability(p):
     return np.clip(p, PROB_FLOOR, PROB_CEIL)
 
 
+def logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log of the column sums of exp(a), shifted by each column's maximum."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

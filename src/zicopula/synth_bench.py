@@ -383,7 +383,7 @@ def _fit_and_score(tag: str, data: dict, seed: int, mc_samples: int, cache: dict
             -zibt_loglik_terms(
                 model, _terms(data, "abnormal", bw, cache), mc_samples, sub_seed(seed, 6)
             ),
-            model.copula.sigma,
+            model.sigma,
         )
     train, normal, abnormal = data["train"], data["normal"], data["abnormal"]
     if tag == "gmm":

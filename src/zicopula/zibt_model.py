@@ -10,6 +10,7 @@ zero/positive branch combinations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,30 +40,33 @@ _PATCHED_THRESHOLD = float(std_normal_quantile(PROB_FLOOR))
 
 @dataclass(frozen=True)
 class ZibtModel:
-    """Fitted marginals plus the rectified-copula correlation and thresholds."""
+    """Fitted marginals plus the rectified-copula correlation; each column's
+    threshold is its marginal's Phi^-1(q)."""
 
     marginals: tuple[MarginalModel, ...]
-    copula: RgdParams
+    sigma: np.ndarray
     likelihood_mode: str = "approx"
 
     def __post_init__(self) -> None:
         marginals = tuple(self.marginals)
-        if self.copula.dim != len(marginals):
-            raise ValueError("copula dimension must match the marginals")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.shape != (len(marginals), len(marginals)):
+            raise ValueError("sigma dimension must match the marginals")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
         if self.likelihood_mode not in ("exact", "approx"):
             raise ValueError("likelihood_mode must be 'exact' or 'approx'")
-        for i, m in enumerate(marginals):
-            a_i = self.copula.a[i]
-            if m.q == 0.0:
-                if not np.isneginf(a_i):
-                    raise ValueError(f"threshold {i} must be -inf when q = 0")
-            elif abs(a_i - std_normal_quantile(m.q)) > 1e-9:
-                raise ValueError(f"threshold {i} inconsistent with its zero rate")
         object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:
         return len(self.marginals)
+
+    @functools.cached_property
+    def copula(self) -> RgdParams:
+        """The rectified-copula law: sigma and the marginals' thresholds."""
+        return RgdParams(self.sigma, np.array([m.a for m in self.marginals]))
 
     @property
     def rescales(self) -> np.ndarray:
@@ -86,16 +90,12 @@ def fit_zibt_copula(
     use_mle_sigma: bool = True,
     likelihood_mode: str = "approx",
 ) -> ZibtModel:
-    """Copula stage of fit_zibt: thresholds and correlation on fitted columns."""
+    """Copula stage of fit_zibt: the correlation on fitted columns."""
     a = np.array([m.a for m in train.models])
     q = np.array([m.q for m in train.models])
     omega = np.where(train.positive, normal_scores(train.cdf, q), a)
     sigma = assemble_sigma(omega, a, use_mle_sigma, zero_mask=~train.positive)
-    return ZibtModel(
-        marginals=train.models,
-        copula=RgdParams(sigma=sigma, a=a),
-        likelihood_mode=likelihood_mode,
-    )
+    return ZibtModel(train.models, sigma, likelihood_mode)
 
 
 def zibt_loglik_rows(
@@ -130,7 +130,7 @@ def zibt_loglik_terms(
 
     q = np.array([m.q for m in model.marginals])
     total += copula_loglik_rows(
-        model.copula.sigma,
+        model.sigma,
         np.where(np.isfinite(model.copula.a), model.copula.a, _PATCHED_THRESHOLD),
         np.where(positive, normal_scores(terms.cdf, q), 0.0),
         positive,

@@ -27,6 +27,19 @@ from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
 
 
+def _schema_1(payload: dict) -> dict:
+    """A copula model file as schema 1 wrote it: each marginal and, for
+    zibt, a "thresholds" list repeat Phi^-1(q) (null for -inf), and
+    "rescales" repeats the rescale divisors."""
+    model = model_from_dict(payload)
+    thresholds = [None if math.isinf(m.a) else m.a for m in model.marginals]
+    old = {**payload, "schema_version": 1, "rescales": model.rescales.tolist()}
+    old["marginals"] = [{**d, "a": a} for d, a in zip(payload["marginals"], thresholds)]
+    if payload["kind"] == "zibt":
+        old["thresholds"] = thresholds
+    return old
+
+
 def _toy_zibt_csv(path, n=60, zeros=(12, 30)):
     rng = np.random.Generator(np.random.PCG64(0))
     data = rng.lognormal(size=(n, 2))
@@ -155,14 +168,10 @@ def test_indented_model_file_scores_as_the_compact_one(tmp_path):
 def test_score_zero_row_is_mask_term_under_identity_sigma(tmp_path):
     import dataclasses
 
-    from zicopula.rgd_copula import RgdParams
-
     data_path = tmp_path / "train.csv"
     data = _toy_zibt_csv(data_path)
     model = fit_zibt(data)
-    model = dataclasses.replace(
-        model, copula=RgdParams(sigma=np.eye(2), a=model.copula.a)
-    )
+    model = dataclasses.replace(model, sigma=np.eye(2))
     model_path = tmp_path / "m.json"
     save_model(model_path, model)
     score_path = tmp_path / "rows.csv"
@@ -279,6 +288,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
     assert not scores.exists() and not results.exists()
 
+    # A mixture needs at least one component, from the flag or a config file.
+    config = tmp_path / "k0.json"
+    config.write_text(json.dumps({"k": 0}))
+    for flags in (["--k", "0"], ["--config", str(config)]):
+        assert main(["fit", "--data", str(data_path), "--model", "gmm",
+                     "--out", str(model_path), *flags]) == 1
+        assert "ERR:USAGE k must be at least 1, got 0" in capsys.readouterr().err
+
     # The rescale pass always runs; it has no off switch.
     unwritten = tmp_path / "unwritten.json"
     assert main(["fit", "--data", str(data_path), "--model", "zibt",
@@ -310,15 +327,18 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
 
     data_path = tmp_path / "train.csv"
     data = _toy_zibt_csv(data_path)
-    good = model_to_dict(fit_zibt(data))
-    zicar = model_to_dict(fit_zicar(data, mask_kind="bernoulli"))
+    # Schema-1 files, which also hold copies of derived numbers; each copy
+    # must equal what it copies. The toy's first column has q = 0.2.
+    good = _schema_1(model_to_dict(fit_zibt(data)))
+    zicar = _schema_1(model_to_dict(fit_zicar(data, mask_kind="bernoulli")))
     first, second = good["marginals"]
-    # The rescale divisors are stored twice; the copies must agree.
+    assert first["q"] == 0.2
     mismatched = [good["rescales"][0], 10 * good["rescales"][1]]
     bad_fields = {
         "marginals": (5, [1, 2, 3])
         + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]], [0.0], [-1.0, 2.0]))
-        + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0)),
+        + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0))
+        + tuple([{**first, "a": a}, second] for a in (5.0, None)),
         "sigma": ("abc",),
         "thresholds": (good["thresholds"][:1],),
         "rescales": (mismatched, good["rescales"][:1]),
@@ -328,9 +348,15 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         for value in values:
             with pytest.raises(DataError, match="malformed zibt model file"):
                 model_from_dict({**good, field: value})
-    for value in ([zicar["rescales"][0], 10 * zicar["rescales"][1]], zicar["rescales"][:1]):
+    zicar_first, zicar_second = zicar["marginals"]
+    for field, value in (
+        ("rescales", [zicar["rescales"][0], 10 * zicar["rescales"][1]]),
+        ("rescales", zicar["rescales"][:1]),
+        ("marginals", [{**zicar_first, "a": 5.0}, zicar_second]),
+        ("marginals", [{**zicar_first, "a": None}, zicar_second]),
+    ):
         with pytest.raises(DataError, match="malformed zicar model file"):
-            model_from_dict({**zicar, "rescales": value})
+            model_from_dict({**zicar, field: value})
 
     # A non-finite number (JSON null or NaN) is refused, not scored as NaN.
     # In a threshold, null stands for -inf, which is valid.
@@ -374,6 +400,58 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         assert main(["score", "--model", str(model_path), "--data", str(data_path),
                      "--out", str(tmp_path / "s.csv")]) == rc
         assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_model_files_write_their_documented_keys(tmp_path):
+    data = _toy_zibt_csv(tmp_path / "train.csv")
+    marginal = {"q", "kde_centers", "bandwidth", "rescale_b"}
+    cases = (
+        (fit_zibt(data), {"marginals", "sigma", "likelihood_mode"}, None),
+        (fit_zicar(data, mask_kind="bernoulli"), {"marginals", "mask", "sigma"}, {"type", "q"}),
+        (
+            fit_zicar(data, mask_kind="rbm"),
+            {"marginals", "mask", "sigma"},
+            {"type", "weights", "visible_bias", "hidden_bias", "log_z"},
+        ),
+        (fit_gmm(data, 2), {"weights", "means", "covariances"}, None),
+        (fit_kde_multi(data), {"centers", "bandwidths"}, None),
+    )
+    for model, keys, mask_keys in cases:
+        payload = model_to_dict(model)
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "kind"} | keys
+        for m in payload.get("marginals", ()):
+            assert set(m) == marginal
+        if mask_keys is not None:
+            assert set(payload["mask"]) == mask_keys
+
+
+def test_schema_1_files_score_as_their_schema_2_form(tmp_path, capsys):
+    data_path = tmp_path / "train.csv"
+    data = _toy_zibt_csv(data_path)
+    models = (
+        fit_zibt(data),
+        fit_zibt(data, likelihood_mode="exact"),
+        fit_zicar(data, mask_kind="bernoulli"),
+        fit_zicar(data, mask_kind="rbm"),
+    )
+    for i, model in enumerate(models):
+        payload = model_to_dict(model)
+        scores = []
+        for name, form in (("new", payload), ("old", _schema_1(payload))):
+            model_path = tmp_path / f"{name}{i}.json"
+            model_path.write_text(json.dumps(form))
+            out = tmp_path / f"{name}{i}.csv"
+            assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                         "--out", str(out)]) == 0
+            scores.append(out.read_bytes())
+        assert scores[0] == scores[1]
+
+    model_path = tmp_path / "future.json"
+    model_path.write_text(json.dumps({**model_to_dict(models[0]), "schema_version": 3}))
+    assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unsupported schema_version: 3" in capsys.readouterr().err
 
 
 def test_config_precedence(tmp_path, capsys):
@@ -506,6 +584,24 @@ def test_ingest_credit_deterministic_split(tmp_path):
                      "--out-train", str(train), "--out-test", str(test)]) == 0
         outs.append(train.read_bytes() + test.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_ingest_credit_refuses_non_finite_amounts(tmp_path, capsys):
+    # nan would be clamped to an exact zero, a structural zero to the models;
+    # inf would reach the training file. Both are data errors.
+    raw = tmp_path / "raw.csv"
+    cols = _write_raw_credit(raw, n=5)
+    lines = raw.read_text().splitlines()
+    bill = cols.index("BILL_AMT2")
+    for cell in ("nan", "-nan", "inf"):
+        fields = lines[3].split(",")
+        fields[bill] = cell
+        raw.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+        train, test = tmp_path / "t.csv", tmp_path / "e.csv"
+        assert main(["ingest-credit", "--raw", str(raw),
+                     "--out-train", str(train), "--out-test", str(test)]) == 2
+        assert "ERR:DATA line 4: non-finite value" in capsys.readouterr().err
+        assert not train.exists() and not test.exists()
 
 
 def test_ingest_credit_missing_columns(tmp_path, capsys):

@@ -14,13 +14,11 @@ from zicopula.stat_core import std_normal_cdf, std_normal_pdf
 
 
 def _model(centers, h, q=0.0):
-    a = -math.inf if q == 0 else mg.std_normal_quantile(q)
     return mg.MarginalModel(
         q=q,
         kde_centers=np.sort(np.asarray(centers, dtype=float)),
         bandwidth=h,
         rescale_b=1.0,
-        a=a,
     )
 
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
 from zicopula.cli import load_model, save_model
 from zicopula.marginals import PositiveTerms, fit_marginal
-from zicopula.rgd_copula import RgdParams
 from zicopula.synth_bench import corrupt, make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, fit_zicar_copula, zicar_loglik_rows
@@ -162,7 +161,7 @@ def test_zibt_approx_scores_are_column_permutation_equivariant(perm):
     np.testing.assert_array_equal(permuted.copula.a, base.copula.a[perm])
     np.testing.assert_array_equal(permuted.rescales, base.rescales[perm])
     # Pin sigma to the exact permutation so the check isolates the scorer.
-    pinned = dataclasses.replace(permuted, copula=RgdParams(sigma, permuted.copula.a))
+    pinned = dataclasses.replace(permuted, sigma=sigma)
     np.testing.assert_allclose(
         zibt_loglik_rows(pinned, rows[:, perm]),
         zibt_loglik_rows(base, rows),
@@ -244,7 +243,7 @@ def test_zibt_approx_unit_change_shifts_scores_by_log_scale(column, log10_s):
     model = fit_zibt(_scaled(train, column, s), likelihood_mode="approx")
     np.testing.assert_allclose(model.copula.sigma, base.copula.sigma, rtol=0, atol=RHO_ATOL)
     np.testing.assert_array_equal(model.copula.a, base.copula.a)
-    pinned = dataclasses.replace(model, copula=RgdParams(base.copula.sigma, model.copula.a))
+    pinned = dataclasses.replace(model, sigma=base.copula.sigma)
     np.testing.assert_allclose(
         zibt_loglik_rows(pinned, _scaled(rows, column, s)),
         zibt_loglik_rows(base, rows) - np.log(s) * (rows[:, column] > 0),
@@ -274,7 +273,7 @@ def test_rescale_pass_leaves_scores_unchanged(kind, seed):
         np.testing.assert_allclose(
             plain.copula.sigma, full.copula.sigma, rtol=0, atol=RHO_ATOL
         )
-        pinned = dataclasses.replace(plain, copula=RgdParams(full.copula.sigma, plain.copula.a))
+        pinned = dataclasses.replace(plain, sigma=full.copula.sigma)
         score = zibt_loglik_rows
     np.testing.assert_array_equal(plain.rescales, np.ones(DIM))
     np.testing.assert_allclose(

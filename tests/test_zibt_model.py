@@ -9,7 +9,7 @@ from scipy.special import ndtr, ndtri
 
 from zicopula.errors import DataError
 from zicopula.marginals import omega_transform, positive_logpdf
-from zicopula.rgd_copula import RgdParams, ZeroPattern
+from zicopula.rgd_copula import ZeroPattern
 from zicopula.zibt_model import (
     ZibtModel,
     fit_zibt,
@@ -81,9 +81,7 @@ def _marginal_only_loglik(model, rows):
 def test_identity_sigma_scores_are_marginal_sums(mode):
     x = rectified_sample(1500, TWO_COL_SIGMA, np.array([0.3, 0.2]), seed=3)
     model = fit_zibt(x, likelihood_mode=mode)
-    indep = dataclasses.replace(
-        model, copula=RgdParams(sigma=np.eye(2), a=model.copula.a)
-    )
+    indep = dataclasses.replace(model, sigma=np.eye(2))
     rows = x[:80]
     got = zibt_loglik_rows(indep, rows)
     np.testing.assert_allclose(got, _marginal_only_loglik(model, rows), atol=1e-10)
@@ -139,7 +137,7 @@ def test_block_independence_makes_approx_exact():
     )
     x = rectified_sample(3000, sigma, np.array([0.4, 0.1, 0.1]), seed=6)
     model = fit_zibt(x)
-    forced = dataclasses.replace(model, copula=RgdParams(sigma=sigma, a=model.copula.a))
+    forced = dataclasses.replace(model, sigma=sigma)
     exact = dataclasses.replace(forced, likelihood_mode="exact")
     rows = x[(x[:, 0] == 0) & (x[:, 1] > 0) & (x[:, 2] > 0)][:25]
     np.testing.assert_allclose(
@@ -150,7 +148,7 @@ def test_block_independence_makes_approx_exact():
 def test_zero_pattern_prob_independent_product():
     x = rectified_sample(4000, np.eye(2), np.array([0.35, 0.15]), seed=7)
     model = fit_zibt(x)
-    indep = dataclasses.replace(model, copula=RgdParams(np.eye(2), model.copula.a))
+    indep = dataclasses.replace(model, sigma=np.eye(2))
     q0, q1 = indep.marginals[0].q, indep.marginals[1].q
     cases = {
         ((0, 1), ()): q0 * q1,
@@ -289,7 +287,5 @@ def test_model_validation():
     model = fit_zibt(x)
     with pytest.raises(ValueError, match="likelihood_mode"):
         dataclasses.replace(model, likelihood_mode="fast")
-    with pytest.raises(ValueError, match="inconsistent"):
-        dataclasses.replace(
-            model, copula=RgdParams(model.copula.sigma, model.copula.a + 0.5)
-        )
+    with pytest.raises(ValueError, match="sigma dimension"):
+        dataclasses.replace(model, sigma=np.eye(3))
