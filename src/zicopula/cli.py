@@ -35,13 +35,12 @@ from .marginals import MarginalModel
 from .mask_model import BernoulliMask, RbmMask, compute_log_z
 from .rgd_copula import DEFAULT_MC_SAMPLES
 from .synth_bench import (
-    ALL_TAGS,
     PRESETS,
+    RESULT_COLUMNS,
     default_variants,
     make_ground_truth,
     run_benchmark,
     sample_dataset,
-    write_results_csv,
 )
 from .zibt_model import ZibtModel, fit_zibt, zibt_loglik_rows
 from .zicar_model import ZicarModel, fit_zicar, zicar_loglik_rows
@@ -70,11 +69,16 @@ class _Parser(argparse.ArgumentParser):
 # dataset CSV I/O
 
 
-def _parse_float(token: str, lineno: int) -> float:
+def _read_text(path) -> str:
+    """The whole of a UTF-8 text file. A file that cannot be opened or
+    decoded is a DataError."""
     try:
-        return float(token)
-    except ValueError:
-        raise DataError(f"line {lineno}: could not parse {token.strip()!r} as a number")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _blank(line: str) -> bool:
@@ -82,18 +86,14 @@ def _blank(line: str) -> bool:
     return not line.replace(",", "").replace('"', "").strip()
 
 
-def read_data_csv(path, clip_negatives: bool = False) -> np.ndarray:
-    """Read a comma-separated matrix with a required header row.
+def _read_csv(path, clip_negatives: bool) -> tuple:
+    """Read a comma-separated matrix with a required header row; return the
+    header's names and the matrix.
 
     Blank lines are skipped. numpy parses the body in one call; when it
     rejects the body or a value is not allowed, the lines are scanned again
     in order to name the first bad one."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}")
-    with fh:
-        text = fh.read()
+    text = _read_text(path)
     records = [line for line in text.splitlines() if not _blank(line)]
     if not records:
         raise DataError(f"{path} is empty")
@@ -112,7 +112,11 @@ def read_data_csv(path, clip_negatives: bool = False) -> np.ndarray:
         _raise_first_bad_line(text, len(header), clip_negatives)
     if clip_negatives:
         data = np.where(data > 0.0, data, 0.0)
-    return data
+    return header, data
+
+
+def read_data_csv(path, clip_negatives: bool = False) -> np.ndarray:
+    return _read_csv(path, clip_negatives)[1]
 
 
 def _raise_first_bad_line(text: str, width: int, clip_negatives: bool) -> None:
@@ -129,7 +133,11 @@ def _raise_first_bad_line(text: str, width: int, clip_negatives: bool) -> None:
     for lineno, record in body:
         if len(record) != width:
             raise DataError(f"line {lineno}: expected {width} fields, got {len(record)}")
-        for v in [_parse_float(c, lineno) for c in record]:
+        for token in record:
+            try:
+                v = float(token)
+            except ValueError:
+                raise DataError(f"line {lineno}: could not parse {token.strip()!r} as a number")
             if not math.isfinite(v):
                 raise DataError(f"line {lineno}: non-finite value {v!r}")
             if v < 0 and not clip_negatives:
@@ -147,23 +155,24 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _write_csv(path, header, matrix: np.ndarray) -> None:
-    """A header line, then one line per row of a float matrix. csv writes a
-    Python float as its repr, the shortest string that reads back exactly."""
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header, rows, append: bool = False) -> None:
+    """A header line, then one line per row; appending to a file that is not
+    empty adds the rows only. csv writes a Python float as its repr, the
+    shortest string that reads back exactly."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in matrix:
-            writer.writerow(row.tolist())
+        if fh.tell() == 0:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_data_csv(path, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=float)
-    _write_csv(path, [f"x{j + 1}" for j in range(matrix.shape[1])], matrix)
+    _write_csv(path, [f"x{j + 1}" for j in range(matrix.shape[1])], matrix.tolist())
 
 
 def write_scores_csv(path, scores: np.ndarray) -> None:
-    _write_csv(path, ["nll"], np.asarray(scores, dtype=float).reshape(-1, 1))
+    _write_csv(path, ["nll"], np.asarray(scores, dtype=float).reshape(-1, 1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +252,30 @@ def _check_schema_1_copies(d: dict, model) -> None:
             raise ValueError("thresholds must equal Phi^-1 of the zero rates")
 
 
+def _refuse_stray_keys(payload: dict, model) -> None:
+    """A schema-2 file holds its model's fields and nothing else: at the top
+    level, in each marginal and in the mask."""
+
+    def check(d: dict, obj, *extra: str) -> None:
+        stray = sorted(set(d) - {*extra, *(f.name for f in dataclasses.fields(obj))})
+        if stray:
+            raise ValueError(f"unexpected keys: {', '.join(stray)}")
+
+    check(payload, model, "schema_version", "kind")
+    for d, marginal in zip(payload.get("marginals", ()), getattr(model, "marginals", ())):
+        check(d, marginal)
+    if hasattr(model, "mask"):
+        check(payload["mask"], model.mask, "type")
+
+
 def _fit_zicar(args, data) -> ZicarModel:
     return fit_zicar(
         data,
         mask_kind=args.mask,
         use_mle_sigma=not args.no_mle,
         n_hidden=args.n_hidden,
-        seed=int(args.seed),
-        bandwidth_scale=float(args.bandwidth_scale),
+        seed=args.seed,
+        bandwidth_scale=args.bandwidth_scale,
     )
 
 
@@ -259,20 +284,20 @@ def _fit_zibt(args, data) -> ZibtModel:
         data,
         use_mle_sigma=not args.no_mle,
         likelihood_mode=args.likelihood,
-        bandwidth_scale=float(args.bandwidth_scale),
+        bandwidth_scale=args.bandwidth_scale,
     )
 
 
 def _fit_gmm(args, data) -> GmmModel:
     if args.k is None:
-        return tune_gmm(data, seed=int(args.seed))
-    return fit_gmm(data, int(args.k), seed=int(args.seed))
+        return tune_gmm(data, seed=args.seed)
+    return fit_gmm(data, args.k, seed=args.seed)
 
 
 def _fit_kde(args, data) -> KdeModel:
     if args.bandwidth_mult is None:
-        return tune_kde(data, seed=int(args.seed))
-    return fit_kde_multi(data, multiplier=float(args.bandwidth_mult))
+        return tune_kde(data, seed=args.seed)
+    return fit_kde_multi(data, multiplier=args.bandwidth_mult)
 
 
 def _describe_copula(model) -> list:
@@ -308,7 +333,7 @@ _KINDS = {
         type=ZibtModel,
         fit=_fit_zibt,
         loglik_rows=lambda model, data, args: zibt_loglik_rows(
-            model, data, mc_samples=int(args.mc_samples), base_seed=int(args.seed)
+            model, data, mc_samples=args.mc_samples, base_seed=args.seed
         ),
         describe=_describe_copula,
         to_dict=_copula_to_dict,
@@ -336,11 +361,6 @@ _KINDS = {
 _KIND_OF_TYPE = {entry.type: kind for kind, entry in _KINDS.items()}
 
 
-def _entry(kind) -> _Kind | None:
-    """Table entry of a kind name; None for unknown names and non-strings."""
-    return _KINDS.get(kind) if isinstance(kind, str) else None
-
-
 def _kind_of(model) -> str:
     kind = _KIND_OF_TYPE.get(type(model))
     if kind is None:
@@ -361,12 +381,14 @@ def model_from_dict(payload) -> object:
     if version not in (1, SCHEMA_VERSION):
         raise DataError(f"unsupported schema_version: {version!r}")
     kind = payload.get("kind")
-    entry = _entry(kind)
+    entry = _KINDS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise DataError(f"unknown model kind: {kind!r}")
     try:
         model = entry.from_dict(payload)
-        if version == 1 and entry.type in (ZibtModel, ZicarModel):
+        if version == SCHEMA_VERSION:
+            _refuse_stray_keys(payload, model)
+        elif entry.type in (ZibtModel, ZicarModel):
             _check_schema_1_copies(payload, model)
         return model
     except KeyError as exc:
@@ -382,58 +404,15 @@ def save_model(path, model) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}")
+
+
 def load_model(path):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file is not valid JSON: {exc}")
-    return model_from_dict(payload)
-
-
-# ---------------------------------------------------------------------------
-# config resolution
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise DataError("config file must contain a JSON object")
-    return config
-
-
-def _resolve(args, defaults: dict, required: tuple = ()) -> None:
-    """Apply precedence flags > config file > defaults (seed also falls back
-    to the ZICOPULA_SEED environment variable)."""
-    config = _load_config(getattr(args, "config", None))
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise DataError(f"config has unknown keys: {', '.join(unknown)}")
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, fallback))
-    if getattr(args, "seed", None) is None:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
-            try:
-                args.seed = int(env)
-            except ValueError:
-                raise DataError(f"{ENV_SEED} must be an integer, got {env!r}")
-        else:
-            args.seed = 0
-    for key in required:
-        if getattr(args, key) is None:
-            raise _UsageError(f"--{key.replace('_', '-')} is required")
+    return model_from_dict(_read_json(path, "model file"))
 
 
 def _format_vector(values) -> str:
@@ -441,31 +420,12 @@ def _format_vector(values) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each runs on a namespace that _resolve has completed
 
 
 def cmd_fit(args) -> None:
-    _resolve(
-        args,
-        defaults={
-            "data": None,
-            "model": None,
-            "out": None,
-            "mask": "rbm",
-            "likelihood": "approx",
-            "no_mle": False,
-            "bandwidth_scale": 1.0,
-            "n_hidden": None,
-            "k": None,
-            "bandwidth_mult": None,
-            "clip_negatives": False,
-        },
-        required=("data", "model", "out"),
-    )
     data = read_data_csv(args.data, clip_negatives=args.clip_negatives)
-    entry = _entry(args.model)
-    if entry is None:
-        raise _UsageError(f"unknown model kind: {args.model!r}")
+    entry = _KINDS[args.model]
     model = entry.fit(args, data)
     save_model(args.out, model)
     print(f"model: {args.model}")
@@ -476,22 +436,11 @@ def cmd_fit(args) -> None:
 
 
 def _check_mc_samples(args) -> None:
-    if int(args.mc_samples) < 1:
+    if args.mc_samples < 1:
         raise _UsageError("--mc-samples must be at least 1")
 
 
 def cmd_score(args) -> None:
-    _resolve(
-        args,
-        defaults={
-            "model": None,
-            "data": None,
-            "out": None,
-            "mc_samples": DEFAULT_MC_SAMPLES,
-            "clip_negatives": False,
-        },
-        required=("model", "data", "out"),
-    )
     _check_mc_samples(args)
     model = load_model(args.model)
     data = read_data_csv(args.data, clip_negatives=args.clip_negatives)
@@ -501,20 +450,8 @@ def cmd_score(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    _resolve(
-        args,
-        defaults={
-            "kind": None,
-            "dim": None,
-            "rows": None,
-            "out": None,
-            "sample_seed": 0,
-            "sigma_out": None,
-        },
-        required=("kind", "dim", "rows", "out"),
-    )
-    truth = make_ground_truth(args.kind, int(args.dim), seed=int(args.seed))
-    data = sample_dataset(truth, int(args.rows), seed=int(args.sample_seed))
+    truth = make_ground_truth(args.kind, args.dim, seed=args.seed)
+    data = sample_dataset(truth, args.rows, seed=args.sample_seed)
     write_data_csv(args.out, data)
     if args.sigma_out is not None:
         write_data_csv(args.sigma_out, truth.sigma_true)
@@ -524,50 +461,29 @@ def cmd_synth(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    _resolve(
-        args,
-        defaults={
-            "kind": None,
-            "dim": None,
-            "preset": "desk",
-            "out": "results.csv",
-            "jobs": 1,
-            "mc_samples": DEFAULT_MC_SAMPLES,
-            "variants": None,
-            "seeds": None,
-        },
-        required=("kind", "dim"),
-    )
     _check_mc_samples(args)
     variants = None
     if args.variants is not None:
-        variants = tuple(t.strip() for t in str(args.variants).split(",") if t.strip())
-        for tag in variants:
-            if tag not in ALL_TAGS:
-                raise _UsageError(
-                    f"unknown variant {tag!r}; known: {', '.join(ALL_TAGS)}"
-                )
+        variants = tuple(t.strip() for t in args.variants.split(",") if t.strip())
     seeds = None
     if args.seeds is not None:
         try:
-            seeds = tuple(int(t) for t in str(args.seeds).split(",") if t.strip())
+            seeds = tuple(int(t) for t in args.seeds.split(",") if t.strip())
         except ValueError:
-            raise _UsageError(f"--seeds must be comma-separated integers")
+            raise _UsageError("--seeds must be comma-separated integers")
         if not seeds:
             raise _UsageError("--seeds must name at least one seed")
-    if args.preset not in PRESETS:
-        raise _UsageError(f"unknown preset {args.preset!r}")
 
     rows = run_benchmark(
         args.kind,
-        int(args.dim),
+        args.dim,
         preset=args.preset,
         variants=variants,
-        jobs=int(args.jobs),
-        mc_samples=int(args.mc_samples),
+        jobs=args.jobs,
+        mc_samples=args.mc_samples,
         seeds=seeds,
     )
-    write_results_csv(args.out, rows)
+    _write_csv(args.out, RESULT_COLUMNS, map(dataclasses.astuple, rows), append=True)
     print(f"appended {len(rows)} rows to {args.out}")
     tags = variants if variants is not None else default_variants(args.kind)
     for tag in tags:
@@ -580,134 +496,26 @@ def cmd_bench(args) -> None:
 
 
 def cmd_ingest_credit(args) -> None:
-    _resolve(
-        args,
-        defaults={
-            "raw": None,
-            "out_train": None,
-            "out_test": None,
-            "small": False,
-        },
-        required=("out_train", "out_test"),
-    )
     raw_path = args.raw
     if raw_path is None:
         raw_path = os.environ.get(ENV_UCI_CSV, DEFAULT_UCI_PATH)
     wanted = CREDIT_COLUMNS_SMALL if args.small else CREDIT_COLUMNS_FULL
-
-    try:
-        fh = open(raw_path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {raw_path}: {exc.strerror}")
-    rows = []
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{raw_path} is empty")
-        fields = [c.strip() for c in reader.fieldnames]
-        missing = [c for c in wanted if c not in fields]
-        if missing:
-            raise DataError(f"missing columns: {', '.join(missing)}")
-        for record in reader:
-            lineno = reader.line_num
-            values = [_parse_float(record[c], lineno) for c in wanted]
-            for v in values:
-                if not math.isfinite(v):
-                    raise DataError(f"line {lineno}: non-finite value {v!r}")
-            # The raw file carries a few negative amounts; the models need
-            # nonnegative input, so they are clamped to zero.
-            rows.append([max(0.0, v) for v in values])
-    if not rows:
-        raise DataError(f"{raw_path} has no data rows")
-
-    matrix = np.array(rows, dtype=float)
+    # The raw file carries a few negative amounts; the models need
+    # nonnegative input, so they are clamped to zero.
+    header, raw = _read_csv(raw_path, clip_negatives=True)
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise DataError(f"missing columns: {', '.join(missing)}")
+    matrix = raw[:, [header.index(c) for c in wanted]]
     n = matrix.shape[0]
     n_train = 21_000 if n == 30_000 else int(round(0.7 * n))
-    order = np.random.Generator(np.random.PCG64(int(args.seed))).permutation(n)
+    order = np.random.Generator(np.random.PCG64(args.seed)).permutation(n)
 
-    _write_csv(args.out_train, wanted, matrix[order[:n_train]])
-    _write_csv(args.out_test, wanted, matrix[order[n_train:]])
+    _write_csv(args.out_train, wanted, matrix[order[:n_train]].tolist())
+    _write_csv(args.out_test, wanted, matrix[order[n_train:]].tolist())
     print(f"read {n} rows from {raw_path}")
     print(f"train: {n_train} rows -> {args.out_train}")
     print(f"test: {n - n_train} rows -> {args.out_test}")
-
-
-# ---------------------------------------------------------------------------
-# parser and entry point
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    # Built once per process: parsing writes only to its own namespace.
-    parser = _Parser(prog="zicopula", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--config", help="JSON file supplying defaults for flags")
-        p.add_argument("--seed", type=int, help=f"RNG seed (default ${ENV_SEED} or 0)")
-
-    p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
-    common(p_fit)
-    p_fit.add_argument("--data", help="training CSV (header row required)")
-    p_fit.add_argument("--model", choices=tuple(_KINDS))
-    p_fit.add_argument("--out", help="model file to write")
-    p_fit.add_argument("--mask", choices=("bernoulli", "rbm"), help="zicar mask family")
-    p_fit.add_argument("--likelihood", choices=("exact", "approx"), help="zibt scoring mode")
-    p_fit.add_argument("--no-mle", action="store_true", default=None,
-                       help="plain correlation instead of pairwise MLE")
-    p_fit.add_argument("--bandwidth-scale", type=float,
-                       help="marginal KDE bandwidth multiplier (default 1.0)")
-    p_fit.add_argument("--n-hidden", type=int, help="RBM hidden units (default 2D)")
-    p_fit.add_argument("--k", type=int, help="GMM components (default: tuned)")
-    p_fit.add_argument("--bandwidth-mult", type=float,
-                       help="KDE baseline bandwidth multiplier (default: tuned)")
-    p_fit.add_argument("--clip-negatives", action="store_true", default=None,
-                       help="replace negative inputs with 0 instead of failing")
-
-    p_score = sub.add_parser("score", help="negative log-likelihood per row")
-    common(p_score)
-    p_score.add_argument("--model", help="model file from fit")
-    p_score.add_argument("--data", help="CSV to score")
-    p_score.add_argument("--out", help="scores CSV to write")
-    p_score.add_argument("--mc-samples", type=int,
-                         help="orthant estimator points per row with 3+ zeros, or "
-                              "2 zeros below 1e-8, in exact zibt scoring "
-                              f"(default {DEFAULT_MC_SAMPLES})")
-    p_score.add_argument("--clip-negatives", action="store_true", default=None)
-
-    p_synth = sub.add_parser("synth", help="draw a synthetic dataset")
-    common(p_synth)
-    p_synth.add_argument("--kind", choices=("zicar", "zibt"))
-    p_synth.add_argument("--dim", type=int)
-    p_synth.add_argument("--rows", type=int)
-    p_synth.add_argument("--out", help="dataset CSV to write")
-    p_synth.add_argument("--sample-seed", type=int,
-                         help="seed for the draw itself (ground truth uses --seed)")
-    p_synth.add_argument("--sigma-out", help="also write the true correlation matrix")
-
-    p_bench = sub.add_parser("bench", help="corruption benchmark over seeds")
-    common(p_bench)
-    p_bench.add_argument("--kind", choices=("zicar", "zibt"))
-    p_bench.add_argument("--dim", type=int)
-    p_bench.add_argument("--preset", choices=tuple(PRESETS))
-    p_bench.add_argument("--out", help="results CSV (appended; default results.csv)")
-    p_bench.add_argument("--jobs", type=int, help="concurrent seeds (default 1)")
-    p_bench.add_argument("--mc-samples", type=int,
-                         help="orthant estimator points per row with 3+ zeros, or "
-                              "2 zeros below 1e-8, for the exact zibt variants "
-                              f"(default {DEFAULT_MC_SAMPLES})")
-    p_bench.add_argument("--variants", help="comma-separated model tags")
-    p_bench.add_argument("--seeds", help="comma-separated seed list (overrides preset)")
-
-    p_ingest = sub.add_parser("ingest-credit", help="extract the credit-card columns")
-    common(p_ingest)
-    p_ingest.add_argument("--raw", help=f"raw CSV (default ${ENV_UCI_CSV} or {DEFAULT_UCI_PATH})")
-    p_ingest.add_argument("--out-train", help="training CSV to write")
-    p_ingest.add_argument("--out-test", help="test CSV to write")
-    p_ingest.add_argument("--small", action="store_true", default=None,
-                          help="keep only PAY_AMT1 and BILL_AMT1")
-
-    return parser
 
 
 _HANDLERS = {
@@ -717,6 +525,152 @@ _HANDLERS = {
     "bench": cmd_bench,
     "ingest-credit": cmd_ingest_credit,
 }
+
+
+# ---------------------------------------------------------------------------
+# options: one table gives the parser, the config keys and the defaults
+
+# The default of an option that a flag or the config file must give.
+_REQUIRED = object()
+
+_COMMON = {
+    "config": (None, {"help": "JSON file giving any other option of the command"}),
+    "seed": (None, {"type": int, "help": f"RNG seed (default ${ENV_SEED} or 0)"}),
+}
+_FAMILY = (_REQUIRED, {"choices": ("zicar", "zibt")})
+_DIM = (_REQUIRED, {"type": int})
+_CLIP_NEGATIVES = (False, {"action": "store_true",
+                           "help": "replace negative inputs with 0 instead of failing"})
+_MC_SAMPLES = (DEFAULT_MC_SAMPLES, {"type": int,
+                                    "help": "orthant estimator points per row with 3+ zeros, "
+                                            "or 2 zeros below 1e-8, in exact zibt scoring"})
+
+# command -> (help, {option: (default or _REQUIRED, add_argument keywords)})
+_COMMANDS = {
+    "fit": ("fit a model to a CSV dataset", {
+        **_COMMON,
+        "data": (_REQUIRED, {"help": "training CSV (header row required)"}),
+        "model": (_REQUIRED, {"choices": tuple(_KINDS)}),
+        "out": (_REQUIRED, {"help": "model file to write"}),
+        "mask": ("rbm", {"choices": ("bernoulli", "rbm"), "help": "zicar mask family"}),
+        "likelihood": ("approx", {"choices": ("exact", "approx"), "help": "zibt scoring mode"}),
+        "no_mle": (False, {"action": "store_true",
+                           "help": "plain correlation instead of pairwise MLE"}),
+        "bandwidth_scale": (1.0, {"type": float, "help": "marginal KDE bandwidth multiplier"}),
+        "n_hidden": (None, {"type": int, "help": "RBM hidden units (default 2D)"}),
+        "k": (None, {"type": int, "help": "GMM components (default: tuned)"}),
+        "bandwidth_mult": (None, {"type": float,
+                                  "help": "KDE baseline bandwidth multiplier (default: tuned)"}),
+        "clip_negatives": _CLIP_NEGATIVES,
+    }),
+    "score": ("negative log-likelihood per row", {
+        **_COMMON,
+        "model": (_REQUIRED, {"help": "model file from fit"}),
+        "data": (_REQUIRED, {"help": "CSV to score"}),
+        "out": (_REQUIRED, {"help": "scores CSV to write"}),
+        "mc_samples": _MC_SAMPLES,
+        "clip_negatives": _CLIP_NEGATIVES,
+    }),
+    "synth": ("draw a synthetic dataset", {
+        **_COMMON,
+        "kind": _FAMILY,
+        "dim": _DIM,
+        "rows": (_REQUIRED, {"type": int}),
+        "out": (_REQUIRED, {"help": "dataset CSV to write"}),
+        "sample_seed": (0, {"type": int,
+                            "help": "seed for the draw itself (ground truth uses --seed)"}),
+        "sigma_out": (None, {"help": "also write the true correlation matrix"}),
+    }),
+    "bench": ("corruption benchmark over seeds", {
+        **_COMMON,
+        "kind": _FAMILY,
+        "dim": _DIM,
+        "preset": ("desk", {"choices": tuple(PRESETS)}),
+        "out": ("results.csv", {"help": "results CSV (appended)"}),
+        "jobs": (1, {"type": int, "help": "concurrent seeds"}),
+        "mc_samples": _MC_SAMPLES,
+        "variants": (None, {"help": "comma-separated model tags"}),
+        "seeds": (None, {"help": "comma-separated seed list (overrides preset)"}),
+    }),
+    "ingest-credit": ("extract the credit-card columns", {
+        **_COMMON,
+        "raw": (None, {"help": f"raw CSV (default ${ENV_UCI_CSV} or {DEFAULT_UCI_PATH})"}),
+        "out_train": (_REQUIRED, {"help": "training CSV to write"}),
+        "out_test": (_REQUIRED, {"help": "test CSV to write"}),
+        "small": (False, {"action": "store_true", "help": "keep only PAY_AMT1 and BILL_AMT1"}),
+    }),
+}
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
+def _config_value(option: str, value, default, keywords: dict):
+    """A config file's value for an option, checked as the flag's is. null
+    stands for an option's default where that default is null."""
+    if value is None and default is None:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if keywords.get("action") == "store_true":
+        ok, wanted = isinstance(value, bool), "true or false"
+    elif "choices" in keywords:
+        ok = isinstance(value, str) and value in keywords["choices"]
+        wanted = "one of " + ", ".join(keywords["choices"])
+    elif keywords.get("type") is int:
+        ok, wanted = number and isinstance(value, int), "an integer"
+    elif keywords.get("type") is float:
+        ok, wanted = number, "a number"
+        value = float(value) if ok else value
+    else:
+        ok, wanted = isinstance(value, str), "a string"
+    if not ok:
+        raise _UsageError(f"config {option}: expected {wanted}, got {json.dumps(value)}")
+    return value
+
+
+def _resolve(args) -> None:
+    """Give every option of the command its value: the flag, else the config
+    file, else the default. The seed falls back to $ZICOPULA_SEED, then 0.
+    Every config value is checked, also where a flag overrides it."""
+    options = _COMMANDS[args.command][1]
+    path = getattr(args, "config", None)
+    config = {} if path is None else _read_json(path, "config file")
+    if not isinstance(config, dict):
+        raise DataError("config file must contain a JSON object")
+    unknown = sorted(k for k in config if k not in options or k == "config")
+    if unknown:
+        raise DataError(f"config has unknown keys: {', '.join(unknown)}")
+    for option, (default, keywords) in options.items():
+        if option in config:
+            default = _config_value(option, config[option], default, keywords)
+        if hasattr(args, option):
+            continue
+        if default is _REQUIRED:
+            raise _UsageError(f"{_flag(option)} is required")
+        setattr(args, option, default)
+    if args.seed is None:
+        env = os.environ.get(ENV_SEED)
+        try:
+            args.seed = 0 if env is None else int(env)
+        except ValueError:
+            raise DataError(f"{ENV_SEED} must be an integer, got {env!r}")
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    # Built once per process: parsing writes only to its own namespace, and
+    # an option left out stays off it until _resolve fills it in.
+    parser = _Parser(prog="zicopula", description=__doc__)
+    sub = parser.add_subparsers(dest="command")
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for option, (default, keywords) in options.items():
+            if not (default is None or default is _REQUIRED or isinstance(default, bool)):
+                shown = f"(default {default})"
+                keywords = {**keywords, "help": f"{keywords.get('help', '')} {shown}".lstrip()}
+            p.add_argument(_flag(option), **keywords)
+    return parser
 
 
 def _print_error(kind: str, message: str) -> None:
@@ -729,7 +683,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a command is required (fit, score, synth, bench, ingest-credit)")
+            raise _UsageError(f"a command is required ({', '.join(_COMMANDS)})")
+        _resolve(args)
         _HANDLERS[args.command](args)
         return 0
     except _UsageError as exc:

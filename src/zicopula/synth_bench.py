@@ -457,7 +457,7 @@ def run_benchmark(
     tags = tuple(default_variants(kind) if variants is None else variants)
     unknown = [t for t in tags if t not in ALL_TAGS]
     if unknown:
-        raise ValueError(f"unknown model tag: {unknown[0]}")
+        raise ValueError(f"unknown variant tag {unknown[0]!r}; known: {', '.join(ALL_TAGS)}")
 
     args = [
         (kind, dim, s, spec.n_train, spec.n_test, tags, mc_samples) for s in chosen
@@ -469,26 +469,3 @@ def run_benchmark(
             futures = [pool.submit(_bench_one_seed, *a) for a in args]
             per_seed = [f.result() for f in futures]
     return [row for rows in per_seed for row in rows]
-
-
-def write_results_csv(path, rows) -> None:
-    """Append benchmark rows to a CSV, writing the header only when needed."""
-    import csv
-    import os
-
-    need_header = not (os.path.exists(path) and os.path.getsize(path) > 0)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if need_header:
-            writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.model_tag,
-                    row.kind,
-                    row.dim,
-                    row.seed,
-                    repr(float(row.auc)),
-                    repr(float(row.sigma_l2_error)),
-                ]
-            )

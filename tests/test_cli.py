@@ -402,6 +402,45 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix)
 
 
+
+def test_schema_2_files_refuse_stray_keys(tmp_path, capsys):
+    data_path = tmp_path / "train.csv"
+    data = _toy_zibt_csv(data_path)
+    zibt = model_to_dict(fit_zibt(data))
+    zicar = model_to_dict(fit_zicar(data, mask_kind="rbm"))
+    # Schema-1 copies in a schema-2 file are not read, so they are refused,
+    # whether or not they equal what they copy.
+    copies = {
+        **zibt,
+        "thresholds": [5.0, 5.0],
+        "rescales": _schema_1(zibt)["rescales"],
+        "marginals": [{**m, "a": 5.0} for m in zibt["marginals"]],
+    }
+
+    def marginal_extra(payload):
+        first, *rest = payload["marginals"]
+        return {**payload, "marginals": [{**first, "extra": 1}, *rest]}
+
+    cases = (
+        (copies, "zibt"),
+        ({**zibt, "extra": 1}, "zibt"),
+        (marginal_extra(zibt), "zibt"),
+        ({**zicar, "extra": 1}, "zicar"),
+        (marginal_extra(zicar), "zicar"),
+        ({**zicar, "mask": {**zicar["mask"], "extra": 1}}, "zicar"),
+        ({**model_to_dict(fit_gmm(data, 2)), "extra": 1}, "gmm"),
+        ({**model_to_dict(fit_kde_multi(data)), "extra": 1}, "kde"),
+    )
+    for payload, kind in cases:
+        with pytest.raises(DataError, match=f"malformed {kind} model file: unexpected keys"):
+            model_from_dict(payload)
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(copies))
+    assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:DATA malformed zibt model file: unexpected keys: rescales, thresholds")
+
 def test_model_files_write_their_documented_keys(tmp_path):
     data = _toy_zibt_csv(tmp_path / "train.csv")
     marginal = {"q", "kde_centers", "bandwidth", "rescale_b"}
@@ -478,19 +517,93 @@ def test_config_precedence(tmp_path, capsys):
         assert f"config has unknown keys: {next(iter(unknown))}" in capsys.readouterr().err
 
 
+
+def test_config_values_are_checked_as_their_flags(tmp_path, capsys):
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    raw = tmp_path / "raw.csv"
+    _write_raw_credit(raw, n=10)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    fit = ["fit", "--data", str(data_path), "--model", "gmm", "--k", "1", "--out", str(out)]
+    ingest = ["ingest-credit", "--raw", str(raw), "--out-train", str(out),
+              "--out-test", str(tmp_path / "test.csv")]
+    refused = (
+        (ingest, {"small": "false"}, "expected true or false"),
+        (fit, {"no_mle": "false"}, "expected true or false"),
+        (fit, {"clip_negatives": "no"}, "expected true or false"),
+        (fit, {"clip_negatives": 1}, "expected true or false"),
+        (fit, {"n_hidden": True}, "expected an integer"),
+        (fit, {"n_hidden": 2.5}, "expected an integer"),
+        (fit, {"bandwidth_scale": "1.0"}, "expected a number"),
+        (fit, {"mask": "tree"}, "expected one of bernoulli, rbm"),
+        (fit, {"seed": "3"}, "expected an integer"),
+        (["synth", "--kind", "zibt", "--rows", "10", "--out", str(out)], {"dim": None},
+         "expected an integer"),
+        (["synth", "--dim", "2", "--kind", "zibt", "--rows", "10"], {"out": 5},
+         "expected a string"),
+    )
+    for argv, config, message in refused:
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg)]) == 1
+        option = next(iter(config))
+        assert f"ERR:USAGE config {option}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Accepted values act as the flag does; null keeps a null default.
+    cfg.write_text(json.dumps({"small": True}))
+    assert main([*ingest, "--config", str(cfg)]) == 0
+    assert out.read_text().splitlines()[0] == "PAY_AMT1,BILL_AMT1"
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(["fit", "--data", str(data_path), "--model", "zibt", "--out", str(by_flag),
+                 "--bandwidth-scale", "2", "--no-mle"]) == 0
+    cfg.write_text(json.dumps({"bandwidth_scale": 2, "no_mle": True, "n_hidden": None}))
+    assert main(["fit", "--data", str(data_path), "--model", "zibt", "--out", str(by_config),
+                 "--config", str(cfg)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_path), "--model", "kde", "--bandwidth-mult", "1",
+                 "--out", str(model_path)]) == 0
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"x1,x2\n\xff\xfe\x00\x80,1\n")
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["fit", "--data", str(binary), "--model", "kde", "--out", str(out)],
+        ["score", "--model", str(binary), "--data", str(data_path), "--out", str(out)],
+        ["score", "--model", str(model_path), "--data", str(data_path), "--out", str(out),
+         "--config", str(binary)],
+    ):
+        assert main(argv) == 2
+        assert f"ERR:DATA {binary} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
 def test_env_seed_used_as_default(tmp_path, monkeypatch):
-    out_env = tmp_path / "env.csv"
-    out_flag = tmp_path / "flag.csv"
-    monkeypatch.setenv("ZICOPULA_SEED", "7")
-    assert main(["synth", "--kind", "zibt", "--dim", "2", "--rows", "80",
-                 "--out", str(out_env)]) == 0
+    # The seed is the flag, else the config file, else $ZICOPULA_SEED, else 0.
+    monkeypatch.delenv("ZICOPULA_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 2}))
+
+    def draw(*flags):
+        out = tmp_path / "d.csv"
+        assert main(["synth", "--kind", "zibt", "--dim", "2", "--rows", "80",
+                     "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    by_seed = {s: draw("--seed", str(s)) for s in range(4)}
+    assert len(set(by_seed.values())) == 4
+    monkeypatch.setenv("ZICOPULA_SEED", "1")
+    assert draw("--config", str(cfg), "--seed", "3") == by_seed[3]
+    assert draw("--config", str(cfg)) == by_seed[2]
+    assert draw() == by_seed[1]
     monkeypatch.delenv("ZICOPULA_SEED")
-    assert main(["synth", "--kind", "zibt", "--dim", "2", "--rows", "80",
-                 "--seed", "7", "--out", str(out_flag)]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
+    assert draw() == by_seed[0]
     monkeypatch.setenv("ZICOPULA_SEED", "not-a-number")
     assert main(["synth", "--kind", "zibt", "--dim", "2", "--rows", "80",
-                 "--out", str(out_env)]) == 2
+                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_synth_writes_sigma(tmp_path):
@@ -519,6 +632,25 @@ def test_bench_command_appends_and_summarizes(tmp_path, capsys):
     assert lines[1] == lines[2]
     assert "mean AUC" in capsys.readouterr().out
 
+
+
+def test_bench_jobs_two_writes_the_serial_bytes(tmp_path):
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}.csv"
+        assert main(["bench", "--kind", "zibt", "--dim", "2", "--seeds", "0,1",
+                     "--variants", "kde,zibt-approx", "--jobs", jobs,
+                     "--out", str(outs[jobs])]) == 0
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+    header, *lines = outs["2"].read_text().splitlines()
+    assert header == "model_tag,kind,D,seed,auc,sigma_l2_error"
+    assert [line.split(",")[:4] for line in lines] == [
+        [tag, "zibt", "2", seed] for seed in "01" for tag in ("kde", "zibt-approx")
+    ]
+    for line in lines:
+        tag, *_, auc, err = line.split(",")
+        assert repr(float(auc)) == auc and 0.0 <= float(auc) <= 1.0
+        assert (err == "nan") == (tag == "kde")
 
 def test_bench_rejects_unknown_variant(tmp_path, capsys):
     for tag in ("mystery", "zibt-no-rescale"):
@@ -603,6 +735,18 @@ def test_ingest_credit_refuses_non_finite_amounts(tmp_path, capsys):
         assert "ERR:DATA line 4: non-finite value" in capsys.readouterr().err
         assert not train.exists() and not test.exists()
 
+
+
+def test_ingest_credit_refuses_a_short_row(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    cols = _write_raw_credit(raw, n=5)
+    with open(raw, "a") as fh:
+        fh.write("4,1,2\n")
+    train, test = tmp_path / "t.csv", tmp_path / "e.csv"
+    assert main(["ingest-credit", "--raw", str(raw),
+                 "--out-train", str(train), "--out-test", str(test)]) == 2
+    assert f"ERR:DATA line 7: expected {len(cols)} fields, got 3" in capsys.readouterr().err
+    assert not train.exists() and not test.exists()
 
 def test_ingest_credit_missing_columns(tmp_path, capsys):
     raw = tmp_path / "raw.csv"

@@ -24,7 +24,6 @@ from zicopula.synth_bench import (
     run_benchmark,
     sample_dataset,
     sigma_l2_error,
-    write_results_csv,
 )
 from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
@@ -331,14 +330,3 @@ def test_bench_fits_the_rbm_mask_once_per_seed(monkeypatch):
             dataclasses.astuple(row), dataclasses.astuple(_alone("zicar", row.model_tag, **size))
         )
 
-
-def test_write_results_csv_appends_without_duplicate_header(tmp_path):
-    path = tmp_path / "results.csv"
-    row = BenchResult("gmm", "zibt", 2, 0, 0.75, float("nan"))
-    write_results_csv(path, [row])
-    write_results_csv(path, [row])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "model_tag,kind,D,seed,auc,sigma_l2_error"
-    assert len(lines) == 3
-    assert lines[1] == lines[2]
-    assert lines[1].startswith("gmm,zibt,2,0,0.75,")
