@@ -119,8 +119,7 @@ def fit_gmm(
     data,
     k: int,
     seed: int = 0,
-    return_trace: bool = False,
-):
+) -> GmmModel:
     """EM fit with k-means++ seeding and per-step covariance regularization."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -139,7 +138,6 @@ def fit_gmm(
     model = GmmModel(weights=weights, means=means, covariances=covs)
     centered = _centered(x, means)
 
-    trace: list[float] = []
     prev = -np.inf
     reinits = 0
     for _ in range(GMM_MAX_ITER):
@@ -165,10 +163,8 @@ def fit_gmm(
             model = GmmModel(weights=model.weights, means=means, covariances=covs)
             centered = _centered(x, means)
             prev = -np.inf  # restart convergence tracking after the jolt
-            trace.clear()
             continue
 
-        trace.append(mean_ll)
         weights = counts / n
         means = (resp @ x) / counts[:, None]
         centered = _centered(x, means)
@@ -178,9 +174,6 @@ def fit_gmm(
         if mean_ll - prev < GMM_TOL and np.isfinite(prev):
             break
         prev = mean_ll
-
-    if return_trace:
-        return model, trace
     return model
 
 

@@ -508,7 +508,7 @@ def cmd_ingest_credit(args) -> None:
         raise DataError(f"missing columns: {', '.join(missing)}")
     matrix = raw[:, [header.index(c) for c in wanted]]
     n = matrix.shape[0]
-    n_train = 21_000 if n == 30_000 else int(round(0.7 * n))
+    n_train = int(round(0.7 * n))
     order = np.random.Generator(np.random.PCG64(args.seed)).permutation(n)
 
     _write_csv(args.out_train, wanted, matrix[order[:n_train]].tolist())

@@ -23,14 +23,17 @@ from .stat_core import LOG_PROB_FLOOR, logsumexp_columns
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_DIM = 20
-# Crossover of the two RBM fits at 2,000 rows and 2D hidden units (2-core x86
-# host, one BLAS thread, best of 3): the exact fit takes 0.39-0.41 s at D = 8
-# against 0.64-0.67 s for contrastive divergence, and 0.96-1.75 s at D = 10
-# against 0.72-0.80 s, because its cost per step grows as 2^D.
-EXACT_FIT_MAX_DIM = 8
+# Widest mask the exact fit takes. On zicar truths at D = 9-10 (seeds 0-1,
+# 2D hidden units, 5,000 held-out rows, 2-core x86 host, one BLAS thread) its
+# held-out mask log-likelihood is 0.39-0.49 nats/row above contrastive
+# divergence's, at 2,000 and at 21,000 training rows, and it takes
+# 0.31-0.80 s against 0.55-0.64 s at 2,000 rows and 0.67-2.54 s against
+# 6.3-7.3 s at 21,000. Its cost per step grows as 2^D.
+EXACT_FIT_MAX_DIM = 10
 # L-BFGS stops when no gradient entry exceeds gtol; ftol = 0 turns off the
 # relative-decrease stop, which would otherwise end most fits short of it.
 _EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
+CD_EPOCHS = 200
 CD_BATCH_SIZE = 64
 CD_LEARNING_RATE = 0.05
 _ENUM_CHUNK_BITS = 16
@@ -171,25 +174,6 @@ def fit_bernoulli(masks: np.ndarray) -> BernoulliMask:
     return BernoulliMask(q=1.0 - arr.mean(axis=0))
 
 
-def _pseudo_loglik(
-    weights: np.ndarray,
-    visible_bias: np.ndarray,
-    hidden_bias: np.ndarray,
-    visible: np.ndarray,
-) -> float:
-    """Mean log pseudo-likelihood over all rows and single-bit flips."""
-    v = visible
-    base_activation = hidden_bias[None, :] + v @ weights
-    base_softplus = np.logaddexp(0.0, base_activation)
-    total = 0.0
-    for i in range(v.shape[1]):
-        sign = 1.0 - 2.0 * v[:, i]
-        flipped = np.logaddexp(0.0, base_activation + sign[:, None] * weights[i][None, :])
-        delta_f = -sign * visible_bias[i] - (flipped - base_softplus).sum(axis=1)
-        total += float(np.log(expit(delta_f)).mean())
-    return total / v.shape[1]
-
-
 def _unpack(params: np.ndarray, d: int, n_hidden: int) -> tuple:
     """Weights, visible bias and hidden bias from one flat parameter vector."""
     split = d * n_hidden
@@ -242,10 +226,9 @@ def _fit_rbm_exact(arr: np.ndarray, weights: np.ndarray) -> tuple:
     return _unpack(result.x, d, n_hidden)
 
 
-def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, epochs: int,
-                rng: np.random.Generator) -> tuple:
-    """One-step contrastive divergence from ``weights`` and zero biases,
-    updating ``weights`` in place."""
+def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> tuple:
+    """CD_EPOCHS passes of one-step contrastive divergence from ``weights``
+    and zero biases, updating ``weights`` in place."""
     n = arr.shape[0]
     n_hidden = weights.shape[1]
     visible_bias = np.zeros(arr.shape[1])
@@ -254,7 +237,7 @@ def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, epochs: int,
     rate = CD_LEARNING_RATE
     # The updates are in place, so this view follows the weights.
     weights_t = weights.T
-    for epoch in range(epochs):
+    for _ in range(CD_EPOCHS):
         shuffled = arr[rng.permutation(n)]
         # One draw per epoch reads the same stream as one draw per batch.
         uniforms = rng.random((n, n_hidden))
@@ -270,16 +253,14 @@ def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, epochs: int,
             weights += rate * (v0.T @ ph0 - pv1.T @ ph1) / batch
             visible_bias += rate * ((v0 - pv1).sum(axis=0) / batch)
             hidden_bias += rate * ((ph0 - ph1).sum(axis=0) / batch)
-        if logger.isEnabledFor(logging.DEBUG):
-            npl = -_pseudo_loglik(weights, visible_bias, hidden_bias, arr)
-            logger.debug("epoch %d: negative pseudo-likelihood %.6f", epoch + 1, npl)
+    logger.debug("contrastive-divergence RBM fit: %d epochs of %d batches",
+                 CD_EPOCHS, len(bounds))
     return weights, visible_bias, hidden_bias
 
 
 def fit_rbm(
     masks: np.ndarray,
     n_hidden: int,
-    epochs: int = 200,
     seed: int = 0,
 ) -> RbmMask:
     """Fit an RBM to mask rows.
@@ -293,7 +274,7 @@ def fit_rbm(
     the rows only through pattern counts, so it does not depend on row order.
     Above ``EXACT_FIT_MAX_DIM`` columns, where 2^D enumeration per step costs
     more than sampling, the fit is one-step contrastive divergence over
-    ``epochs`` passes of 64-row batches; ``epochs`` is used by that path only.
+    CD_EPOCHS passes of CD_BATCH_SIZE-row batches.
     Both start from the same seeded N(0, 0.01^2) weights and zero biases.
     """
     arr = _validate_binary(masks, "fit_rbm")
@@ -308,7 +289,7 @@ def fit_rbm(
     if d <= EXACT_FIT_MAX_DIM:
         weights, visible_bias, hidden_bias = _fit_rbm_exact(arr, weights)
     else:
-        weights, visible_bias, hidden_bias = _fit_rbm_cd(arr, weights, epochs, rng)
+        weights, visible_bias, hidden_bias = _fit_rbm_cd(arr, weights, rng)
     log_z = compute_log_z(weights, visible_bias, hidden_bias)
     return RbmMask(weights=weights, visible_bias=visible_bias,
                    hidden_bias=hidden_bias, log_z=log_z)

@@ -22,15 +22,13 @@ import numpy as np
 from .errors import DataError, NumericError
 from .stat_core import (
     LOG_2PI,
+    LOG_PROB_FLOOR,
     PROB_CEIL,
     PROB_FLOOR,
-    _orthant_sample,
-    _orthant_standardise,
-    _pooled_minimax_tilt,
     bivariate_normal_cdf,
     clamp_probability,
+    mvn_orthant_logprob,
     repair_correlation,
-    std_normal_cdf,
     std_normal_logcdf,
     std_normal_logpdf,
 )
@@ -45,9 +43,6 @@ NEWTON_MAXITER = 100
 DEFAULT_MC_SAMPLES = 512
 # Rectified draws (sample_rgd) that zero_pattern_logprob counts patterns in.
 PATTERN_MC_SAMPLES = 4096
-# Two-zero orthants whose closed form is below this go to the estimator: the
-# closed form's absolute error of about 1e-16 is a relative one of 1e-8 here.
-CLOSED_FORM_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -410,11 +405,9 @@ def copula_loglik_rows(
     together: one stacked Cholesky factorisation of their positive blocks
     (the Gaussian term by forward substitution) and one stacked solve for
     the conditional law of their zero blocks, gathered to the rows by
-    pattern. The orthant is closed form for one zero, and for two zeros down
-    to CLOSED_FORM_MIN. Rows below it and rows with three or more zeros go
-    to the estimator of mvn_orthant_logprob: one minimax-tilt solve for all
-    of them (embedded in the dimension of sigma), then one sampling pass per
-    zero count with ``mc_samples`` points per row and shifts drawn from
+    pattern. The orthant terms of all zero counts are one call of
+    mvn_orthant_logprob, with its estimator's rows embedded in the dimension
+    of sigma, ``mc_samples`` points per row and shifts drawn from
     ``base_seed``. A row's value does not depend on the other rows.
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -441,8 +434,9 @@ def copula_loglik_rows(
     row_counts = counts[inverse]
     # Each pattern's positive coordinates, then its zero coordinates, ascending.
     order = np.argsort(~patterns, axis=1, kind="stable")
-    # (rows, standardised samplers) per zero count, for the estimator
-    samplers = []
+    # Per zero count: its rows, and the conditional covariances and upper
+    # bounds of their zero blocks
+    orthant_rows, orthants = [], []
     for p in np.unique(counts):
         group = np.flatnonzero(counts == p)
         local = np.empty(patterns.shape[0], dtype=np.intp)
@@ -468,24 +462,12 @@ def copula_loglik_rows(
             cov = np.broadcast_to(sigma, (rows.size, d, d))
             upper = np.broadcast_to(a, (rows.size, d))
         log_phi_a[rows] = std_normal_logcdf(a[zero]).sum(axis=1)[of_row]
-        if d - p > 2:
-            samplers.append((rows, *_orthant_standardise(cov, upper)))
-            continue
-        sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
-        z = upper / sd
-        if d - p == 1:
-            total[rows] += std_normal_logcdf(z[:, 0])
-            continue
-        r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
-        prob = bivariate_normal_cdf(z[:, 0], z[:, 1], r)
-        tail = prob < CLOSED_FORM_MIN
-        total[rows[~tail]] += np.log(prob[~tail])
-        if tail.any():
-            samplers.append((rows[tail], *_orthant_standardise(cov[tail], upper[tail])))
-    if samplers:
-        tilts = _pooled_minimax_tilt([(low, b) for _, low, b in samplers], d)
-        for (rows, low, b), tilt in zip(samplers, tilts):
-            total[rows] += _orthant_sample(low, b, tilt, mc_samples, base_seed)
+        orthant_rows.append(rows)
+        orthants.append((cov, upper))
+    if orthants:
+        logps = mvn_orthant_logprob(orthants, mc_samples, base_seed, d)
+        for rows, logp in zip(orthant_rows, logps):
+            total[rows] += logp
     return total - log_phi_a
 
 
@@ -542,42 +524,30 @@ def zero_pattern_logprob(
 ) -> float:
     """log P(the rectified law produces exactly this zero pattern).
 
-    Closed form for D <= 2. Otherwise the share of ``mc_samples`` draws of
-    sample_rgd that show the pattern, since a coordinate is rectified exactly
-    when its latent value is at or below its threshold. One seed gives every
-    pattern the same draws, so the probabilities of all 2^D patterns sum to
-    exactly 1.
+    For D <= 2 this is the orthant P(S nu <= S a) of mvn_orthant_logprob,
+    with S = diag(+-1) reflecting the positive coordinates: a positive
+    coordinate at a -inf threshold always is one and drops out, and a zero
+    coordinate there never is. Otherwise it is the share of ``mc_samples``
+    draws of sample_rgd that show the pattern, since a coordinate is
+    rectified exactly when its latent value is at or below its threshold.
+    One seed gives every pattern the same draws, so the probabilities of
+    all 2^D patterns sum to exactly 1. Either way it is floored at
+    LOG_PROB_FLOOR.
     """
     if pattern.dim != params.dim:
         raise ValueError("pattern dimension mismatch")
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
     a = params.a
-    zero = list(pattern.zero_set)
-    d = params.dim
-    if d == 1:
-        q = float(std_normal_cdf(a[0]))
-        p = q if zero else 1.0 - q
-        return float(np.log(clamp_probability(p)))
-    if d == 2:
-        q0 = float(std_normal_cdf(a[0]))
-        q1 = float(std_normal_cdf(a[1]))
-        rho = float(params.sigma[0, 1])
-        both = (
-            bivariate_normal_cdf(a[0], a[1], rho)
-            if np.isfinite(a[0]) and np.isfinite(a[1])
-            else 0.0
-        )
-        if len(zero) == 2:
-            p = both
-        elif len(zero) == 0:
-            p = 1.0 - q0 - q1 + both
-        elif zero == [0]:
-            p = q0 - both
-        else:
-            p = q1 - both
-        return float(np.log(clamp_probability(p)))
-    is_zero = np.zeros(d, dtype=bool)
-    is_zero[zero] = True
+    is_zero = np.zeros(params.dim, dtype=bool)
+    is_zero[list(pattern.zero_set)] = True
+    if params.dim <= 2:
+        keep = np.isfinite(a)
+        if np.isneginf(a[is_zero]).any() or not keep.any():
+            return LOG_PROB_FLOOR if is_zero.any() else 0.0
+        sign = np.where(is_zero, 1.0, -1.0)[keep]
+        cov = params.sigma[np.ix_(keep, keep)] * np.outer(sign, sign)
+        (logp,) = mvn_orthant_logprob([(cov[None], sign[None] * a[keep])], mc_samples, seed)
+        return max(float(logp[0]), LOG_PROB_FLOOR)
     rectified = sample_rgd(params, mc_samples, seed) == a
     return float(np.log(clamp_probability(np.mean(np.all(rectified == is_zero, axis=1)))))

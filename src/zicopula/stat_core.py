@@ -2,8 +2,9 @@
 
 Scalar standard-normal helpers, the bivariate normal CDF through Owen's T,
 multivariate normal log-density, Gaussian conditioning, correlation-matrix
-repair, the batched quasi-Monte Carlo estimator of orthant log-probabilities,
-and the seed derivation every seeded caller shares. All functions are pure; random state
+repair, the one orthant log-probability (closed form up to two coordinates,
+a batched quasi-Monte Carlo estimator above), and the seed derivation every
+seeded caller shares. All functions are pure; random state
 is always caller-supplied as a seed.
 """
 
@@ -251,10 +252,14 @@ QMC_SHIFTS = 8
 # sampled untilted.
 TILT_MAX_STEPS = 15
 TILT_TOL = 1e-3
+# Two-coordinate orthants whose closed form is below this go to the
+# estimator: the closed form's absolute error of about 1e-16 is a relative
+# one of 1e-8 here.
+CLOSED_FORM_MIN = 1e-8
 
 
-# Bound of a padded coordinate in _pooled_minimax_tilt. It must be finite
-# (an infinite bound gives NaN curvature); at 40, log Phi is 0 and the Mills
+# Bound of a padded coordinate in _minimax_tilt. It must be finite (an
+# infinite bound gives NaN curvature); at 40, log Phi is 0 and the Mills
 # ratio exactly 0.
 _TILT_PAD = _BVN_BOUND_CLIP
 
@@ -270,25 +275,38 @@ def _richtmyer_generator(dim: int) -> np.ndarray:
     return np.sqrt(np.array(primes, dtype=float)) % 1.0
 
 
-def _minimax_tilt(lower: np.ndarray, bound: np.ndarray) -> np.ndarray:
+def _minimax_tilt(samplers, dim: int) -> list[np.ndarray]:
     """Botev's minimax exponential tilt of each row's sequential sampler.
 
     The saddle point (Botev 2017, JRSS B 79(1)) of
     psi(x, mu) = sum_k mu_k^2 / 2 - x_k mu_k + log Phi(bound_k - mu_k - (lower x)_k)
-    in the first d - 1 coordinates of x and mu (mu_d = 0), by Newton steps.
-    ``lower`` is the strictly lower part of the unit-diagonal factor. A row
-    whose steps do not converge keeps mu = 0, the untilted sampler, which is
-    unbiased as well, only noisier in the tail.
+    in the first q - 1 coordinates of x and mu (mu_q = 0), by Newton steps.
+    ``samplers`` is a list of (lower, bound) pairs of at most ``dim``
+    coordinates, ``lower`` the strictly lower part of the unit-diagonal
+    factor, and each gets back its rows' tilts. All rows are solved in one
+    pass: a row of q coordinates is embedded in the last q of dim, after
+    dim - q padded ones with zero rows and columns in ``lower`` and bound
+    _TILT_PAD. The padded coordinates start at their saddle x = mu = 0 with
+    zero gradient and are coupled to no other coordinate, so the real ones
+    take the same Newton steps as in a call of their own. A row whose steps
+    do not converge keeps mu = 0, the untilted sampler, which is unbiased as
+    well, only noisier in the tail.
     """
-    n, d = bound.shape
-    m = d - 1
+    edges = np.cumsum([0, *(b.shape[0] for _, b in samplers)])
+    pads = [dim - b.shape[1] for _, b in samplers]
+    n, m = edges[-1], dim - 1
+    lower = np.zeros((n, dim, dim))
+    bound = np.full((n, dim), _TILT_PAD)
+    for (low, b), pad, lo, hi in zip(samplers, pads, edges[:-1], edges[1:]):
+        lower[lo:hi, pad:, pad:] = low
+        bound[lo:hi, pad:] = b
     # Start x at Genz's sequence of truncated-normal means E[z_k | z_k <=
     # bound_k - (lower x)_k]: it saves about three steps.
-    x = np.zeros((n, d))
+    x = np.zeros((n, dim))
     for k in range(m):
         t = bound[:, k] - np.einsum("rj,rj->r", lower[:, k, :k], x[:, :k])
         x[:, k] = -np.exp(-0.5 * t * t - 0.5 * LOG_2PI - log_ndtr(t))
-    mu = np.zeros((n, d))
+    mu = np.zeros((n, dim))
     diag = np.arange(m)
     done = np.zeros(n, dtype=bool)
     failed = np.zeros(n, dtype=bool)
@@ -329,67 +347,74 @@ def _minimax_tilt(lower: np.ndarray, bound: np.ndarray) -> np.ndarray:
         failed[act] = ~np.isfinite(step).all(axis=1)
         x[act, :m] -= step[:, :m]
         mu[act, :m] -= step[:, m:]
-    return np.where(done[:, None], mu, 0.0)
+    tilt = np.where(done[:, None], mu, 0.0)
+    return [tilt[lo:hi, pad:] for pad, lo, hi in zip(pads, edges[:-1], edges[1:])]
 
 
-def _pooled_minimax_tilt(samplers, dim: int) -> list[np.ndarray]:
-    """_minimax_tilt of several standardised samplers in one call.
+def mvn_orthant_logprob(
+    groups, n_points: int, seed: int, dim: int | None = None
+) -> list[np.ndarray]:
+    """log P(nu <= upper[r]) for nu ~ N(0, cov[r]), one array per group.
 
-    ``samplers`` is a list of (lower, bound) pairs of at most ``dim``
-    coordinates. A row of q coordinates is embedded in the last q of dim,
-    after dim - q padded ones with zero rows and columns in ``lower`` and
-    bound _TILT_PAD. The padded coordinates start at their saddle x = mu = 0
-    with zero gradient and are coupled to no other coordinate, so the real
-    ones take the same Newton steps as in a call of their own, and a row's
-    tilt still depends on that row alone. Each sampler gets back its rows'
-    tilts.
-    """
-    sizes = [bound.shape[0] for _, bound in samplers]
-    lower = np.zeros((sum(sizes), dim, dim))
-    bound = np.full((sum(sizes), dim), _TILT_PAD)
-    edges = np.cumsum([0, *sizes])
-    for (low, b), lo, hi in zip(samplers, edges[:-1], edges[1:]):
-        pad = dim - b.shape[1]
-        lower[lo:hi, pad:, pad:] = low
-        bound[lo:hi, pad:] = b
-    tilt = _minimax_tilt(lower, bound)
-    return [
-        tilt[lo:hi, dim - b.shape[1]:]
-        for (_, b), lo, hi in zip(samplers, edges[:-1], edges[1:])
-    ]
-
-
-def mvn_orthant_logprob(cov, upper, n_points: int, seed: int) -> np.ndarray:
-    """log P(nu <= upper[r]) for nu ~ N(0, cov[r]), one value per row r.
-
+    ``groups`` is a list of (cov (n, q, q), upper (n, q)) stacks. One
+    coordinate is log Phi, and two are Owen's closed form
+    (bivariate_normal_cdf) down to CLOSED_FORM_MIN; there the variances are
+    floored at 1e-300 and the correlation clipped inside +-(1 - 1e-12), so
+    an indefinite 2 x 2 stack still gives a value. Every other row goes to
     Genz's separation-of-variables estimator (Genz 1992, JCGS 1(2); Genz &
     Bretz 2009, LNS 195) on a randomly shifted Richtmyer lattice with the
-    tent transform, in three stages that the exact copula term also runs
-    separately: ``_orthant_standardise`` standardises each row's covariance
-    and puts its most restrictive bound first; ``_minimax_tilt`` shifts its
-    sequential truncated-normal sampler by Botev's minimax tilt, which keeps
-    the relative error small far into the tail and on nearly singular
-    covariances; ``_orthant_sample`` accumulates the weights in log space
-    and averages them over points by a max-shifted log-mean-exp, so tiny
-    probabilities keep their value instead of rounding to 0.
+    tent transform: ``_orthant_standardise`` standardises each row's
+    covariance and puts its most restrictive bound first; ``_minimax_tilt``
+    shifts its sequential truncated-normal sampler by Botev's minimax tilt,
+    one solve for all groups' rows embedded in ``dim`` coordinates (default:
+    the widest of them), which keeps the relative error small far into the
+    tail and on nearly singular covariances; ``_orthant_sample``
+    accumulates the weights in log space and averages them over points by
+    a max-shifted log-mean-exp, so tiny probabilities keep their value
+    instead of rounding to 0.
 
-    ``cov`` is a (n, d, d) stack and ``upper`` (n, d). n_points per row is
-    rounded up to a multiple of QMC_SHIFTS; the shifts come from ``seed``
-    alone, so a row's estimate does not depend on the other rows.
+    n_points per row is rounded up to a multiple of QMC_SHIFTS; the shifts
+    come from ``seed`` alone, so a row's estimate does not depend on the
+    other rows. The tilt's width moves it by rounding (about 1e-13), so a
+    caller whose calls hold different groups passes a fixed ``dim``.
     """
-    lower, bound = _orthant_standardise(cov, upper)
-    return _orthant_sample(lower, bound, _minimax_tilt(lower, bound), n_points, seed)
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
+    out, samplers = [], []
+    for g, (cov, upper) in enumerate(groups):
+        cov = np.asarray(cov, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        n, q = upper.shape
+        if cov.shape != (n, q, q):
+            raise ValueError("dimension mismatch between covariances and bounds")
+        est = np.full(n, q > 2)
+        logp = np.empty(n)
+        if q <= 2:
+            sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1e-300))
+            z = upper / sd
+            if q == 1:
+                logp = log_ndtr(z[:, 0])
+            else:
+                r = np.clip(cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]), -1 + 1e-12, 1 - 1e-12)
+                prob = bivariate_normal_cdf(z[:, 0], z[:, 1], r)
+                est = prob < CLOSED_FORM_MIN
+                logp[~est] = np.log(prob[~est])
+        out.append(logp)
+        if est.any():
+            samplers.append((g, est, *_orthant_standardise(cov[est], upper[est])))
+    if samplers:
+        pooled = [(low, b) for *_, low, b in samplers]
+        tilts = _minimax_tilt(pooled, dim or max(b.shape[1] for _, b in pooled))
+        for (g, est, low, b), tilt in zip(samplers, tilts):
+            out[g][est] = _orthant_sample(low, b, tilt, n_points, seed)
+    return out
 
 
 def _orthant_standardise(cov, upper) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sampler: the strictly lower part of its unit-diagonal
     Cholesky factor and its scaled bounds, most restrictive bound first.
     With z ~ N(0, I), nu_k <= upper_k iff z_k <= bound_k - (lower z)_k."""
-    cov = np.asarray(cov, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n, d = upper.shape
-    if cov.shape != (n, d, d):
-        raise ValueError("dimension mismatch between covariances and bounds")
+    d = upper.shape[1]
     var = np.diagonal(cov, axis1=1, axis2=2)
     if not np.all(var > 0.0):
         raise NumericError("orthant covariance is not positive definite")
@@ -413,8 +438,6 @@ def _orthant_sample(
 ) -> np.ndarray:
     """The tilted estimator of each row's orthant log-probability from its
     standardised sampler (``lower``, ``bound``) and tilt (last entry 0)."""
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
     n, d = bound.shape
     per_shift = -(-int(n_points) // QMC_SHIFTS)
     shifts = np.random.Generator(np.random.PCG64(seed)).random((QMC_SHIFTS, 1, d - 1))

@@ -286,6 +286,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["bench", "--kind", "zibt", "--dim", "5", "--mc-samples", n,
                      "--out", str(results)]) == 1
         assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
+    for seeds, message in (("a,b", "--seeds must be comma-separated integers"),
+                           (",", "--seeds must name at least one seed")):
+        assert main(["bench", "--kind", "zibt", "--dim", "2", "--seeds", seeds,
+                     "--out", str(results)]) == 1
+        assert f"ERR:USAGE {message}" in capsys.readouterr().err
     assert not scores.exists() and not results.exists()
 
     # A mixture needs at least one component, from the flag or a config file.
@@ -311,6 +316,32 @@ def test_data_errors_exit_two(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("ERR:DATA")
+
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    config = tmp_path / "list.json"
+    config.write_text("[1]")
+    fit = ["fit", "--data", str(data_path), "--model", "zibt"]
+    assert main([*fit, "--out", str(tmp_path / "m.json"), "--config", str(config)]) == 2
+    assert "ERR:DATA config file must contain a JSON object" in capsys.readouterr().err
+    # The model file cannot be opened for writing: the OSError arm of main.
+    assert main([*fit, "--out", str(tmp_path / "no_dir" / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith("ERR:DATA")
+
+
+def test_fit_baselines_tune_without_their_flags(tmp_path):
+    # The README's example: gmm without --k and kde without
+    # --bandwidth-mult tune the parameter on a validation split.
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    for kind in ("gmm", "kde"):
+        model_path = tmp_path / f"{kind}.json"
+        scores = tmp_path / f"{kind}_scores.csv"
+        assert main(["fit", "--data", str(data_path), "--model", kind,
+                     "--out", str(model_path)]) == 0
+        assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(scores)]) == 0
+        assert len(scores.read_text().splitlines()) == 61
 
 
 def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):

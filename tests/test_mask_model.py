@@ -158,7 +158,7 @@ def test_rbm_normalization_exact():
 
 def test_rbm_marginal_consistency():
     masks = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 200)
-    model = fit_rbm(masks, n_hidden=3, epochs=50, seed=1)
+    model = fit_rbm(masks, n_hidden=3, seed=1)
     states = enumerate_states(2)
     probs = np.exp(mask_logprob_rows(model, states))
     for i in range(2):
@@ -175,7 +175,7 @@ def test_rbm_marginal_consistency():
 def test_fit_rbm_dimension_cap():
     masks = np.ones((4, 21))
     with pytest.raises(DataError, match="exact normalization out of scope"):
-        fit_rbm(masks, n_hidden=2, epochs=1)
+        fit_rbm(masks, n_hidden=2)
 
 
 def _rbm_bytes(model):
@@ -186,9 +186,9 @@ def _rbm_bytes(model):
 def test_fit_rbm_deterministic_in_seed():
     rng = np.random.Generator(np.random.PCG64(3))
     masks = (rng.random((200, 3)) < 0.4).astype(float)
-    a = fit_rbm(masks, n_hidden=2, epochs=10, seed=42)
-    b = fit_rbm(masks, n_hidden=2, epochs=10, seed=42)
-    c = fit_rbm(masks, n_hidden=2, epochs=10, seed=43)
+    a = fit_rbm(masks, n_hidden=2, seed=42)
+    b = fit_rbm(masks, n_hidden=2, seed=42)
+    c = fit_rbm(masks, n_hidden=2, seed=43)
     assert _rbm_bytes(a) == _rbm_bytes(b)
     assert not np.array_equal(a.weights, c.weights)
 
@@ -262,18 +262,22 @@ def test_exact_fit_recovers_pattern_frequencies():
     assert np.abs(fitted - _pattern_freq(masks)).max() <= 0.01
 
 
-@pytest.mark.parametrize("kind", ["zibt", "zicar"])
-def test_exact_fit_beats_cd_on_held_out_masks(kind):
-    # Desk seed 0 as the benchmark draws it: D = 5, 2,000 training rows,
-    # 1,000 held-out rows and 2D hidden units.
-    truth = make_ground_truth(kind, 5, 0)
+@pytest.mark.parametrize(
+    "kind, d", [("zibt", 5), ("zicar", 5), ("zicar", 10)], ids=["zibt", "zicar", "zicar-10"]
+)
+def test_exact_fit_beats_cd_on_held_out_masks(kind, d):
+    # Desk seed 0 as the benchmark draws it (D = 5), and the widest mask the
+    # exact fit takes: 2,000 training rows, 1,000 held-out rows and 2D hidden
+    # units.
+    truth = make_ground_truth(kind, d, 0)
     train = binarize(sample_dataset(truth, 2_000, sub_seed(0, 1)))
     held_out = binarize(sample_dataset(truth, 1_000, sub_seed(0, 2)))
     fit_seed = sub_seed(0, 4)
-    exact = fit_rbm(train, n_hidden=10, seed=fit_seed)
+    assert d <= EXACT_FIT_MAX_DIM
+    exact = fit_rbm(train, n_hidden=2 * d, seed=fit_seed)
     rng = np.random.Generator(np.random.PCG64(fit_seed))
-    weights = rng.normal(0.0, 0.01, size=(5, 10))
-    cd_params = mask_model._fit_rbm_cd(train, weights, 200, rng)
+    weights = rng.normal(0.0, 0.01, size=(d, 2 * d))
+    cd_params = mask_model._fit_rbm_cd(train, weights, rng)
     cd = RbmMask(*cd_params, log_z=compute_log_z(*cd_params))
     exact_rows = mask_logprob_rows(exact, held_out)
     assert exact_rows.mean() >= mask_logprob_rows(cd, held_out).mean()
@@ -326,17 +330,18 @@ def _reference_cd(masks, n_hidden, epochs, seed):
 
 @pytest.mark.parametrize(
     "n, d, n_hidden",
-    [(1999, 9, 8), (CD_BATCH_SIZE, 9, 2), (130, 10, 5)],
+    [(1999, 11, 8), (CD_BATCH_SIZE, 11, 2), (130, 12, 5)],
 )
-def test_fit_rbm_matches_per_batch_draws(n, d, n_hidden):
+def test_fit_rbm_matches_per_batch_draws(n, d, n_hidden, monkeypatch):
     # Above EXACT_FIT_MAX_DIM the fit is contrastive divergence. Its
     # hidden-unit uniforms may be drawn in any grouping that reads the same
     # PCG64 stream, but the fit must stay bit-identical to one draw per
     # batch, including a short last batch (1999 = 31 * 64 + 15).
     assert d > EXACT_FIT_MAX_DIM
+    monkeypatch.setattr(mask_model, "CD_EPOCHS", 4)
     rng = np.random.Generator(np.random.PCG64(n))
     masks = (rng.random((n, d)) < 0.6).astype(float)
-    model = fit_rbm(masks, n_hidden=n_hidden, epochs=4, seed=11)
+    model = fit_rbm(masks, n_hidden=n_hidden, seed=11)
     weights, visible_bias, hidden_bias = _reference_cd(masks, n_hidden, 4, seed=11)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.visible_bias, visible_bias)
@@ -344,10 +349,21 @@ def test_fit_rbm_matches_per_batch_draws(n, d, n_hidden):
     assert model.log_z == compute_log_z(weights, visible_bias, hidden_bias)
 
 
+def test_cd_fit_logs_its_outcome(caplog, monkeypatch):
+    monkeypatch.setattr(mask_model, "CD_EPOCHS", 3)
+    rng = np.random.Generator(np.random.PCG64(1))
+    masks = (rng.random((130, EXACT_FIT_MAX_DIM + 1)) < 0.5).astype(float)
+    with caplog.at_level(logging.DEBUG, logger="zicopula.mask_model"):
+        fit_rbm(masks, n_hidden=4, seed=0)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "3 epochs of 3 batches" in record.getMessage()
+
+
 def test_cached_log_z_matches_recomputation():
     rng = np.random.Generator(np.random.PCG64(6))
     masks = (rng.random((150, 4)) < 0.5).astype(float)
-    model = fit_rbm(masks, n_hidden=3, epochs=20, seed=2)
+    model = fit_rbm(masks, n_hidden=3, seed=2)
     recomputed = compute_log_z(model.weights, model.visible_bias, model.hidden_bias)
     assert model.log_z == pytest.approx(recomputed, abs=1e-12)
 

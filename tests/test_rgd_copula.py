@@ -471,11 +471,11 @@ def _reference_row(sigma, a, w, positive, exact, estimate=True) -> tuple[float, 
     if zero.size == 2:
         r = np.clip(cov[0, 1] / (sd[0] * sd[1]), -1 + 1e-12, 1 - 1e-12)
         p = sc.bivariate_normal_cdf(upper[0] / sd[0], upper[1] / sd[1], r)
-        if p >= rc.CLOSED_FORM_MIN:
+        if p >= sc.CLOSED_FORM_MIN:
             return total + math.log(p), False
     if not estimate:
         return math.nan, True
-    orthant = sc.mvn_orthant_logprob(cov[None], upper[None], rc.DEFAULT_MC_SAMPLES, 0)[0]
+    orthant = sc.mvn_orthant_logprob([(cov[None], upper[None])], rc.DEFAULT_MC_SAMPLES, 0)[0][0]
     return total + orthant, True
 
 
@@ -589,6 +589,18 @@ def test_zero_pattern_logprob_univariate_and_bivariate_closed_forms() -> None:
         pos = tuple(i for i in range(2) if i not in zero)
         total += math.exp(rc.zero_pattern_logprob(p2, rc.ZeroPattern(zero, pos)))
     assert total == pytest.approx(1.0, abs=1e-10)
+    # Coordinate 0 is never rectified: a pattern with a zero there has the
+    # floor, and a positive there drops out of the reflected orthant.
+    p2 = _params([[1.0, rho], [rho, 1.0]], [-np.inf, 0.3])
+    want = {(): math.log(1 - q1), (0,): sc.LOG_PROB_FLOOR, (1,): math.log(q1),
+            (0, 1): sc.LOG_PROB_FLOOR}
+    total = 0.0
+    for zero, value in want.items():
+        pos = tuple(i for i in range(2) if i not in zero)
+        got = rc.zero_pattern_logprob(p2, rc.ZeroPattern(zero, pos))
+        assert got == pytest.approx(value, abs=1e-12)
+        total += math.exp(got)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_pattern_logprob_exhaustive_sum_matches_one() -> None:

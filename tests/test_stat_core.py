@@ -304,23 +304,33 @@ def test_probability_clamp_bounds() -> None:
     assert arr[0] == 1e-15 and arr[2] == 1.0 - 1e-15
 
 
+def _orthant(cov, upper, n_points, seed):
+    """mvn_orthant_logprob of one stack."""
+    (got,) = sc.mvn_orthant_logprob([(cov, upper)], n_points, seed)
+    return got
+
+
 def test_orthant_logprob_closed_forms() -> None:
     # One coordinate: a single Phi, no points involved.
     cov = np.array([[[2.25]], [[0.5]]])
     upper = np.array([[0.6], [-7.0]])
-    got = sc.mvn_orthant_logprob(cov, upper, 64, seed=0)
+    got = _orthant(cov, upper, 64, seed=0)
     np.testing.assert_allclose(got, sc.std_normal_logcdf(upper[:, 0] / np.sqrt(cov[:, 0, 0])))
     # Independent coordinates: the product of the marginals for any point.
     cov = np.diag([1.0, 0.25, 4.0, 1.0])[None]
     upper = np.array([[0.3, -0.4, -6.0, 1.2]])
     want = np.sum(sc.std_normal_logcdf(upper[0] / np.sqrt(np.diag(cov[0]))))
-    assert sc.mvn_orthant_logprob(cov, upper, 64, seed=1)[0] == pytest.approx(want, abs=1e-12)
-    # Two coordinates against the bivariate closed form, bulk and tail.
-    for a, b, rho in [(0.3, -0.2, 0.6), (-3.0, -2.5, -0.4), (-5.0, -4.0, 0.9)]:
-        got = sc.mvn_orthant_logprob(
-            np.array([[[1.0, rho], [rho, 1.0]]]), np.array([[a, b]]), 512, seed=2
-        )[0]
-        assert got == pytest.approx(math.log(sc.bivariate_normal_cdf(a, b, rho)), abs=1e-3)
+    assert _orthant(cov, upper, 64, seed=1)[0] == pytest.approx(want, abs=1e-12)
+    # Two coordinates: the bivariate closed form itself down to
+    # CLOSED_FORM_MIN, and the estimator close to it below.
+    cases = [(0.3, -0.2, 0.6), (-3.0, -2.5, -0.4), (-5.0, -4.0, 0.9), (-5.5, -5.0, 0.3)]
+    for a, b, rho in cases:
+        got = _orthant(np.array([[[1.0, rho], [rho, 1.0]]]), np.array([[a, b]]), 512, seed=2)[0]
+        want = sc.bivariate_normal_cdf(a, b, rho)
+        if want >= sc.CLOSED_FORM_MIN:
+            assert got == math.log(want)
+        else:
+            assert got == pytest.approx(math.log(want), abs=1e-3)
 
 
 def test_orthant_logprob_row_does_not_depend_on_its_batch() -> None:
@@ -331,25 +341,28 @@ def test_orthant_logprob_row_does_not_depend_on_its_batch() -> None:
         covs.append(m @ m.T / 6.0)
         uppers.append(rng.normal(-1.5, 1.0, 4))
     covs, uppers = np.array(covs), np.array(uppers)
-    batch = sc.mvn_orthant_logprob(covs, uppers, 512, seed=9)
-    alone = [sc.mvn_orthant_logprob(covs[i:i + 1], uppers[i:i + 1], 512, seed=9)[0]
-             for i in range(6)]
+    batch = _orthant(covs, uppers, 512, seed=9)
+    alone = [_orthant(covs[i:i + 1], uppers[i:i + 1], 512, seed=9)[0] for i in range(6)]
     np.testing.assert_allclose(batch, alone, rtol=1e-13, atol=1e-12)
-    assert np.array_equal(batch, sc.mvn_orthant_logprob(covs, uppers, 512, seed=9))
-    assert not np.array_equal(batch, sc.mvn_orthant_logprob(covs, uppers, 512, seed=10))
+    assert np.array_equal(batch, _orthant(covs, uppers, 512, seed=9))
+    assert not np.array_equal(batch, _orthant(covs, uppers, 512, seed=10))
 
 
 def test_orthant_logprob_validates() -> None:
     cov, upper = np.eye(3)[None], np.zeros((1, 3))
-    with pytest.raises(ValueError):
-        sc.mvn_orthant_logprob(cov, np.zeros((1, 2)), 64, seed=0)
-    with pytest.raises(ValueError):
-        sc.mvn_orthant_logprob(np.eye(3)[None].repeat(2, axis=0), upper, 64, seed=0)
-    with pytest.raises(ValueError):
-        sc.mvn_orthant_logprob(cov, upper, 0, seed=0)
-    bad = np.array([[[1.0, 0.0], [0.0, -1.0]]])
+    for q in (1, 2, 3):
+        with pytest.raises(ValueError):
+            _orthant(np.eye(q)[None], np.zeros((1, q + 1)), 64, seed=0)
+        with pytest.raises(ValueError):
+            _orthant(np.eye(q)[None].repeat(2, axis=0), np.zeros((1, q)), 64, seed=0)
+        with pytest.raises(ValueError):
+            _orthant(np.eye(q)[None], np.zeros((1, q)), 0, seed=0)
+    # The estimator's Cholesky factor refuses an indefinite covariance (up to
+    # two coordinates the closed forms floor the variances instead).
+    bad = np.array([[[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]])
     with pytest.raises(NumericError):
-        sc.mvn_orthant_logprob(bad, np.zeros((1, 2)), 64, seed=0)
+        _orthant(bad, upper, 64, seed=0)
+    assert np.isfinite(_orthant(cov, upper, 64, seed=0)).all()
 
 
 # Accuracy gate of the exact copula term: conditional orthants of d = 3-5
@@ -393,7 +406,7 @@ def test_orthant_logprob_matches_oracle_in_the_tail(d: int) -> None:
         want = _oracle_logprob(cond.cov, upper)
         probs.append(math.exp(want))
         for seed in range(3):
-            got = sc.mvn_orthant_logprob(cond.cov[None], upper[None], DEFAULT_MC_SAMPLES, seed)
+            got = _orthant(cond.cov[None], upper[None], DEFAULT_MC_SAMPLES, seed)
             assert abs(got[0] - want) < GATE_LOG_ERR, (t, seed, got[0], want)
     assert min(probs) < 2e-12 and max(probs) > 5e-2
 
@@ -426,5 +439,5 @@ def test_orthant_logprob_matches_oracle_at_the_eigenvalue_floor() -> None:
     upper = a[zero] - cond.mean
     want = _oracle_logprob(cond.cov, upper)
     for seed in range(3):
-        got = sc.mvn_orthant_logprob(cond.cov[None], upper[None], DEFAULT_MC_SAMPLES, seed)
+        got = _orthant(cond.cov[None], upper[None], DEFAULT_MC_SAMPLES, seed)
         assert abs(got[0] - want) < GATE_LOG_ERR, (seed, got[0], want)
