@@ -122,18 +122,20 @@ GRID_DENSITY_FLOOR = 1e-8
 # 1 / phi(omega): up to 300 inside this bound, 1.7e8 at the omega clamp.
 GRID_CDF_TAIL = 1e-3
 # Columns with fewer centers are summed exactly. This is not a cost
-# crossover: a build takes 0.2-0.5 ms up to 128 centers, about one exact
-# density and CDF at the training values near 100 centers but less than
-# one at 2,000 points for any size (2-core x86 host). It keeps small
-# columns, and the closed-form tests of one or a few centers, on the
-# exact path.
+# crossover: a build takes 0.13-0.67 ms up to 128 centers (more for more
+# nodes), about one exact density and CDF at the training values near 64
+# centers but less than one at 2,000 points for any size (2-core x86-64
+# host). It keeps small columns, and the closed-form tests of one or a few
+# centers, on the exact path.
 GRID_MIN_CENTERS = 64
 # Most nodes one grid holds (1,024 bandwidths); beyond them points are
 # summed exactly.
 GRID_MAX_NODES = 1 << 15
-# Interpolation stencil: nodes floor(t) - 2 .. floor(t) + 3 around t.
+# Interpolation stencil: nodes floor(t) - 2 .. floor(t) + 3 around t, and
+# in row j the positions of the nodes other than node j.
 _STENCIL = np.arange(-2, 4)
-_STENCIL_DENOM = [math.prod(int(j - i) for i in _STENCIL if i != j) for j in _STENCIL]
+_STENCIL_DENOM = np.array([math.prod(int(j - i) for i in _STENCIL if i != j) for j in _STENCIL])
+_STENCIL_OTHERS = np.array([np.flatnonzero(_STENCIL != j) for j in _STENCIL])
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,9 +168,19 @@ def _grid_spectra(n_fft: int) -> tuple:
     return gauss, rotation, tuple(powers), step_spec
 
 
+def _window(values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """values[:, start:stop], with zeros at the indices outside values."""
+    out = np.zeros((values.shape[0], stop - start))
+    lo = max(start, 0)
+    hi = max(lo, min(stop, values.shape[1]))
+    out[:, lo - start : hi - start] = values[:, lo:hi]
+    return out
+
+
 class _KernelGrid:
-    """Reflected-kernel density ``pdf`` and positive-part CDF ``cdf`` of one
-    fitted column at ``nodes`` consecutive nodes from node ``first``."""
+    """Reflected-kernel density and positive-part CDF of one fitted column,
+    the rows of ``values``, at ``nodes`` consecutive nodes from node
+    ``first``."""
 
     def __init__(self, m: MarginalModel) -> None:
         k, reach = GRID_STEPS, GRID_STEPS * GRID_REACH
@@ -187,67 +199,55 @@ class _KernelGrid:
         size = last + reach + 1  # plain sums at nodes -reach .. last
         n_fft = 1 << (max(int(pos.max()) + 1 + 2 * reach, size) - 1).bit_length()
         gauss, rotation, powers, step_spec = _grid_spectra(n_fft)
-        counts = np.bincount(pos, minlength=size - reach).astype(float)
-        spec_0 = np.fft.rfft(counts, n_fft)
-        pdf_spec = spec_0.copy()
-        cdf_spec = np.zeros_like(spec_0)
+        # Row p: the centers' offsets to the power p, binned at their nodes.
+        binned = np.empty((GRID_MOMENTS + 1, n_fft))
         moment = np.ones_like(offset)
-        for power in powers:
+        for row in binned:
+            row[:] = np.bincount(pos, moment, minlength=n_fft)
             moment = moment * offset
-            spec_p = np.fft.rfft(np.bincount(pos, moment), n_fft)
-            pdf_spec += spec_p * power * rotation
-            cdf_spec -= spec_p * power
-        cdf_spec = cdf_spec * gauss / k + spec_0 * step_spec
-
-        def at_nodes(spec):
-            out = np.fft.irfft(spec, n_fft)
-            return np.concatenate([out[n_fft - reach :], out[: size - reach]])
-
+        spectra = np.fft.rfft(binned)
+        pdf_spec, cdf_spec = spectra[0].copy(), np.zeros_like(spectra[0])
+        for spec_p, power in zip(spectra[1:], powers):
+            term = spec_p * power
+            pdf_spec += term * rotation
+            cdf_spec -= term
+        cdf_spec = cdf_spec * gauss / k + spectra[0] * step_spec
+        # Plain sums g and G at nodes -reach .. last, at index node + reach.
+        sums = np.fft.irfft(np.stack([pdf_spec * gauss, cdf_spec]), n_fft)
+        plain = np.concatenate([sums[:, -reach:], sums[:, : size - reach]], axis=1)
         heaviside = np.zeros(size)
-        heaviside[reach:] = counts[: size - reach]
-        plain_pdf = at_nodes(pdf_spec * gauss)
-        plain_cdf = at_nodes(cdf_spec) + np.cumsum(heaviside) - 0.5 * heaviside
-
-        def plain(values, nodes):
-            i = nodes + reach
-            inside = (i >= 0) & (i < size)
-            return np.where(inside, values[np.where(inside, i, 0).astype(np.intp)], 0.0)
+        heaviside[reach:] = binned[0, : size - reach]
+        plain[1] = plain[1] + np.cumsum(heaviside) - 0.5 * heaviside
 
         # The reflected kernel: f(x) = g(x) + g(-x) and F(x) = G(x) - G(-x)
         # for the plain sums g and G, which vanish beyond the nodes built.
         # Two nodes below 0 continue f and F as even and odd functions, for
         # the stencils of points near 0.
-        first = max(-reach, -lo) + _STENCIL[0]
-        nodes = np.arange(first, last + 1, dtype=float)
-        mirror = -nodes - 2.0 * lo
+        first = int(max(-reach, -lo)) + int(_STENCIL[0])
         self.first = lo + first
-        self.nodes = nodes.size
-        self.pdf = (plain(plain_pdf, nodes) + plain(plain_pdf, mirror)) / (n * h)
-        self.cdf = (plain(plain_cdf, nodes) - plain(plain_cdf, mirror)) / n
+        self.nodes = last + 1 - first
+        top = -first - 2 * int(lo) + reach  # the index of node -first - 2 lo
+        at = _window(plain, first + reach, size)
+        mirror = _window(plain, top + 1 - self.nodes, top + 1)[:, ::-1]
+        self.values = np.stack([(at[0] + mirror[0]) / (n * h), (at[1] - mirror[1]) / n])
 
-    def read(self, x: np.ndarray, cdf: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Density (or CDF) at x and the mask of points the grid serves."""
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Density and CDF at x, each with the mask of points the grid
+        serves, from one six-node stencil."""
         t = np.minimum(x / self.step, self.first + self.nodes)
         base = np.floor(t)
         start = base + _STENCIL[0] - self.first
         on = (start >= 0) & (start + _STENCIL.size <= self.nodes)
         idx = np.where(on, start, 0).astype(np.intp)
-        s = t - base
-        pdf = np.zeros(s.shape)
-        cdf_values = np.zeros(s.shape)
-        for j, denom in enumerate(_STENCIL_DENOM):
-            w = np.full(s.shape, 1.0 / denom)
-            for i in _STENCIL:
-                if i != _STENCIL[j]:
-                    w = w * (s - i)
-            pdf += w * self.pdf[idx + j]
-            if cdf:
-                cdf_values += w * self.cdf[idx + j]
+        diffs = (t - base) - _STENCIL[:, None]
+        weights = (1.0 / _STENCIL_DENOM)[:, None] * diffs[_STENCIL_OTHERS[:, 0]]
+        for others in _STENCIL_OTHERS.T[1:]:
+            weights *= diffs[others]
+        # Python's sum adds the six rows in stencil order, for every n.
+        rows = idx + np.arange(_STENCIL.size)[:, None]
+        pdf, cdf = sum(weights[:, None] * self.values[:, rows].swapaxes(0, 1))
         on &= pdf >= self.floor
-        if not cdf:
-            return pdf, on
-        on &= (cdf_values >= GRID_CDF_TAIL) & (cdf_values <= 1.0 - GRID_CDF_TAIL)
-        return cdf_values, on
+        return pdf, cdf, on, on & (cdf >= GRID_CDF_TAIL) & (cdf <= 1.0 - GRID_CDF_TAIL)
 
 
 def _chunked(n_points: int, n_centers: int):
@@ -277,15 +277,20 @@ def _exact_sums(m: MarginalModel, pts: np.ndarray, cdf: bool) -> np.ndarray:
     return out
 
 
-def _kernel_sums(m: MarginalModel, pts: np.ndarray, cdf: bool) -> np.ndarray:
-    """Density or CDF at pts: from the grid where it serves the point, else
-    the exact sum. Both choices depend on the model and the point alone."""
+def _grid_sums(m: MarginalModel, pts: np.ndarray) -> tuple:
+    """Density, CDF and the masks of the points the grid serves for each:
+    one read of the column's grid, or no point served without one."""
     if m._grid is None:
-        return _exact_sums(m, pts, cdf)
-    out, on = m._grid.read(pts, cdf)
+        return np.empty(pts.shape), np.empty(pts.shape), *[np.zeros(pts.shape, dtype=bool)] * 2
+    return m._grid.read(pts)
+
+
+def _exact_elsewhere(m: MarginalModel, pts, values, on, cdf: bool) -> np.ndarray:
+    """values, with the exact sum at every point off the grid. Which path a
+    point takes depends on the model and the point alone."""
     if not on.all():
-        out[~on] = _exact_sums(m, pts[~on], cdf)
-    return out
+        values[~on] = _exact_sums(m, pts[~on], cdf)
+    return values
 
 
 def positive_pdf(m: MarginalModel, x):
@@ -295,7 +300,8 @@ def positive_pdf(m: MarginalModel, x):
     pts = np.atleast_1d(x)
     if np.any(pts <= 0):
         raise ValueError("positive_pdf is defined for strictly positive x")
-    out = _kernel_sums(m, pts, cdf=False)
+    pdf, _, on, _ = _grid_sums(m, pts)
+    out = _exact_elsewhere(m, pts, pdf, on, cdf=False)
     return float(out[0]) if scalar else out
 
 
@@ -311,7 +317,8 @@ def positive_cdf(m: MarginalModel, x):
     pts = np.atleast_1d(x)
     if np.any(pts < 0):
         raise ValueError("cdf arguments must be nonnegative")
-    out = np.clip(_kernel_sums(m, pts, cdf=True), 0.0, 1.0)
+    _, cdf, _, on = _grid_sums(m, pts)
+    out = np.clip(_exact_elsewhere(m, pts, cdf, on, cdf=True), 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -385,8 +392,8 @@ class PositiveTerms:
 
     ``positive`` marks the positive entries of the data divided by the
     columns' rescale divisors. ``logpdf`` holds each column's positive_logpdf
-    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each is
-    evaluated on first use only: a fit reads F, a scorer both.
+    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Both
+    are evaluated on first use, from one grid read per column.
     """
 
     def __init__(self, models, data) -> None:
@@ -401,22 +408,27 @@ class PositiveTerms:
         # one copy of each data set.
         return self.data / self.rescales
 
-    def _per_column(self, evaluate) -> np.ndarray:
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
         scaled = self.scaled
-        out = np.zeros(scaled.shape)
+        logpdf, cdf = np.zeros(scaled.shape), np.zeros(scaled.shape)
         for j, m in enumerate(self.models):
             pos = self.positive[:, j]
             if pos.any():
-                out[pos, j] = evaluate(m, scaled[pos, j])
-        return out
+                pts = scaled[pos, j]
+                pdf_j, cdf_j, on_pdf, on_cdf = _grid_sums(m, pts)
+                pdf_j = _exact_elsewhere(m, pts, pdf_j, on_pdf, cdf=False)
+                logpdf[pos, j] = np.log(np.maximum(pdf_j, _DENSITY_FLOOR))
+                cdf[pos, j] = np.clip(_exact_elsewhere(m, pts, cdf_j, on_cdf, cdf=True), 0.0, 1.0)
+        return logpdf, cdf
 
-    @functools.cached_property
+    @property
     def logpdf(self) -> np.ndarray:
-        return self._per_column(positive_logpdf)
+        return self._terms[0]
 
-    @functools.cached_property
+    @property
     def cdf(self) -> np.ndarray:
-        return self._per_column(positive_cdf)
+        return self._terms[1]
 
     def check_columns(self, models) -> None:
         """Raise unless these terms were evaluated with exactly ``models``."""

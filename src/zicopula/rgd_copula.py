@@ -287,9 +287,9 @@ def estimate_rho(
     if np.all(both_zero):
         raise DataError("no information: every pair is rectified in both coordinates")
     if not zi.any() and not zj.any():
-        corr = float(np.corrcoef(w_i, w_j)[0, 1])
-        if not np.isfinite(corr):
+        if not (np.ptp(w_i) > 0 and np.ptp(w_j) > 0):
             raise NumericError("sample correlation undefined (constant coordinate)")
+        corr = float(np.corrcoef(w_i, w_j)[0, 1])
         return float(np.clip(corr, -RHO_BRACKET, RHO_BRACKET))
 
     args = _pair_branches(w_i, w_j, zi, zj, a_i, a_j)
@@ -376,9 +376,9 @@ def assemble_sigma(
                 )
                 sigma[i, j] = sigma[j, i] = rho
     else:
-        sigma = np.corrcoef(omega, rowvar=False)
-        if not np.all(np.isfinite(sigma)):
+        if not (np.ptp(omega, axis=0) > 0).all():
             raise NumericError("sample correlation undefined (constant column)")
+        sigma = np.corrcoef(omega, rowvar=False)
         np.fill_diagonal(sigma, 1.0)
     return repair_correlation(sigma)
 

@@ -83,15 +83,15 @@ def _sigma_from_joint_positives(train: PositiveTerms) -> np.ndarray:
                     stacklevel=3,
                 )
                 continue
-            rho = float(np.corrcoef(omega[joint, i], omega[joint, j])[0, 1])
-            if not np.isfinite(rho):
+            x, y = omega[joint, i], omega[joint, j]
+            if not (np.ptp(x) > 0 and np.ptp(y) > 0):
                 warnings.warn(
                     f"columns {i + 1} and {j + 1}: degenerate joint positives; "
                     "correlation falls back to 0",
                     stacklevel=3,
                 )
-                rho = 0.0
-            sigma[i, j] = sigma[j, i] = rho
+                continue
+            sigma[i, j] = sigma[j, i] = float(np.corrcoef(x, y)[0, 1])
     return repair_correlation(sigma)
 
 
@@ -101,12 +101,12 @@ def _sigma_from_all_rows(data: np.ndarray) -> np.ndarray:
     for j in range(d):
         u = rankdata(data[:, j]) / (n + 1.0)
         omega[:, j] = std_normal_quantile(u)
-    sigma = np.corrcoef(omega, rowvar=False)
-    bad = ~np.isfinite(sigma)
-    if bad.any():
+    varies = np.ptp(omega, axis=0) > 0
+    if not varies.all():
         warnings.warn("constant ranks in some column; correlation falls back to 0",
                       stacklevel=3)
-        sigma[bad] = 0.0
+    sigma = np.zeros((d, d))
+    sigma[np.ix_(varies, varies)] = np.corrcoef(omega[:, varies], rowvar=False)
     np.fill_diagonal(sigma, 1.0)
     return repair_correlation(sigma)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from zicopula import cli
 from zicopula import marginals as mg
 from zicopula.errors import DataError
 from zicopula.stat_core import std_normal_cdf, std_normal_pdf
@@ -251,7 +254,8 @@ def test_grid_matches_brute_force_sums(col) -> None:
     if m._grid is None:
         on = on_cdf = np.zeros(x.size, dtype=bool)
     else:
-        on, on_cdf = m._grid.read(x, cdf=False)[1], m._grid.read(x, cdf=True)[1]
+        on, on_cdf = m._grid.read(x)[2:]
+        _assert_grid_matches_reference(m)
     assert np.all(np.abs(np.log(pdf[on]) - np.log(want_pdf[on])) < 1e-6)
     assert np.all(np.abs(cdf[on_cdf] - want_cdf[on_cdf]) < 1e-8)
     # Subnormal densities carry no relative precision (and positive_logpdf
@@ -266,9 +270,158 @@ def test_mixed_grid_and_tail_batch_equals_points_alone() -> None:
     m = mg.fit_marginal(rng.lognormal(0.0, 1.5, size=500))
     c, h = m.kde_centers, m.bandwidth
     x = np.concatenate([c[::25], c[-1] + h * np.array([4.0, 7.0, 30.0, 1e4]), [1e-12]])
-    for cdf, evaluate in ((False, mg.positive_pdf), (True, mg.positive_cdf)):
-        on = m._grid.read(x, cdf)[1]
+    for on, evaluate in zip(m._grid.read(x)[2:], (mg.positive_pdf, mg.positive_cdf)):
         assert on.any() and not on.all()
         batch = evaluate(m, x)
         alone = np.array([evaluate(m, xi) for xi in x])
         assert np.array_equal(batch, alone)
+
+
+def _reference_grid(m):
+    """The grid built one 1-D FFT per binned array and per sum, and its
+    nodes gathered with np.where: pdf, cdf, first node and node count."""
+    k, reach = mg.GRID_STEPS, mg.GRID_STEPS * mg.GRID_REACH
+    n, h = m.kde_centers.size, m.bandwidth
+    step = h / k
+    u = m.kde_centers / step
+    lo = np.rint(u.min())
+    u = u - lo
+    last = int(min(np.rint(u.max()) + reach, mg.GRID_MAX_NODES - 1 - reach))
+    u = u[u <= last + reach]
+    pos = np.rint(u)
+    offset = u - pos
+    pos = pos.astype(np.intp)
+    size = last + reach + 1
+    n_fft = 1 << (max(int(pos.max()) + 1 + 2 * reach, size) - 1).bit_length()
+    gauss, rotation, powers, step_spec = mg._grid_spectra(n_fft)
+    counts = np.bincount(pos, minlength=size - reach).astype(float)
+    spec_0 = np.fft.rfft(counts, n_fft)
+    pdf_spec = spec_0.copy()
+    cdf_spec = np.zeros_like(spec_0)
+    moment = np.ones_like(offset)
+    for power in powers:
+        moment = moment * offset
+        spec_p = np.fft.rfft(np.bincount(pos, moment), n_fft)
+        pdf_spec += spec_p * power * rotation
+        cdf_spec -= spec_p * power
+    cdf_spec = cdf_spec * gauss / k + spec_0 * step_spec
+
+    def at_nodes(spec):
+        out = np.fft.irfft(spec, n_fft)
+        return np.concatenate([out[n_fft - reach :], out[: size - reach]])
+
+    heaviside = np.zeros(size)
+    heaviside[reach:] = counts[: size - reach]
+    plain_pdf = at_nodes(pdf_spec * gauss)
+    plain_cdf = at_nodes(cdf_spec) + np.cumsum(heaviside) - 0.5 * heaviside
+
+    def plain(values, nodes):
+        i = nodes + reach
+        inside = (i >= 0) & (i < size)
+        return np.where(inside, values[np.where(inside, i, 0).astype(np.intp)], 0.0)
+
+    first = max(-reach, -lo) + mg._STENCIL[0]
+    nodes = np.arange(first, last + 1, dtype=float)
+    mirror = -nodes - 2.0 * lo
+    pdf = (plain(plain_pdf, nodes) + plain(plain_pdf, mirror)) / (n * h)
+    cdf = (plain(plain_cdf, nodes) - plain(plain_cdf, mirror)) / n
+    return pdf, cdf, lo + first, nodes.size
+
+
+def _assert_grid_matches_reference(m) -> None:
+    pdf, cdf, first, nodes = _reference_grid(m)
+    g = m._grid
+    assert (g.first, g.nodes) == (first, nodes)
+    assert g.values.tobytes() == np.stack([pdf, cdf]).tobytes()
+
+
+@st.composite
+def _columns_and_points(draw):
+    """A column and points that together reach every path of a read: the
+    grid, density below the floor, F in either tail, points beyond the
+    last node (columns spanning over GRID_MAX_NODES nodes) and columns
+    under GRID_MIN_CENTERS centers."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.sampled_from([5, 40, 63, 64, 300, 2000]))
+    spread = draw(st.sampled_from([0.3, 1.5, 4.0]))  # 4.0 spans over 1,024 bandwidths
+    col = rng.lognormal(draw(st.floats(min_value=-5.0, max_value=8.0)), spread, n)
+    m = mg.fit_marginal(col)
+    c, h = m.kde_centers, m.bandwidth
+    x = np.concatenate([
+        rng.choice(c, min(n, 40), replace=False),
+        c.min() * np.array([1e-300, 1e-6, 1e-2]),  # F in the lower tail
+        c.max() + h * np.array([2.0, 4.0, 8.0, 12.0, 1e3]),  # upper tail, density floor
+        c.min() + h * rng.uniform(0.0, 3000.0, 20),  # past the last node when capped
+    ])
+    return m, x
+
+
+def _read_paths(m, x) -> set:
+    if m._grid is None:
+        return {"column under GRID_MIN_CENTERS"}
+    g = m._grid
+    _, cdf, on, on_cdf = g.read(x)
+    beyond = x / g.step >= g.first + g.nodes - 3
+    capped = beyond & (x < m.kde_centers.max())
+    paths = {
+        "beyond GRID_MAX_NODES": capped,
+        "beyond the last node": beyond & ~capped,
+        "density below the floor": ~on & ~beyond,
+        "F in the lower tail": on & ~on_cdf & (cdf < 0.5),
+        "F in the upper tail": on & ~on_cdf & (cdf > 0.5),
+        "grid": on_cdf,
+    }
+    return {name for name, mask in paths.items() if mask.any()}
+
+
+def _assert_one_read(m, x) -> set:
+    """PositiveTerms, positive_logpdf and positive_cdf give the same bits,
+    in a batch and for each point alone; returns the read paths reached."""
+    terms = mg.PositiveTerms([m], x[:, None])
+    logpdf, cdf = mg.positive_logpdf(m, x), mg.positive_cdf(m, x)
+    assert terms.logpdf[:, 0].tobytes() == logpdf.tobytes()
+    assert terms.cdf[:, 0].tobytes() == cdf.tobytes()
+    alone = [(mg.positive_logpdf(m, xi), mg.positive_cdf(m, xi)) for xi in x]
+    assert np.array(alone).tobytes() == np.column_stack([logpdf, cdf]).tobytes()
+    if m._grid is not None:
+        _assert_grid_matches_reference(m)
+    return _read_paths(m, x)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_columns_and_points())
+def test_one_read_serves_every_entry_point(case) -> None:
+    _assert_one_read(*case)
+
+
+def test_one_read_cases_reach_every_path() -> None:
+    rng = np.random.default_rng(3)
+    reached = set()
+    for n, spread in ((40, 1.0), (2000, 0.5), (2000, 4.0)):
+        m = mg.fit_marginal(rng.lognormal(1.0, spread, n))
+        c, h = m.kde_centers, m.bandwidth
+        x = np.concatenate([c[:: n // 40], c.min() * np.array([1e-300, 1e-6]),
+                            c.max() + h * np.array([4.0, 8.0, 12.0]), [c.min() + 2000.0 * h]])
+        reached |= _assert_one_read(m, x)
+    assert reached == {
+        "column under GRID_MIN_CENTERS", "beyond GRID_MAX_NODES", "beyond the last node",
+        "density below the floor", "F in the lower tail", "F in the upper tail", "grid",
+    }
+
+
+def test_credit_workload_grids_match_reference(tmp_path) -> None:
+    # The benchmark's credit workload: seed 5, CREDIT_ROWS raw rows.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import CREDIT_ROWS, credit_raw, write_raw
+    finally:
+        sys.path.pop(0)
+    raw, train = tmp_path / "raw.csv", tmp_path / "train.csv"
+    write_raw(raw, credit_raw(5, CREDIT_ROWS))
+    assert cli.main(["ingest-credit", "--raw", str(raw), "--out-train", str(train),
+                     "--out-test", str(tmp_path / "test.csv"), "--seed", "5"]) == 0
+    data = np.loadtxt(train, delimiter=",", skiprows=1)
+    models = mg.fit_columns(data)
+    assert len(models) == 12
+    for m in models:
+        _assert_grid_matches_reference(m)

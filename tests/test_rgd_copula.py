@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,19 @@ def test_estimate_rho_error_cases(monkeypatch) -> None:
     monkeypatch.setattr(rc, "NEWTON_MAXITER", 1)
     with pytest.raises(NumericError, match="maximization failed"):
         rc.estimate_rho(w[:, 0], w[:, 1], -0.5, 0.5)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda w: rc.estimate_rho(w[:, 0], w[:, 1], -math.inf, -math.inf),
+    lambda w: rc.assemble_sigma(w, np.full(2, -math.inf), use_mle=False),
+], ids=["estimate_rho", "assemble_sigma"])
+def test_constant_coordinate_raises_without_numpy_warnings(estimate) -> None:
+    w = np.column_stack([np.full(100, 5.0), np.random.default_rng(7).standard_normal(100)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="sample correlation undefined"):
+            estimate(w)
+    assert caught == []
 
 
 def _pair_sample(n, rho, a_i, a_j, seed, no_both_positive=False):

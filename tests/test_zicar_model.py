@@ -1,6 +1,7 @@
 """Tests for the masked Gaussian-copula density model."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,38 @@ def test_sparse_joint_positives_fall_back_to_zero():
     with pytest.warns(UserWarning, match="jointly positive"):
         model = fit_zicar(x)
     assert model.sigma[0, 1] == 0.0
+
+
+def _fit_recording_warnings(x, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_zicar(x, **kwargs)
+    return model, [(w.category, str(w.message)) for w in caught]
+
+
+def test_indicator_column_falls_back_without_numpy_warnings():
+    # A 0/1 column: its positives are all 1, so its omega is constant on the
+    # jointly positive rows.
+    rng = np.random.Generator(np.random.PCG64(14))
+    x = np.column_stack([rng.gamma(2.0, 1.0, 400), (rng.random(400) < 0.6).astype(float)])
+    model, caught = _fit_recording_warnings(x, mask_kind="bernoulli")
+    assert [c for c, _ in caught] == [UserWarning]
+    assert "degenerate joint positives" in caught[0][1]
+    assert model.sigma[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("use_mle_sigma, message", [
+    (True, "degenerate joint positives"),
+    (False, "constant ranks in some column"),
+])
+def test_constant_column_falls_back_without_numpy_warnings(use_mle_sigma, message):
+    rng = np.random.Generator(np.random.PCG64(15))
+    x = np.column_stack([rng.gamma(2.0, 1.0, 200), np.full(200, 5.0), rng.gamma(2.0, 1.0, 200)])
+    model, caught = _fit_recording_warnings(x, use_mle_sigma=use_mle_sigma)
+    assert [c for c, _ in caught] == [UserWarning] * (2 if use_mle_sigma else 1)
+    assert all(message in m for _, m in caught)
+    assert model.sigma[0, 1] == model.sigma[1, 2] == 0.0
+    assert model.sigma[0, 2] != 0.0
 
 
 def test_scoring_validates_input():
