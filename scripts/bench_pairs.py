@@ -1,0 +1,151 @@
+"""Run perfbench in a parent and a change checkout, in pairs, and compare
+each end-to-end metric of BENCHMARK.json:
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload exact-score --pairs 10 --seconds 20 --seeds 11,12
+
+Pair i runs ``perfbench/run.py --workload W --seed S --seconds S`` once in
+each checkout, from that checkout's root, with seed ``seeds[i % len(seeds)]``.
+Even pairs run the parent first, odd pairs the change first. One progress
+line per run goes to stderr.
+
+For each metric the table gives each side's median and quartiles over its
+runs, the change/parent ratio of the medians, and the pairs the change won;
+a win follows the metric's ``better`` and a tie counts for neither side.
+``gap>IQR`` marks a median gap wider than the parent's quartile spread;
+``OVER BOUND`` marks a change median worse than the parent's by more than
+the metric's ``bound``, read as a share of the parent's median. Every run
+with ``correct: false`` or a failed operation is listed after the table.
+Nothing here writes to either checkout beyond what perfbench itself does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def parse_result(stdout: str) -> dict:
+    """The result line of one perfbench run: its last line of output."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: list) -> tuple:
+    """(median, lower quartile, upper quartile)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q1, q3
+
+
+def summarize(end_to_end: list, pairs: list) -> list:
+    """One dict per end-to-end metric from (parent result, change result)
+    pairs; a pair counts for a metric only where both runs report it."""
+    rows = []
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                for p, c in pairs
+                if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+        if not both:
+            continue
+        parent = _quartiles([p for p, _ in both])
+        change = _quartiles([c for _, c in both])
+        wins = sum((c < p) if lower else (c > p) for p, c in both)
+        ties = sum(c == p for p, c in both)
+        worse = (change[0] - parent[0]) if lower else (parent[0] - change[0])
+        rows.append({
+            "metric": name,
+            "parent": parent,
+            "change": change,
+            "ratio": change[0] / parent[0] if parent[0] else float("nan"),
+            "wins": wins,
+            "ties": ties,
+            "pairs": len(both),
+            "gap_over_iqr": abs(change[0] - parent[0]) > parent[2] - parent[1],
+            "over_bound": worse > spec["bound"] * abs(parent[0]),
+        })
+    return rows
+
+
+def failures(runs: list) -> list:
+    """(label, result) of every run that was not correct or had a failure."""
+    return [(label, r) for label, r in runs
+            if not r.get("correct", False) or r.get("failed", 0) > 0]
+
+
+def format_table(rows: list) -> str:
+    def spread(q):
+        return f"{q[0]:.4g} [{q[1]:.4g}, {q[2]:.4g}]"
+
+    lines = [f"{'metric':<14}{'parent median [q1, q3]':<32}{'change median [q1, q3]':<32}"
+             f"{'ratio':>7}{'wins':>8}{'ties':>6}  flags"]
+    for r in rows:
+        flags = [f for f, on in (("gap>IQR", r["gap_over_iqr"]),
+                                 ("OVER BOUND", r["over_bound"])) if on]
+        lines.append(f"{r['metric']:<14}{spread(r['parent']):<32}{spread(r['change']):<32}"
+                     f"{r['ratio']:>7.3f}{r['wins']:>5}/{r['pairs']:<2}{r['ties']:>6}  "
+                     f"{' '.join(flags)}")
+    return "\n".join(lines)
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    try:
+        if proc.returncode != 0:
+            raise ValueError(f"exit code {proc.returncode}")
+        return parse_result(proc.stdout)
+    except ValueError as exc:
+        tail = " ".join(proc.stderr.strip().splitlines()[-3:])
+        return {"correct": False, "failed": None, "metrics": {}, "error": f"{exc}: {tail}"}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seeds", required=True, help="comma-separated perfbench seeds")
+    args = p.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    pairs, runs = [], []
+    for i in range(args.pairs):
+        seed = seeds[i % len(seeds)]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        result = {}
+        for side in order:
+            result[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            label = f"pair {i + 1} seed {seed} {side}"
+            runs.append((label, result[side]))
+            shown = {k: round(v["value"], 6) for k, v in result[side]["metrics"].items()}
+            print(f"{label}: {json.dumps(shown)}", file=sys.stderr, flush=True)
+        pairs.append((result["parent"], result["change"]))
+
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, --seconds {args.seconds:g}")
+    print(format_table(summarize(end_to_end, pairs)))
+    bad = failures(runs)
+    for label, r in bad:
+        print(f"{label}: correct {r.get('correct')}, failed {r.get('failed')} "
+              f"of {r.get('attempted')} {r.get('error', '')}".rstrip())
+    if not bad:
+        print("every run correct, no failed operation")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,11 @@ zibt, bernoulli and rbm zicar, and the tuned gmm and kde baselines, each
 followed by ``score``; ``ingest-credit`` on data/credit_standin.csv, full and
 ``--small``; and ``bench --preset desk --seeds 0`` for both families. They
 take about 4 s on a 2-core x86-64 host.
+
+``zibt_exact.json`` is scored twice more, each time to its own file: right
+after its first score, when ``load_model`` hands back the model it parsed
+then, and after the bernoulli zicar score, when the file is parsed again.
+Both must write the first score's bytes; the script exits 1 if not.
 """
 
 from __future__ import annotations
@@ -48,6 +53,23 @@ FITS = (
     ("kde_tuned.json", "kde", [], "zicar"),
 )
 
+# Repeat scores of REPEATED: (the model file whose score each follows, the
+# scores file it writes).
+REPEATED = ("zibt_exact.json", "zibt")
+REPEATS = (
+    ("zibt_exact.json", "scores_zibt_exact.again.csv"),
+    ("zicar_bernoulli.json", "scores_zibt_exact.after_other.csv"),
+)
+
+
+def _scores_of(model: str) -> str:
+    return "scores_" + model.replace(".json", ".csv")
+
+
+def _score(model: str, data: str, out: str):
+    return (["score", "--model", model, "--data", f"{data}_test.csv", "--out", out,
+             "--seed", "0"], [out])
+
 
 def commands():
     """(argv, files it writes) for every command, in order."""
@@ -62,9 +84,10 @@ def commands():
     for model, kind, flags, data in FITS:
         yield (["fit", "--data", f"{data}_train.csv", "--model", kind, "--out", model,
                 "--seed", "0", *flags], [model])
-        scores = "scores_" + model.replace(".json", ".csv")
-        yield (["score", "--model", model, "--data", f"{data}_test.csv", "--out", scores,
-                "--seed", "0"], [scores])
+        yield _score(model, data, _scores_of(model))
+        for after, out in REPEATS:
+            if after == model:
+                yield _score(*REPEATED, out)
     standin = os.path.join(ROOT, "data", "credit_standin.csv")
     for name, flags in (("credit_full", []), ("credit_small", ["--small"])):
         train, test = f"{name}_train.csv", f"{name}_test.csv"
@@ -77,6 +100,7 @@ def commands():
 
 
 def main() -> int:
+    digests = {}
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         for argv, outputs in commands():
@@ -87,8 +111,14 @@ def main() -> int:
                 return 1
             for name in outputs:
                 with open(name, "rb") as fh:
-                    print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{digests[name]}  {name}")
         os.chdir(ROOT)
+    first = _scores_of(REPEATED[0])
+    for _, out in REPEATS:
+        if digests[out] != digests[first]:
+            print(f"{out} differs from {first}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -187,8 +187,16 @@ def _fields_to_dict(obj) -> dict:
     }
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float array: load_model may hand one model to several
+    commands, so none of them may write to its arrays."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _fields_from_dict(cls, d: dict):
-    return cls(**{f.name: np.asarray(d[f.name], dtype=float) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: _frozen(d[f.name]) for f in dataclasses.fields(cls)})
 
 
 _MASK_TYPES = {BernoulliMask: "bernoulli", RbmMask: "rbm"}
@@ -219,7 +227,7 @@ _COPULA_FIELDS = {
         lambda marginals: [_fields_to_dict(m) for m in marginals],
         lambda dicts: tuple(_fields_from_dict(MarginalModel, d) for d in dicts),
     ),
-    "sigma": (np.ndarray.tolist, lambda sigma: np.asarray(sigma, dtype=float)),
+    "sigma": (np.ndarray.tolist, _frozen),
     "mask": (_mask_to_dict, _mask_from_dict),
     "likelihood_mode": (str, lambda mode: mode),
 }
@@ -404,15 +412,30 @@ def save_model(path, model) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _read_json(path, what: str):
+def _parse_json(text: str, what: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{what} is not valid JSON: {exc}")
 
 
+def _read_json(path, what: str):
+    return _parse_json(_read_text(path), what)
+
+
+# The text load_model parsed last and the model built from it.
+_last_loaded = (None, None)
+
+
 def load_model(path):
-    return model_from_dict(_read_json(path, "model file"))
+    """The model in a model file. The file is read on every call; when its
+    text equals the text parsed last, the model built then is returned
+    again, with the kernel grids it has built since."""
+    global _last_loaded
+    text = _read_text(path)
+    if text != _last_loaded[0]:
+        _last_loaded = text, model_from_dict(_parse_json(text, "model file"))
+    return _last_loaded[1]
 
 
 def _format_vector(values) -> str:

@@ -230,6 +230,7 @@ class _KernelGrid:
         at = _window(plain, first + reach, size)
         mirror = _window(plain, top + 1 - self.nodes, top + 1)[:, ::-1]
         self.values = np.stack([(at[0] + mirror[0]) / (n * h), (at[1] - mirror[1]) / n])
+        self.values.flags.writeable = False  # a loaded model's grid serves many commands
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Density and CDF at x, each with the mask of points the grid

@@ -66,7 +66,9 @@ class ZibtModel:
     @functools.cached_property
     def copula(self) -> RgdParams:
         """The rectified-copula law: sigma and the marginals' thresholds."""
-        return RgdParams(self.sigma, np.array([m.a for m in self.marginals]))
+        a = np.array([m.a for m in self.marginals])
+        a.flags.writeable = False  # cached: every command a loaded model serves shares it
+        return RgdParams(self.sigma, a)
 
     @property
     def rescales(self) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import logging
 import math
@@ -19,12 +21,19 @@ from zicopula.cli import (
     save_model,
     write_data_csv,
 )
-from zicopula.baselines import fit_gmm, fit_kde_multi
+from zicopula.baselines import (
+    GmmModel,
+    KdeModel,
+    fit_gmm,
+    fit_kde_multi,
+    gmm_loglik_rows,
+    kde_loglik_rows,
+)
 from zicopula.errors import DataError
 from zicopula.rgd_copula import DEFAULT_MC_SAMPLES
 from zicopula.synth_bench import make_ground_truth, sample_dataset
-from zicopula.zibt_model import fit_zibt, zibt_loglik_rows
-from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
+from zicopula.zibt_model import ZibtModel, fit_zibt, zibt_loglik_rows
+from zicopula.zicar_model import ZicarModel, fit_zicar, zicar_loglik_rows
 
 
 def _schema_1(payload: dict) -> dict:
@@ -85,10 +94,12 @@ def test_zicar_rbm_model_file_round_trips(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["mask"]["type"] == "rbm"
     assert math.isfinite(payload["mask"]["log_z"])
-    loaded = load_model(path)
-    np.testing.assert_array_equal(
-        zicar_loglik_rows(loaded, data), zicar_loglik_rows(model, data)
-    )
+    # load_model may hand back a model it parsed before; model_from_dict
+    # parses the text here.
+    for loaded in (load_model(path), model_from_dict(json.loads(path.read_text()))):
+        np.testing.assert_array_equal(
+            zicar_loglik_rows(loaded, data), zicar_loglik_rows(model, data)
+        )
 
 
 def test_zicar_rbm_files_do_not_depend_on_log_level(tmp_path, caplog):
@@ -128,12 +139,12 @@ def test_zibt_model_round_trip_scores_identically(tmp_path):
     model = fit_zibt(data, likelihood_mode="exact")
     path = tmp_path / "m.json"
     save_model(path, model)
-    loaded = load_model(path)
-    assert loaded.likelihood_mode == "exact"
-    np.testing.assert_array_equal(
-        zibt_loglik_rows(loaded, data[:50], base_seed=2),
-        zibt_loglik_rows(model, data[:50], base_seed=2),
-    )
+    for loaded in (load_model(path), model_from_dict(json.loads(path.read_text()))):
+        assert loaded.likelihood_mode == "exact"
+        np.testing.assert_array_equal(
+            zibt_loglik_rows(loaded, data[:50], base_seed=2),
+            zibt_loglik_rows(model, data[:50], base_seed=2),
+        )
 
 
 def test_indented_model_file_scores_as_the_compact_one(tmp_path):
@@ -200,6 +211,144 @@ def test_score_rerun_byte_identical(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# load_model keeps the last model text it parsed and the model built from it
+
+
+@functools.cache
+def _reuse_case(name: str) -> tuple:
+    """(fitted model, 80 rows to score) for one model kind at D = 3."""
+    family = "zibt" if name.startswith("zibt") else "zicar"
+    truth = make_ground_truth(family, 3, seed=7)
+    train, rows = sample_dataset(truth, 300, seed=8), sample_dataset(truth, 80, seed=9)
+    if name == "zibt-exact":
+        return fit_zibt(train, likelihood_mode="exact"), rows
+    if name.startswith("zicar"):
+        return fit_zicar(train, mask_kind=name.split("-")[1], seed=0), rows
+    if name == "gmm":
+        return fit_gmm(train, 2, seed=0), rows
+    return fit_kde_multi(train), rows
+
+
+_LOGLIK = {
+    ZibtModel: lambda model, rows: zibt_loglik_rows(model, rows, base_seed=3),
+    ZicarModel: zicar_loglik_rows,
+    GmmModel: gmm_loglik_rows,
+    KdeModel: kde_loglik_rows,
+}
+
+
+def _score_bytes(model, rows) -> bytes:
+    return _LOGLIK[type(model)](model, rows).tobytes()
+
+
+def _saved(tmp_path, name: str, model):
+    path = tmp_path / f"{name}.json"
+    save_model(path, model)
+    return path
+
+
+def _score_with(model_path, data_path, out_path) -> bytes:
+    assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(out_path)]) == 0
+    return out_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["zibt-exact", "zicar-rbm", "gmm", "kde"])
+def test_load_model_reuses_the_model_of_the_same_text(tmp_path, name):
+    model, rows = _reuse_case(name)
+    path = _saved(tmp_path, name, model)
+    loaded = load_model(path)
+    first = _score_bytes(loaded, rows)  # builds the lazily built state
+    assert load_model(path) is loaded
+    for m in getattr(loaded, "marginals", ()):
+        assert vars(m)["_grid"] is not None
+    fresh = model_from_dict(json.loads(path.read_text()))
+    assert fresh is not loaded
+    assert _score_bytes(loaded, rows) == _score_bytes(fresh, rows) == first
+
+
+def test_load_model_parses_changed_text_again(tmp_path):
+    model, rows = _reuse_case("zibt-exact")
+    path = _saved(tmp_path, "m", model)
+    first = load_model(path)
+    save_model(path, dataclasses.replace(model, likelihood_mode="approx"))
+    second = load_model(path)
+    assert second is not first and second.likelihood_mode == "approx"
+    fresh = model_from_dict(json.loads(path.read_text()))
+    assert _score_bytes(second, rows) == _score_bytes(fresh, rows)
+    assert _score_bytes(second, rows) != _score_bytes(first, rows)
+    save_model(path, dataclasses.replace(model, likelihood_mode="approx"))
+    assert load_model(path) is second
+
+
+def test_scores_of_a_model_survive_another_model_loaded_in_between(tmp_path):
+    rows = _reuse_case("zibt-exact")[1]
+    data = tmp_path / "rows.csv"
+    write_data_csv(data, rows)
+    paths = {name: _saved(tmp_path, name, _reuse_case(name)[0])
+             for name in ("zibt-exact", "zicar-rbm")}
+    outs = [_score_with(paths[name], data, tmp_path / f"s{i}.csv")
+            for i, name in enumerate(("zibt-exact", "zicar-rbm", "zibt-exact"))]
+    assert outs[0] == outs[2] != outs[1]
+
+
+def test_a_bad_model_file_leaves_the_last_model_in_place(tmp_path, capsys):
+    model, rows = _reuse_case("zibt-exact")
+    good, data, bad = _saved(tmp_path, "good", model), tmp_path / "rows.csv", tmp_path / "bad.json"
+    write_data_csv(data, rows)
+    loaded = load_model(good)
+    payload = json.loads(good.read_text())
+    # Text that is not JSON, then JSON that is not a valid model.
+    for text in ('{"kind": "zibt", ', json.dumps({**payload, "sigma": [[1.0]]})):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["score", "--model", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("ERR:DATA ")
+        assert load_model(good) is loaded
+
+
+def _arrays(obj):
+    """Every ndarray reachable from obj through tuples and attributes,
+    cached properties included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from _arrays(value)
+
+
+@pytest.mark.parametrize("name", ["zibt-exact", "zicar-bernoulli", "zicar-rbm", "gmm", "kde"])
+def test_loaded_models_are_read_only(tmp_path, name):
+    model, rows = _reuse_case(name)
+    loaded = load_model(_saved(tmp_path, name, model))
+    before = _score_bytes(loaded, rows)  # builds the grids and the copula
+    arrays = list(_arrays(loaded))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert _score_bytes(loaded, rows) == before
+
+
+def test_halves_scored_with_the_reused_model_join_to_the_whole(tmp_path):
+    model, rows = _reuse_case("zibt-exact")
+    path = _saved(tmp_path, "m", model)
+    loaded = load_model(path)
+    lines = {}
+    for name, part in (("whole", rows), ("head", rows[:37]), ("tail", rows[37:])):
+        data = tmp_path / f"{name}.csv"
+        write_data_csv(data, part)
+        out = _score_with(path, data, tmp_path / f"{name}.nll")
+        lines[name] = out.decode().splitlines(keepends=True)
+    assert load_model(path) is loaded
+    assert lines["head"] + lines["tail"][1:] == lines["whole"]
 
 
 def test_parser_built_once_and_flags_do_not_carry_over(tmp_path):

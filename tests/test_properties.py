@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import os
 import tempfile
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
-from zicopula.cli import load_model, save_model
+from zicopula.cli import load_model, model_from_dict, save_model
 from zicopula.marginals import PositiveTerms, fit_marginal
 from zicopula.synth_bench import corrupt, make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
@@ -204,8 +205,13 @@ def test_model_file_round_trip_scores_bit_identically(name, seed):
         again = os.path.join(tmp, "again.json")
         save_model(again, loaded)
         with open(path, "rb") as fa, open(again, "rb") as fb:
-            assert fa.read() == fb.read()
-    np.testing.assert_array_equal(_score(name, loaded, rows), _score(name, model, rows))
+            text = fa.read()
+            assert text == fb.read()
+    # load_model hands back the model of the text it parsed last, which an
+    # earlier example may have loaded; model_from_dict parses the text here.
+    parsed = model_from_dict(json.loads(text))
+    for m in (loaded, parsed):
+        np.testing.assert_array_equal(_score(name, m, rows), _score(name, model, rows))
 
 
 def _scaled(x: np.ndarray, column: int, s: float) -> np.ndarray:
