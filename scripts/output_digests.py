@@ -19,13 +19,21 @@ take about 4 s on a 2-core x86-64 host.
 after its first score, when ``load_model`` hands back the model it parsed
 then, and after the bernoulli zicar score, when the file is parsed again.
 Both must write the first score's bytes; the script exits 1 if not.
+
+``zibt_exact.json`` and ``zicar_rbm.json`` are also written in schema-1
+form (``*.schema1.json``: ``schema_version`` 1, plus the copies of derived
+numbers schema 1 stored) and scored from it, each to its own file. Each
+must write the bytes of its schema-2 score; the script exits 1 if not.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -62,6 +70,31 @@ REPEATS = (
 )
 
 
+# Model files also scored from their schema-1 form.
+SCHEMA_1 = ("zibt_exact.json", "zicar_rbm.json")
+
+
+def _schema_1_of(model: str) -> str:
+    return model.replace(".json", ".schema1.json")
+
+
+def _write_schema_1(model: str) -> int:
+    """Write a copula model file as schema 1 stored it: "rescales" repeats
+    the rescale divisors, and each marginal's "a" and, for zibt, a
+    "thresholds" list repeat Phi^-1(q) (null for -inf)."""
+    with open(model) as fh:
+        payload = json.load(fh)
+    loaded = cli.model_from_dict(payload)
+    thresholds = [None if math.isinf(m.a) else m.a for m in loaded.marginals]
+    old = {**payload, "schema_version": 1, "rescales": loaded.rescales.tolist()}
+    old["marginals"] = [{**d, "a": a} for d, a in zip(payload["marginals"], thresholds)]
+    if payload["kind"] == "zibt":
+        old["thresholds"] = thresholds
+    with open(_schema_1_of(model), "w") as fh:
+        fh.write(json.dumps(old, sort_keys=True) + "\n")
+    return 0
+
+
 def _scores_of(model: str) -> str:
     return "scores_" + model.replace(".json", ".csv")
 
@@ -72,7 +105,8 @@ def _score(model: str, data: str, out: str):
 
 
 def commands():
-    """(argv, files it writes) for every command, in order."""
+    """(argv, files it writes) for every command, in order. A step of this
+    script itself comes as a function returning an exit code, not an argv."""
     for kind in ("zibt", "zicar"):
         sigma = ["--sigma-out", "zibt_sigma.csv"] if kind == "zibt" else []
         for split, rows, sample_seed in (("train", TRAIN_ROWS, "0"), ("test", TEST_ROWS, "1")):
@@ -88,6 +122,10 @@ def commands():
         for after, out in REPEATS:
             if after == model:
                 yield _score(*REPEATED, out)
+        if model in SCHEMA_1:
+            old = _schema_1_of(model)
+            yield functools.partial(_write_schema_1, model), [old]
+            yield _score(old, data, _scores_of(old))
     standin = os.path.join(ROOT, "data", "credit_standin.csv")
     for name, flags in (("credit_full", []), ("credit_small", ["--small"])):
         train, test = f"{name}_train.csv", f"{name}_test.csv"
@@ -105,7 +143,7 @@ def main() -> int:
         os.chdir(work)
         for argv, outputs in commands():
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
+                code = argv() if callable(argv) else cli.main(argv)
             if code != 0:
                 print(f"command failed with exit code {code}: {' '.join(argv)}", file=sys.stderr)
                 return 1
@@ -114,8 +152,9 @@ def main() -> int:
                     digests[name] = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digests[name]}  {name}")
         os.chdir(ROOT)
-    first = _scores_of(REPEATED[0])
-    for _, out in REPEATS:
+    pairs = [(out, _scores_of(REPEATED[0])) for _, out in REPEATS]
+    pairs += [(_scores_of(_schema_1_of(model)), _scores_of(model)) for model in SCHEMA_1]
+    for out, first in pairs:
         if digests[out] != digests[first]:
             print(f"{out} differs from {first}", file=sys.stderr)
             return 1

@@ -93,7 +93,8 @@ def _component_logpdfs(centered: np.ndarray, model: GmmModel) -> np.ndarray:
         lower = np.linalg.cholesky(model.covariances)
     except np.linalg.LinAlgError:
         raise NumericError("a mixture covariance is not positive definite") from None
-    white = np.linalg.inv(lower) @ centered
+    with np.errstate(over="ignore"):  # a row past the float range is infinitely far
+        white = np.linalg.inv(lower) @ centered
     quad = np.einsum("kdn,kdn->kn", white, white)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
     log_norm = np.log(model.weights) - 0.5 * (model.dim * LOG_2PI + logdet)
@@ -210,7 +211,9 @@ def kde_loglik_rows(model: KdeModel, data) -> np.ndarray:
     n_centers, d = model.centers.shape
     h = model.bandwidths
     log_norm = float(np.log(h).sum() + 0.5 * d * LOG_2PI + np.log(n_centers))
-    points, centers = x / h, model.centers / h
+    with np.errstate(over="ignore"):  # a row past the float range is infinitely far
+        points = x / h
+    centers = model.centers / h
     out = np.empty(x.shape[0])
     step = max(1, CHUNK_BUDGET // max(1, n_centers))
     for lo in range(0, x.shape[0], step):

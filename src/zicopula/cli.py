@@ -179,14 +179,6 @@ def write_scores_csv(path, scores: np.ndarray) -> None:
 # model files
 
 
-def _fields_to_dict(obj) -> dict:
-    """Every dataclass field of obj as (nested) lists of floats."""
-    return {
-        f.name: np.asarray(getattr(obj, f.name), dtype=float).tolist()
-        for f in dataclasses.fields(obj)
-    }
-
-
 def _frozen(values) -> np.ndarray:
     """A read-only float array: load_model may hand one model to several
     commands, so none of them may write to its arrays."""
@@ -195,51 +187,67 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _fields_from_dict(cls, d: dict):
-    return cls(**{f.name: _frozen(d[f.name]) for f in dataclasses.fields(cls)})
+def _to_json(obj) -> dict:
+    """Every dataclass field of a model, a marginal or a mask in its JSON form."""
+    fields = dataclasses.fields(obj)
+    return {f.name: _FIELDS.get(f.name, _FLOATS)[0](getattr(obj, f.name)) for f in fields}
 
 
-_MASK_TYPES = {BernoulliMask: "bernoulli", RbmMask: "rbm"}
+def _from_json(cls, d, *known: str):
+    """The dataclass cls built from its JSON object d, which holds cls's
+    fields, the keys in known and nothing else."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object")
+    names = [f.name for f in dataclasses.fields(cls)]
+    stray = sorted(set(d) - {*known, *names})
+    if stray:
+        raise ValueError(f"unexpected keys: {', '.join(stray)}")
+    return cls(**{n: _FIELDS.get(n, _FLOATS)[1](d[n]) for n in names})
 
 
-def _mask_to_dict(mask) -> dict:
-    return {"type": _MASK_TYPES[type(mask)], **_fields_to_dict(mask)}
+_MASK_TYPES = {"bernoulli": BernoulliMask, "rbm": RbmMask}
+_MASK_NAMES = {cls: name for name, cls in _MASK_TYPES.items()}
 
 
-def _mask_from_dict(d: dict):
-    if d["type"] == "bernoulli":
-        return _fields_from_dict(BernoulliMask, d)
-    if d["type"] != "rbm":
+def _mask_from_json(d):
+    if d["type"] not in _MASK_TYPES:
         raise DataError(f"unknown mask type: {d['type']!r}")
-    mask = _fields_from_dict(RbmMask, d)
-    recomputed = compute_log_z(mask.weights, mask.visible_bias, mask.hidden_bias)
-    if abs(recomputed - mask.log_z) > 1e-9:
-        raise DataError(
-            "model file corrupt: stored log_Z "
-            f"{mask.log_z!r} does not match its parameters ({recomputed!r})"
-        )
+    mask = _from_json(_MASK_TYPES[d["type"]], d, "type")
+    if isinstance(mask, RbmMask):
+        recomputed = compute_log_z(mask.weights, mask.visible_bias, mask.hidden_bias)
+        if abs(recomputed - mask.log_z) > 1e-9:
+            raise DataError(
+                "model file corrupt: stored log_Z "
+                f"{mask.log_z!r} does not match its parameters ({recomputed!r})"
+            )
     return mask
 
 
-# JSON form of each field of the two copula models: (to JSON, from JSON).
-_COPULA_FIELDS = {
+# The JSON form of a model-file field: (to JSON, from JSON). _FIELDS names
+# the fields that are not float arrays; every other field of a model, a
+# marginal or a mask is one, read and written as _FLOATS.
+_FLOATS = (lambda values: np.asarray(values, dtype=float).tolist(), _frozen)
+_FIELDS = {
     "marginals": (
-        lambda marginals: [_fields_to_dict(m) for m in marginals],
-        lambda dicts: tuple(_fields_from_dict(MarginalModel, d) for d in dicts),
+        lambda marginals: [_to_json(m) for m in marginals],
+        lambda dicts: tuple(_from_json(MarginalModel, d) for d in dicts),
     ),
-    "sigma": (np.ndarray.tolist, _frozen),
-    "mask": (_mask_to_dict, _mask_from_dict),
-    "likelihood_mode": (str, lambda mode: mode),
+    "mask": (
+        lambda mask: {"type": _MASK_NAMES[type(mask)], **_to_json(mask)},
+        _mask_from_json,
+    ),
+    "likelihood_mode": (str, str),
 }
 
 
-def _copula_to_dict(model) -> dict:
-    fields = dataclasses.fields(model)
-    return {f.name: _COPULA_FIELDS[f.name][0](getattr(model, f.name)) for f in fields}
-
-
-def _copula_from_dict(cls, d: dict):
-    return cls(**{f.name: _COPULA_FIELDS[f.name][1](d[f.name]) for f in dataclasses.fields(cls)})
+def _without_schema_1_copies(payload: dict) -> dict:
+    """A schema-1 copula file without the copies of derived numbers it also
+    stores: "rescales", "thresholds" and each marginal's "a"."""
+    rest = {k: v for k, v in payload.items() if k not in ("rescales", "thresholds")}
+    rest["marginals"] = [
+        {k: v for k, v in {**m}.items() if k != "a"} for m in payload["marginals"]
+    ]
+    return rest
 
 
 def _check_schema_1_copies(d: dict, model) -> None:
@@ -258,22 +266,6 @@ def _check_schema_1_copies(d: dict, model) -> None:
             v == m.a or abs(v - m.a) <= 1e-9 for v, m in zip(stored, model.marginals)
         ):
             raise ValueError("thresholds must equal Phi^-1 of the zero rates")
-
-
-def _refuse_stray_keys(payload: dict, model) -> None:
-    """A schema-2 file holds its model's fields and nothing else: at the top
-    level, in each marginal and in the mask."""
-
-    def check(d: dict, obj, *extra: str) -> None:
-        stray = sorted(set(d) - {*extra, *(f.name for f in dataclasses.fields(obj))})
-        if stray:
-            raise ValueError(f"unexpected keys: {', '.join(stray)}")
-
-    check(payload, model, "schema_version", "kind")
-    for d, marginal in zip(payload.get("marginals", ()), getattr(model, "marginals", ())):
-        check(d, marginal)
-    if hasattr(model, "mask"):
-        check(payload["mask"], model.mask, "type")
 
 
 def _fit_zicar(args, data) -> ZicarModel:
@@ -324,8 +316,6 @@ class _Kind:
     fit: Callable  # (args, data) -> model
     loglik_rows: Callable  # (model, data, args) -> log-likelihood per row
     describe: Callable  # model -> summary lines printed by fit
-    to_dict: Callable  # model -> JSON fields besides schema_version and kind
-    from_dict: Callable  # payload -> model
 
 
 _KINDS = {
@@ -334,8 +324,6 @@ _KINDS = {
         fit=_fit_zicar,
         loglik_rows=lambda model, data, args: zicar_loglik_rows(model, data),
         describe=_describe_copula,
-        to_dict=_copula_to_dict,
-        from_dict=lambda d: _copula_from_dict(ZicarModel, d),
     ),
     "zibt": _Kind(
         type=ZibtModel,
@@ -344,8 +332,6 @@ _KINDS = {
             model, data, mc_samples=args.mc_samples, base_seed=args.seed
         ),
         describe=_describe_copula,
-        to_dict=_copula_to_dict,
-        from_dict=lambda d: _copula_from_dict(ZibtModel, d),
     ),
     "gmm": _Kind(
         type=GmmModel,
@@ -354,16 +340,12 @@ _KINDS = {
         describe=lambda model: [
             f"components: {model.k}, weights: {_format_vector(model.weights)}"
         ],
-        to_dict=_fields_to_dict,
-        from_dict=lambda d: _fields_from_dict(GmmModel, d),
     ),
     "kde": _Kind(
         type=KdeModel,
         fit=_fit_kde,
         loglik_rows=lambda model, data, args: kde_loglik_rows(model, data),
         describe=lambda model: [f"bandwidths: {_format_vector(model.bandwidths)}"],
-        to_dict=_fields_to_dict,
-        from_dict=lambda d: _fields_from_dict(KdeModel, d),
     ),
 }
 _KIND_OF_TYPE = {entry.type: kind for kind, entry in _KINDS.items()}
@@ -378,7 +360,7 @@ def _kind_of(model) -> str:
 
 def model_to_dict(model) -> dict:
     kind = _kind_of(model)
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, **_KINDS[kind].to_dict(model)}
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **_to_json(model)}
 
 
 def model_from_dict(payload) -> object:
@@ -393,12 +375,12 @@ def model_from_dict(payload) -> object:
     if entry is None:
         raise DataError(f"unknown model kind: {kind!r}")
     try:
-        model = entry.from_dict(payload)
-        if version == SCHEMA_VERSION:
-            _refuse_stray_keys(payload, model)
-        elif entry.type in (ZibtModel, ZicarModel):
+        known = ("schema_version", "kind")
+        if version == 1 and entry.type in (ZibtModel, ZicarModel):
+            model = _from_json(entry.type, _without_schema_1_copies(payload), *known)
             _check_schema_1_copies(payload, model)
-        return model
+            return model
+        return _from_json(entry.type, payload, *known)
     except KeyError as exc:
         raise DataError(f"model file missing field: {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -393,8 +393,9 @@ class PositiveTerms:
 
     ``positive`` marks the positive entries of the data divided by the
     columns' rescale divisors. ``logpdf`` holds each column's positive_logpdf
-    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Both
-    are evaluated on first use, from one grid read per column.
+    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each
+    column is read off its grid once; each term fills its own exact sums
+    on first use, so a fit that reads only F sums no density.
     """
 
     def __init__(self, models, data) -> None:
@@ -406,30 +407,39 @@ class PositiveTerms:
     @property
     def scaled(self) -> np.ndarray:
         # Recomputed on use, so a benchmark seed holding many of these keeps
-        # one copy of each data set.
-        return self.data / self.rescales
+        # one copy of each data set. A value past the float range once
+        # divided is +inf, which every term reads as beyond all centers.
+        with np.errstate(over="ignore"):
+            return self.data / self.rescales
 
     @functools.cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+    def _reads(self) -> list:
+        """Per column with a positive entry: its index, its positive rows,
+        the points there and _grid_sums of them, from one grid read."""
         scaled = self.scaled
-        logpdf, cdf = np.zeros(scaled.shape), np.zeros(scaled.shape)
+        reads = []
         for j, m in enumerate(self.models):
             pos = self.positive[:, j]
             if pos.any():
                 pts = scaled[pos, j]
-                pdf_j, cdf_j, on_pdf, on_cdf = _grid_sums(m, pts)
-                pdf_j = _exact_elsewhere(m, pts, pdf_j, on_pdf, cdf=False)
-                logpdf[pos, j] = np.log(np.maximum(pdf_j, _DENSITY_FLOOR))
-                cdf[pos, j] = np.clip(_exact_elsewhere(m, pts, cdf_j, on_cdf, cdf=True), 0.0, 1.0)
-        return logpdf, cdf
+                reads.append((j, pos, pts, *_grid_sums(m, pts)))
+        return reads
 
-    @property
+    @functools.cached_property
     def logpdf(self) -> np.ndarray:
-        return self._terms[0]
+        out = np.zeros(self.data.shape)
+        for j, pos, pts, pdf, _, on, _ in self._reads:
+            pdf = _exact_elsewhere(self.models[j], pts, pdf, on, cdf=False)
+            out[pos, j] = np.log(np.maximum(pdf, _DENSITY_FLOOR))
+        return out
 
-    @property
+    @functools.cached_property
     def cdf(self) -> np.ndarray:
-        return self._terms[1]
+        out = np.zeros(self.data.shape)
+        for j, pos, pts, _, cdf, _, on in self._reads:
+            cdf = _exact_elsewhere(self.models[j], pts, cdf, on, cdf=True)
+            out[pos, j] = np.clip(cdf, 0.0, 1.0)
+        return out
 
     def check_columns(self, models) -> None:
         """Raise unless these terms were evaluated with exactly ``models``."""

@@ -42,14 +42,18 @@ def clamp_probability(p):
 
 
 def logsumexp_columns(a: np.ndarray) -> np.ndarray:
-    """log of the column sums of exp(a), shifted by each column's maximum."""
+    """log of the column sums of exp(a), shifted by each column's maximum;
+    -inf for a column that is all -inf."""
     top = a.max(axis=0)
-    return top + np.log(np.exp(a - top).sum(axis=0))
+    shift = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(a - shift).sum(axis=0))
 
 
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):  # x * x = inf past 1.3e154: a density of 0
+        out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return float(out) if out.ndim == 0 else out
 
 

@@ -4,6 +4,7 @@ and the metrics used to compare models on it."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -296,105 +297,6 @@ def default_variants(kind: str) -> tuple:
     return ZIBT_TAGS + ("zicar-full",) + BASELINE_TAGS
 
 
-def _terms(data: dict, name: str, bandwidth: float, cache: dict):
-    """Marginal columns of one bandwidth, evaluated at one of the seed's data
-    sets. Each bandwidth is fitted to "train" once and evaluated once per
-    set; the bandwidth search, every variant and both families share the
-    result."""
-    key = ("terms", bandwidth, name)
-    if key not in cache:
-        if name == "train":
-            cache[key] = fit_positive_terms(data["train"], bandwidth_scale=bandwidth)
-        else:
-            train = _terms(data, "train", bandwidth, cache)
-            cache[key] = PositiveTerms(train.models, data[name])
-    return cache[key]
-
-
-def _zibt_base(data: dict, bandwidth: float, use_mle: bool, cache: dict):
-    """The seed's approx-mode zibt fit of one configuration, shared by the
-    bandwidth search and the zibt variants."""
-    key = ("zibt", bandwidth, use_mle)
-    if key not in cache:
-        cache[key] = fit_zibt_copula(
-            _terms(data, "train", bandwidth, cache), use_mle_sigma=use_mle
-        )
-    return cache[key]
-
-
-def _zicar_model(tag: str, data: dict, bandwidth: float, seed: int, cache: dict):
-    """The zicar variant's fit. The RBM mask law does not depend on sigma, so
-    zicar-full and zicar-no-mle share the seed's one RBM fit."""
-    train = _terms(data, "train", bandwidth, cache)
-    use_mle = tag != "zicar-no-mle"
-    key = ("rbm", bandwidth)
-    if tag != "zicar-no-rbm" and key not in cache:
-        model = fit_zicar_copula(
-            train, mask_kind="rbm", use_mle_sigma=use_mle, seed=sub_seed(seed, 4)
-        )
-        cache[key] = model.mask
-        return model
-    model = fit_zicar_copula(train, mask_kind="bernoulli", use_mle_sigma=use_mle)
-    return model if tag == "zicar-no-rbm" else dataclasses.replace(model, mask=cache[key])
-
-
-def _tuned_bandwidth(family: str, data: dict, cache: dict) -> float:
-    """Pick the marginal-KDE bandwidth multiplier by validation log-likelihood.
-    Tuned once per family with the full configuration; ablations reuse it so
-    each ablation changes exactly one ingredient."""
-    key = ("bw", family)
-    if key in cache:
-        return cache[key]
-    best_bw, best_ll = None, -np.inf
-    for bw in BANDWIDTH_GRID:
-        val = _terms(data, "val", bw, cache)
-        if family == "zibt":
-            candidate = _zibt_base(data, bw, True, cache)
-            ll = float(zibt_loglik_terms(candidate, val).mean())
-        else:
-            train = _terms(data, "train", bw, cache)
-            candidate = fit_zicar_copula(train, mask_kind="bernoulli")
-            ll = float(zicar_loglik_terms(candidate, val).mean())
-        if ll > best_ll:
-            best_bw, best_ll = bw, ll
-    cache[key] = best_bw
-    return best_bw
-
-
-def _fit_and_score(tag: str, data: dict, seed: int, mc_samples: int, cache: dict):
-    """Returns (normal NLL rows, abnormal NLL rows, sigma estimate or None)."""
-    if tag.startswith("zicar"):
-        bw = _tuned_bandwidth("zicar", data, cache)
-        model = _zicar_model(tag, data, bw, seed, cache)
-        return (
-            -zicar_loglik_terms(model, _terms(data, "normal", bw, cache)),
-            -zicar_loglik_terms(model, _terms(data, "abnormal", bw, cache)),
-            model.sigma,
-        )
-    if tag.startswith("zibt"):
-        bw = _tuned_bandwidth("zibt", data, cache)
-        model = _zibt_base(data, bw, tag != "zibt-no-mle", cache)
-        if tag != "zibt-approx":
-            model = dataclasses.replace(model, likelihood_mode="exact")
-        return (
-            -zibt_loglik_terms(
-                model, _terms(data, "normal", bw, cache), mc_samples, sub_seed(seed, 5)
-            ),
-            -zibt_loglik_terms(
-                model, _terms(data, "abnormal", bw, cache), mc_samples, sub_seed(seed, 6)
-            ),
-            model.sigma,
-        )
-    train, normal, abnormal = data["train"], data["normal"], data["abnormal"]
-    if tag == "gmm":
-        model = tune_gmm(train, seed=sub_seed(seed, 7))
-        return -gmm_loglik_rows(model, normal), -gmm_loglik_rows(model, abnormal), None
-    if tag == "kde":
-        model = tune_kde(train, seed=sub_seed(seed, 8))
-        return -kde_loglik_rows(model, normal), -kde_loglik_rows(model, abnormal), None
-    raise ValueError(f"unknown model tag: {tag}")
-
-
 def _bench_one_seed(
     kind: str,
     dim: int,
@@ -415,12 +317,78 @@ def _bench_one_seed(
         "val": sample_dataset(truth, n_test, sub_seed(seed, 9)),
     }
 
+    # Each memo runs its fit on first use; the bandwidth search, every
+    # variant and both families share the result.
+    @functools.cache
+    def terms(bw: float, name: str) -> PositiveTerms:
+        """Marginal columns of one bandwidth, fitted to "train" and
+        evaluated at one of the seed's data sets."""
+        if name == "train":
+            return fit_positive_terms(train, bandwidth_scale=bw)
+        return PositiveTerms(terms(bw, "train").models, data[name])
+
+    @functools.cache
+    def zibt(bw: float, use_mle: bool):
+        """The approx-mode zibt fit of one configuration."""
+        return fit_zibt_copula(terms(bw, "train"), use_mle_sigma=use_mle)
+
+    @functools.cache
+    def zicar_rbm(bw: float):
+        """zicar-full's fit. The RBM mask law does not depend on sigma, so
+        zicar-no-mle takes the mask of this one RBM fit."""
+        return fit_zicar_copula(terms(bw, "train"), mask_kind="rbm", seed=sub_seed(seed, 4))
+
+    def validation_ll(family: str, bw: float) -> float:
+        if family == "zibt":
+            return float(zibt_loglik_terms(zibt(bw, True), terms(bw, "val")).mean())
+        model = fit_zicar_copula(terms(bw, "train"), mask_kind="bernoulli")
+        return float(zicar_loglik_terms(model, terms(bw, "val")).mean())
+
+    @functools.cache
+    def tuned(family: str) -> float:
+        """The marginal-KDE bandwidth multiplier of highest validation
+        log-likelihood, the first in BANDWIDTH_GRID order on a tie. Tuned
+        once per family with the full configuration; ablations reuse it so
+        each ablation changes exactly one ingredient."""
+        return max(BANDWIDTH_GRID, key=lambda bw: validation_ll(family, bw))
+
+    def scores(tag: str) -> tuple:
+        """(normal NLL rows, abnormal NLL rows, sigma estimate or None)."""
+        if tag.startswith("zicar"):
+            bw = tuned("zicar")
+            if tag == "zicar-full":
+                model = zicar_rbm(bw)
+            else:
+                use_mle = tag == "zicar-no-rbm"
+                model = fit_zicar_copula(terms(bw, "train"), use_mle_sigma=use_mle)
+                if tag == "zicar-no-mle":
+                    model = dataclasses.replace(model, mask=zicar_rbm(bw).mask)
+            return (
+                -zicar_loglik_terms(model, terms(bw, "normal")),
+                -zicar_loglik_terms(model, terms(bw, "abnormal")),
+                model.sigma,
+            )
+        if tag.startswith("zibt"):
+            bw = tuned("zibt")
+            model = zibt(bw, tag != "zibt-no-mle")
+            if tag != "zibt-approx":
+                model = dataclasses.replace(model, likelihood_mode="exact")
+            return (
+                -zibt_loglik_terms(model, terms(bw, "normal"), mc_samples, sub_seed(seed, 5)),
+                -zibt_loglik_terms(model, terms(bw, "abnormal"), mc_samples, sub_seed(seed, 6)),
+                model.sigma,
+            )
+        if tag == "gmm":
+            model = tune_gmm(train, seed=sub_seed(seed, 7))
+            return -gmm_loglik_rows(model, normal), -gmm_loglik_rows(model, data["abnormal"]), None
+        if tag == "kde":
+            model = tune_kde(train, seed=sub_seed(seed, 8))
+            return -kde_loglik_rows(model, normal), -kde_loglik_rows(model, data["abnormal"]), None
+        raise ValueError(f"unknown model tag: {tag}")
+
     rows = []
-    # Column fits, their terms, zibt fits and the RBM mask, shared by all
-    # variants of the seed.
-    cache: dict = {}
     for tag in variants:
-        nll_n, nll_a, sigma_est = _fit_and_score(tag, data, seed, mc_samples, cache)
+        nll_n, nll_a, sigma_est = scores(tag)
         err = (
             sigma_l2_error(sigma_est, truth.sigma_true)
             if sigma_est is not None
@@ -436,6 +404,10 @@ def _bench_one_seed(
                 sigma_l2_error=err,
             )
         )
+    # The memos refer to each other, a cycle the garbage collector frees
+    # late; emptying them frees the seed's fits now.
+    for memo in (terms, zibt, zicar_rbm, tuned):
+        memo.cache_clear()
     return rows
 
 

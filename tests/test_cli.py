@@ -673,6 +673,63 @@ def test_schema_1_files_score_as_their_schema_2_form(tmp_path, capsys):
     assert "unsupported schema_version: 3" in capsys.readouterr().err
 
 
+def test_schema_1_files_refuse_keys_they_never_wrote(tmp_path):
+    # Schema 1 wrote its models' fields plus "rescales", "thresholds" and
+    # each marginal's "a"; only those copies are set aside, and anything
+    # else is refused as in schema 2. A stray key is named before a bad
+    # field beside it.
+    data = _toy_zibt_csv(tmp_path / "train.csv")
+    for kind, model in (("zibt", fit_zibt(data)), ("zicar", fit_zicar(data, mask_kind="rbm"))):
+        old = _schema_1(model_to_dict(model))
+        first, *rest = old["marginals"]
+        cases = [
+            {**old, "extra": 1},
+            {**old, "marginals": [{**first, "extra": 1}, *rest]},
+            {**old, "extra": 1, "sigma": "abc"},
+            {**old, "marginals": [{**first, "extra": 1, "bandwidth": -1.0}, *rest]},
+        ]
+        if kind == "zicar":
+            cases.append({**old, "mask": {**old["mask"], "extra": 1}})
+        for payload in cases:
+            with pytest.raises(DataError, match=f"malformed {kind} model file: unexpected keys: extra"):
+                model_from_dict(payload)
+    for model in (fit_gmm(data, 2), fit_kde_multi(data)):
+        payload = {**model_to_dict(model), "schema_version": 1}
+        assert type(model_from_dict(payload)) is type(model)
+        with pytest.raises(DataError, match="unexpected keys: extra"):
+            model_from_dict({**payload, "extra": 1})
+
+
+def test_extreme_rows_score_without_nan_or_warnings(tmp_path):
+    # Rows up to the top of the float range, under the suite's
+    # error::RuntimeWarning filter: every overflow stays where inf is the
+    # right value, so each kind exits 0; gmm and kde score a row whose
+    # density underflows inf, never nan, and zibt and zicar keep their scores.
+    data = tmp_path / "d.csv"
+    assert main(["synth", "--kind", "zibt", "--dim", "3", "--rows", "300", "--seed", "0",
+                 "--out", str(data)]) == 0
+    rows = tmp_path / "rows.csv"
+    values = ("1e100", "1e152", "1e155", "1e200", "1e300", "1e308")
+    rows.write_text("x1,x2,x3\n" + "".join(f"{v},1,1\n{v},{v},{v}\n" for v in values))
+    flags = {"zibt": ["--likelihood", "exact"], "zicar": [], "gmm": ["--k", "2"],
+             "kde": ["--bandwidth-mult", "1"]}
+    scores = {}
+    for kind, extra in flags.items():
+        model, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+        assert main(["fit", "--data", str(data), "--model", kind, "--out", str(model),
+                     *extra]) == 0
+        assert main(["score", "--model", str(model), "--data", str(rows),
+                     "--out", str(out)]) == 0
+        scores[kind] = np.loadtxt(out, skiprows=1)
+        assert scores[kind].shape == (12,) and not np.isnan(scores[kind]).any()
+    # Rows 9 and 11, counted from 0, are 1e300 and 1e308 in every column.
+    assert scores["zibt"][9] == scores["zibt"][11] == 2044.4805181208537
+    assert scores["zicar"][9] == scores["zicar"][11] == 2037.3450230466171
+    for kind in ("gmm", "kde"):
+        assert np.isfinite(scores[kind][:4]).all()
+        assert np.isposinf(scores[kind][4:]).all()
+
+
 def test_config_precedence(tmp_path, capsys):
     data_path = tmp_path / "train.csv"
     _toy_zibt_csv(data_path)

@@ -425,3 +425,29 @@ def test_credit_workload_grids_match_reference(tmp_path) -> None:
     assert len(models) == 12
     for m in models:
         _assert_grid_matches_reference(m)
+
+
+def test_each_term_fills_only_its_own_exact_sums(monkeypatch) -> None:
+    # PositiveTerms reads each column once; each term fills its own exact
+    # sums on first use. So F alone, all a copula fit reads, sums no
+    # density, and either order of use gives the same bits.
+    rng = np.random.default_rng(5)
+    models, cols = [], []
+    for n, spread in ((40, 1.0), (2000, 4.0)):  # summed exactly; on a grid
+        m = mg.fit_marginal(rng.lognormal(0.0, spread, n))
+        c, h = m.kde_centers, m.bandwidth
+        models.append(m)
+        cols.append(np.concatenate([c[:: n // 20][:20], c.max() + h * np.array([8.0, 12.0])]))
+    x = np.column_stack(cols)
+    reads, exact = [], set()
+    grid_sums, exact_sums = mg._grid_sums, mg._exact_sums
+    monkeypatch.setattr(mg, "_grid_sums", lambda *a: reads.append(1) or grid_sums(*a))
+    monkeypatch.setattr(mg, "_exact_sums", lambda m, pts, cdf: exact.add(cdf)
+                        or exact_sums(m, pts, cdf))
+    terms = mg.PositiveTerms(models, x)
+    cdf = terms.cdf
+    assert len(reads) == 2 and exact == {True}
+    logpdf = terms.logpdf
+    assert len(reads) == 2 and exact == {True, False}
+    other = mg.PositiveTerms(models, x)
+    assert other.logpdf.tobytes() == logpdf.tobytes() and other.cdf.tobytes() == cdf.tobytes()

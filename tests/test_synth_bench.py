@@ -330,3 +330,38 @@ def test_bench_fits_the_rbm_mask_once_per_seed(monkeypatch):
             dataclasses.astuple(row), dataclasses.astuple(_alone("zicar", row.model_tag, **size))
         )
 
+
+
+# Calls one default-variant seed makes at n_train=300, n_test=150, D = 3,
+# measured on the runner that kept its shared fits in a keyed cache dict.
+_SEED_WORK = {
+    "zibt": {"fit_positive_terms": 4, "PositiveTerms": 12, "fit_zibt_copula": 5,
+             "zicar sigma": 5, "fit_rbm": 1, "tune_gmm": 1, "tune_kde": 1},
+    "zicar": {"fit_positive_terms": 4, "PositiveTerms": 10, "fit_zibt_copula": 4,
+              "zicar sigma": 7, "fit_rbm": 1, "tune_gmm": 1, "tune_kde": 1},
+}
+
+
+@pytest.mark.parametrize("kind", ["zibt", "zicar"])
+def test_bench_seed_fits_each_shared_stage_as_often_as_before(kind, monkeypatch):
+    from zicopula import marginals, synth_bench, zicar_model
+
+    calls = []
+
+    def counted(module, name, label=None):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label or name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("fit_positive_terms", "fit_zibt_copula", "tune_gmm", "tune_kde"):
+        counted(synth_bench, name)
+    for name in ("_sigma_from_joint_positives", "_sigma_from_all_rows"):
+        counted(zicar_model, name, "zicar sigma")
+    counted(zicar_model, "fit_rbm")
+    counted(marginals.PositiveTerms, "__init__", "PositiveTerms")
+    _bench_one_seed(kind, 3, 0, 300, 150, default_variants(kind), 256)
+    assert {label: calls.count(label) for label in set(calls)} == _SEED_WORK[kind]
