@@ -395,7 +395,8 @@ class PositiveTerms:
     columns' rescale divisors. ``logpdf`` holds each column's positive_logpdf
     there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each
     column is read off its grid once; each term fills its own exact sums
-    on first use, so a fit that reads only F sums no density.
+    on first use, so a fit that reads only F sums no density. The reads
+    are dropped once both terms are filled.
     """
 
     def __init__(self, models, data) -> None:
@@ -431,6 +432,7 @@ class PositiveTerms:
         for j, pos, pts, pdf, _, on, _ in self._reads:
             pdf = _exact_elsewhere(self.models[j], pts, pdf, on, cdf=False)
             out[pos, j] = np.log(np.maximum(pdf, _DENSITY_FLOOR))
+        self._release_reads("cdf")
         return out
 
     @functools.cached_property
@@ -439,7 +441,13 @@ class PositiveTerms:
         for j, pos, pts, _, cdf, _, on in self._reads:
             cdf = _exact_elsewhere(self.models[j], pts, cdf, on, cdf=True)
             out[pos, j] = np.clip(cdf, 0.0, 1.0)
+        self._release_reads("logpdf")
         return out
+
+    def _release_reads(self, other: str) -> None:
+        # Once both terms are filled the grid reads serve nothing more.
+        if other in self.__dict__:
+            self.__dict__.pop("_reads", None)
 
     def check_columns(self, models) -> None:
         """Raise unless these terms were evaluated with exactly ``models``."""

@@ -2,10 +2,10 @@
 
 Two mask families: independent Bernoulli zero rates, and a small
 restricted Boltzmann machine whose normalizer is computed exactly by
-enumerating the visible states.  Up to ``EXACT_FIT_MAX_DIM`` columns the
-RBM is fit by its exact penalised likelihood over pattern counts; above
-that, by one-step contrastive divergence.  Mask vectors use 1 for a
-positive entry and 0 for a zero entry throughout.
+enumerating the visible states.  The RBM is fit by its exact penalised
+likelihood over pattern counts, on masks of up to ``EXACT_FIT_MAX_DIM``
+columns.  Mask vectors use 1 for a positive entry and 0 for a zero entry
+throughout.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit
 
 from .errors import DataError
 from .stat_core import LOG_PROB_FLOOR, logsumexp_columns
@@ -23,19 +22,15 @@ from .stat_core import LOG_PROB_FLOOR, logsumexp_columns
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_DIM = 20
-# Widest mask the exact fit takes. On zicar truths at D = 9-10 (seeds 0-1,
-# 2D hidden units, 5,000 held-out rows, 2-core x86 host, one BLAS thread) its
-# held-out mask log-likelihood is 0.39-0.49 nats/row above contrastive
-# divergence's, at 2,000 and at 21,000 training rows, and it takes
-# 0.31-0.80 s against 0.55-0.64 s at 2,000 rows and 0.67-2.54 s against
-# 6.3-7.3 s at 21,000. Its cost per step grows as 2^D.
-EXACT_FIT_MAX_DIM = 10
+# Widest mask fit_rbm takes: the credit-card shape's 12 columns. The fit's
+# cost per L-BFGS step grows as 2^D. At 21,000 training rows (2D hidden
+# units, one BLAS thread, 2-core x86 host) it took 6-12 s on the credit law
+# and 12-16 s on zibt and zicar truths at D = 12, against 29-87 s at D = 13
+# and 69-175 s at D = 14.
+EXACT_FIT_MAX_DIM = 12
 # L-BFGS stops when no gradient entry exceeds gtol; ftol = 0 turns off the
 # relative-decrease stop, which would otherwise end most fits short of it.
 _EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
-CD_EPOCHS = 200
-CD_BATCH_SIZE = 64
-CD_LEARNING_RATE = 0.05
 _ENUM_CHUNK_BITS = 16
 
 
@@ -226,38 +221,6 @@ def _fit_rbm_exact(arr: np.ndarray, weights: np.ndarray) -> tuple:
     return _unpack(result.x, d, n_hidden)
 
 
-def _fit_rbm_cd(arr: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> tuple:
-    """CD_EPOCHS passes of one-step contrastive divergence from ``weights``
-    and zero biases, updating ``weights`` in place."""
-    n = arr.shape[0]
-    n_hidden = weights.shape[1]
-    visible_bias = np.zeros(arr.shape[1])
-    hidden_bias = np.zeros(n_hidden)
-    bounds = [(start, min(start + CD_BATCH_SIZE, n)) for start in range(0, n, CD_BATCH_SIZE)]
-    rate = CD_LEARNING_RATE
-    # The updates are in place, so this view follows the weights.
-    weights_t = weights.T
-    for _ in range(CD_EPOCHS):
-        shuffled = arr[rng.permutation(n)]
-        # One draw per epoch reads the same stream as one draw per batch.
-        uniforms = rng.random((n, n_hidden))
-        for start, stop in bounds:
-            v0 = shuffled[start:stop]
-            ph0 = expit(hidden_bias + v0 @ weights)
-            h0 = (uniforms[start:stop] < ph0).astype(float)
-            # Reconstruction uses probabilities, not samples; the sampled
-            # reconstruction is too noisy to learn sharp pattern support.
-            pv1 = expit(visible_bias + h0 @ weights_t)
-            ph1 = expit(hidden_bias + pv1 @ weights)
-            batch = stop - start
-            weights += rate * (v0.T @ ph0 - pv1.T @ ph1) / batch
-            visible_bias += rate * ((v0 - pv1).sum(axis=0) / batch)
-            hidden_bias += rate * ((ph0 - ph1).sum(axis=0) / batch)
-    logger.debug("contrastive-divergence RBM fit: %d epochs of %d batches",
-                 CD_EPOCHS, len(bounds))
-    return weights, visible_bias, hidden_bias
-
-
 def fit_rbm(
     masks: np.ndarray,
     n_hidden: int,
@@ -265,31 +228,27 @@ def fit_rbm(
 ) -> RbmMask:
     """Fit an RBM to mask rows.
 
-    Up to ``EXACT_FIT_MAX_DIM`` columns the fit is exact: the rows reduce to
-    the frequencies of their 2^D patterns, and L-BFGS minimises the mean
-    negative log-likelihood plus ||W||^2 / (2n), the MAP estimate under
-    independent N(0, 1) priors on the weights with unpenalised biases.  The
-    prior fixes the penalty at 1/n by that rule, not by tuning; without it
-    the weights diverge whenever a pattern never occurs.  This fit depends on
-    the rows only through pattern counts, so it does not depend on row order.
-    Above ``EXACT_FIT_MAX_DIM`` columns, where 2^D enumeration per step costs
-    more than sampling, the fit is one-step contrastive divergence over
-    CD_EPOCHS passes of CD_BATCH_SIZE-row batches.
-    Both start from the same seeded N(0, 0.01^2) weights and zero biases.
+    The fit is exact: the rows reduce to the frequencies of their 2^D
+    patterns, and L-BFGS minimises the mean negative log-likelihood plus
+    ||W||^2 / (2n), the MAP estimate under independent N(0, 1) priors on the
+    weights with unpenalised biases.  The prior fixes the penalty at 1/n by
+    that rule, not by tuning; without it the weights diverge whenever a
+    pattern never occurs.  This fit depends on the rows only through pattern
+    counts, so it does not depend on row order.  It starts from seeded
+    N(0, 0.01^2) weights and zero biases.  Masks of more than
+    ``EXACT_FIT_MAX_DIM`` columns raise DataError.
     """
     arr = _validate_binary(masks, "fit_rbm")
     d = arr.shape[1]
-    if d > MAX_EXACT_DIM:
-        raise DataError("exact normalization out of scope")
+    if d > EXACT_FIT_MAX_DIM:
+        raise DataError(f"the RBM mask fit takes at most {EXACT_FIT_MAX_DIM} columns, "
+                        f"got {d}; use --mask bernoulli")
     if n_hidden < 1:
         raise ValueError("n_hidden must be positive")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = rng.normal(0.0, 0.01, size=(d, n_hidden))
-    if d <= EXACT_FIT_MAX_DIM:
-        weights, visible_bias, hidden_bias = _fit_rbm_exact(arr, weights)
-    else:
-        weights, visible_bias, hidden_bias = _fit_rbm_cd(arr, weights, rng)
+    weights, visible_bias, hidden_bias = _fit_rbm_exact(arr, weights)
     log_z = compute_log_z(weights, visible_bias, hidden_bias)
     return RbmMask(weights=weights, visible_bias=visible_bias,
                    hidden_bias=hidden_bias, log_z=log_z)

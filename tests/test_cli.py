@@ -120,6 +120,20 @@ def test_zicar_rbm_files_do_not_depend_on_log_level(tmp_path, caplog):
     assert outs[logging.DEBUG] == outs[logging.WARNING]
 
 
+def test_rbm_mask_is_refused_past_twelve_columns(tmp_path, capsys):
+    data_path, model_path = tmp_path / "train.csv", tmp_path / "m.json"
+    write_data_csv(data_path, sample_dataset(make_ground_truth("zicar", 13, seed=0), 200, seed=1))
+    capsys.readouterr()
+    assert main(["fit", "--model", "zicar", "--data", str(data_path),
+                 "--out", str(model_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERR:DATA ") and "--mask bernoulli" in err[0]
+    assert not model_path.exists()
+    assert main(["fit", "--model", "zicar", "--mask", "bernoulli", "--data", str(data_path),
+                 "--out", str(model_path)]) == 0
+    assert json.loads(model_path.read_text())["mask"]["type"] == "bernoulli"
+
+
 def test_corrupted_log_z_rejected(tmp_path):
     truth = make_ground_truth("zicar", 2, seed=3)
     data = sample_dataset(truth, 200, seed=1)

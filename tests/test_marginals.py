@@ -451,3 +451,18 @@ def test_each_term_fills_only_its_own_exact_sums(monkeypatch) -> None:
     assert len(reads) == 2 and exact == {True, False}
     other = mg.PositiveTerms(models, x)
     assert other.logpdf.tobytes() == logpdf.tobytes() and other.cdf.tobytes() == cdf.tobytes()
+
+
+@pytest.mark.parametrize("first, second", [("logpdf", "cdf"), ("cdf", "logpdf")])
+def test_grid_reads_are_dropped_once_both_terms_are_filled(first, second) -> None:
+    rng = np.random.default_rng(8)
+    models = [mg.fit_marginal(rng.lognormal(0.0, s, 300)) for s in (0.5, 2.0)]
+    x = np.column_stack([rng.lognormal(0.0, 1.0, 50), np.where(np.arange(50) % 3, 1.5, 0.0)])
+    terms = mg.PositiveTerms(models, x)
+    getattr(terms, first)
+    assert "_reads" in terms.__dict__
+    getattr(terms, second)
+    assert "_reads" not in terms.__dict__
+    fresh = mg.PositiveTerms(models, x)
+    assert terms.logpdf.tobytes() == fresh.logpdf.tobytes()
+    assert terms.cdf.tobytes() == fresh.cdf.tobytes()
