@@ -393,17 +393,27 @@ class PositiveTerms:
 
     ``positive`` marks the positive entries of the data divided by the
     columns' rescale divisors. ``logpdf`` holds each column's positive_logpdf
-    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Each
-    column is read off its grid once; each term fills its own exact sums
-    on first use, so a fit that reads only F sums no density. The reads
-    are dropped once both terms are filled.
+    there and ``cdf`` its positive-part CDF F, both 0 at the zeros. Both are
+    computed at construction from one grid read per column.
     """
 
     def __init__(self, models, data) -> None:
         self.models = tuple(models)
         self.rescales = np.array([m.rescale_b for m in self.models])
         self.data = np.asarray(data, dtype=float)
-        self.positive = self.scaled > 0
+        scaled = self.scaled
+        self.positive = scaled > 0
+        self.logpdf = np.zeros(self.data.shape)
+        self.cdf = np.zeros(self.data.shape)
+        for j, m in enumerate(self.models):
+            pos = self.positive[:, j]
+            if pos.any():
+                pts = scaled[pos, j]
+                pdf, cdf, on_pdf, on_cdf = _grid_sums(m, pts)
+                pdf = _exact_elsewhere(m, pts, pdf, on_pdf, cdf=False)
+                self.logpdf[pos, j] = np.log(np.maximum(pdf, _DENSITY_FLOOR))
+                cdf = _exact_elsewhere(m, pts, cdf, on_cdf, cdf=True)
+                self.cdf[pos, j] = np.clip(cdf, 0.0, 1.0)
 
     @property
     def scaled(self) -> np.ndarray:
@@ -412,42 +422,6 @@ class PositiveTerms:
         # divided is +inf, which every term reads as beyond all centers.
         with np.errstate(over="ignore"):
             return self.data / self.rescales
-
-    @functools.cached_property
-    def _reads(self) -> list:
-        """Per column with a positive entry: its index, its positive rows,
-        the points there and _grid_sums of them, from one grid read."""
-        scaled = self.scaled
-        reads = []
-        for j, m in enumerate(self.models):
-            pos = self.positive[:, j]
-            if pos.any():
-                pts = scaled[pos, j]
-                reads.append((j, pos, pts, *_grid_sums(m, pts)))
-        return reads
-
-    @functools.cached_property
-    def logpdf(self) -> np.ndarray:
-        out = np.zeros(self.data.shape)
-        for j, pos, pts, pdf, _, on, _ in self._reads:
-            pdf = _exact_elsewhere(self.models[j], pts, pdf, on, cdf=False)
-            out[pos, j] = np.log(np.maximum(pdf, _DENSITY_FLOOR))
-        self._release_reads("cdf")
-        return out
-
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        out = np.zeros(self.data.shape)
-        for j, pos, pts, _, cdf, _, on in self._reads:
-            cdf = _exact_elsewhere(self.models[j], pts, cdf, on, cdf=True)
-            out[pos, j] = np.clip(cdf, 0.0, 1.0)
-        self._release_reads("logpdf")
-        return out
-
-    def _release_reads(self, other: str) -> None:
-        # Once both terms are filled the grid reads serve nothing more.
-        if other in self.__dict__:
-            self.__dict__.pop("_reads", None)
 
     def check_columns(self, models) -> None:
         """Raise unless these terms were evaluated with exactly ``models``."""

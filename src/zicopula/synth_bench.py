@@ -15,7 +15,8 @@ from scipy.stats import rankdata
 from .baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from .errors import DataError
 from .marginals import PositiveTerms, fit_positive_terms
-from .mask_model import RbmMask, compute_log_z, enumerate_states, mask_logprob_rows
+from .mask_model import (EXACT_FIT_MAX_DIM, RbmMask, compute_log_z, enumerate_states,
+                         mask_logprob_rows)
 from .rgd_copula import DEFAULT_MC_SAMPLES
 from .stat_core import std_normal_quantile, sub_seed
 from .zibt_model import fit_zibt_copula, zibt_loglik_terms
@@ -430,6 +431,10 @@ def run_benchmark(
     unknown = [t for t in tags if t not in ALL_TAGS]
     if unknown:
         raise ValueError(f"unknown variant tag {unknown[0]!r}; known: {', '.join(ALL_TAGS)}")
+    rbm = [t for t in tags if t in ("zicar-full", "zicar-no-mle")]
+    if rbm and dim > EXACT_FIT_MAX_DIM:
+        raise DataError(f"{', '.join(rbm)}: the RBM mask fit takes at most {EXACT_FIT_MAX_DIM} "
+                        f"columns, got {dim}; leave these out of --variants")
 
     args = [
         (kind, dim, s, spec.n_train, spec.n_test, tags, mc_samples) for s in chosen

@@ -903,6 +903,17 @@ def test_bench_jobs_two_writes_the_serial_bytes(tmp_path):
         assert repr(float(auc)) == auc and 0.0 <= float(auc) <= 1.0
         assert (err == "nan") == (tag == "kde")
 
+
+def test_bench_refuses_rbm_masks_past_twelve_columns(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--kind", "zibt", "--dim", "13", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ERR:DATA zicar-full: the RBM mask fit takes at most 12 columns, got 13; "
+        "leave these out of --variants"
+    ]
+    assert not out.exists()
+
+
 def test_bench_rejects_unknown_variant(tmp_path, capsys):
     for tag in ("mystery", "zibt-no-rescale"):
         rc = main(["bench", "--kind", "zibt", "--dim", "2",

@@ -336,13 +336,13 @@ def _assert_grid_matches_reference(m) -> None:
 
 
 @st.composite
-def _columns_and_points(draw):
+def _columns_and_points(draw, sizes=(5, 40, 63, 64, 300, 2000)):
     """A column and points that together reach every path of a read: the
     grid, density below the floor, F in either tail, points beyond the
     last node (columns spanning over GRID_MAX_NODES nodes) and columns
     under GRID_MIN_CENTERS centers."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    n = draw(st.sampled_from([5, 40, 63, 64, 300, 2000]))
+    n = draw(st.sampled_from(sizes))
     spread = draw(st.sampled_from([0.3, 1.5, 4.0]))  # 4.0 spans over 1,024 bandwidths
     col = rng.lognormal(draw(st.floats(min_value=-5.0, max_value=8.0)), spread, n)
     m = mg.fit_marginal(col)
@@ -409,28 +409,31 @@ def test_one_read_cases_reach_every_path() -> None:
     }
 
 
-def test_credit_workload_grids_match_reference(tmp_path) -> None:
-    # The benchmark's credit workload: seed 5, CREDIT_ROWS raw rows.
+def _credit_workload(tmp_path) -> tuple[np.ndarray, np.ndarray]:
+    """The benchmark's credit workload (seed 5, CREDIT_ROWS raw rows): its
+    training and test matrices."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from workloads import CREDIT_ROWS, credit_raw, write_raw
     finally:
         sys.path.pop(0)
-    raw, train = tmp_path / "raw.csv", tmp_path / "train.csv"
+    raw, train, test = tmp_path / "raw.csv", tmp_path / "train.csv", tmp_path / "test.csv"
     write_raw(raw, credit_raw(5, CREDIT_ROWS))
     assert cli.main(["ingest-credit", "--raw", str(raw), "--out-train", str(train),
-                     "--out-test", str(tmp_path / "test.csv"), "--seed", "5"]) == 0
-    data = np.loadtxt(train, delimiter=",", skiprows=1)
-    models = mg.fit_columns(data)
+                     "--out-test", str(test), "--seed", "5"]) == 0
+    return tuple(np.loadtxt(path, delimiter=",", skiprows=1) for path in (train, test))
+
+
+def test_credit_workload_grids_match_reference(tmp_path) -> None:
+    models = mg.fit_columns(_credit_workload(tmp_path)[0])
     assert len(models) == 12
     for m in models:
         _assert_grid_matches_reference(m)
 
 
-def test_each_term_fills_only_its_own_exact_sums(monkeypatch) -> None:
-    # PositiveTerms reads each column once; each term fills its own exact
-    # sums on first use. So F alone, all a copula fit reads, sums no
-    # density, and either order of use gives the same bits.
+def test_construction_reads_each_column_once_and_fills_both_terms(monkeypatch) -> None:
+    # PositiveTerms reads each column with a positive entry off its grid
+    # once and fills both terms there, each with its own exact sums.
     rng = np.random.default_rng(5)
     models, cols = [], []
     for n, spread in ((40, 1.0), (2000, 4.0)):  # summed exactly; on a grid
@@ -438,31 +441,51 @@ def test_each_term_fills_only_its_own_exact_sums(monkeypatch) -> None:
         c, h = m.kde_centers, m.bandwidth
         models.append(m)
         cols.append(np.concatenate([c[:: n // 20][:20], c.max() + h * np.array([8.0, 12.0])]))
-    x = np.column_stack(cols)
+    models.append(models[0])  # a column of zeros, which is never read
+    x = np.column_stack([*cols, np.zeros(22)])
     reads, exact = [], set()
     grid_sums, exact_sums = mg._grid_sums, mg._exact_sums
     monkeypatch.setattr(mg, "_grid_sums", lambda *a: reads.append(1) or grid_sums(*a))
     monkeypatch.setattr(mg, "_exact_sums", lambda m, pts, cdf: exact.add(cdf)
                         or exact_sums(m, pts, cdf))
     terms = mg.PositiveTerms(models, x)
-    cdf = terms.cdf
-    assert len(reads) == 2 and exact == {True}
-    logpdf = terms.logpdf
     assert len(reads) == 2 and exact == {True, False}
+    monkeypatch.undo()
     other = mg.PositiveTerms(models, x)
-    assert other.logpdf.tobytes() == logpdf.tobytes() and other.cdf.tobytes() == cdf.tobytes()
+    assert other.logpdf.tobytes() == terms.logpdf.tobytes()
+    assert other.cdf.tobytes() == terms.cdf.tobytes()
 
 
-@pytest.mark.parametrize("first, second", [("logpdf", "cdf"), ("cdf", "logpdf")])
-def test_grid_reads_are_dropped_once_both_terms_are_filled(first, second) -> None:
-    rng = np.random.default_rng(8)
-    models = [mg.fit_marginal(rng.lognormal(0.0, s, 300)) for s in (0.5, 2.0)]
-    x = np.column_stack([rng.lognormal(0.0, 1.0, 50), np.where(np.arange(50) % 3, 1.5, 0.0)])
-    terms = mg.PositiveTerms(models, x)
-    getattr(terms, first)
-    assert "_reads" in terms.__dict__
-    getattr(terms, second)
-    assert "_reads" not in terms.__dict__
-    fresh = mg.PositiveTerms(models, x)
-    assert terms.logpdf.tobytes() == fresh.logpdf.tobytes()
-    assert terms.cdf.tobytes() == fresh.cdf.tobytes()
+def _assert_rows_alone(models, x, rows) -> None:
+    """The terms at a subset of rows are those of the whole matrix there,
+    bit for bit."""
+    whole, part = mg.PositiveTerms(models, x), mg.PositiveTerms(models, x[rows])
+    for name in ("positive", "logpdf", "cdf"):
+        assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes()
+
+
+@st.composite
+def _columns_and_rows(draw):
+    """Two drawn columns and one under GRID_MIN_CENTERS centers, a matrix
+    of their points with zeros among them, and rows of it in any order."""
+    cases = [draw(_columns_and_points()), draw(_columns_and_points()),
+             draw(_columns_and_points(sizes=(5, 40, 63)))]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = np.column_stack([rng.choice(pts, 60) * (rng.random(60) > 0.2) for _, pts in cases])
+    rows = rng.integers(0, 60, draw(st.integers(min_value=1, max_value=60)))
+    return [m for m, _ in cases], x, rows
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_columns_and_rows())
+def test_terms_at_a_row_subset_equal_the_whole_matrix_there(case) -> None:
+    _assert_rows_alone(*case)
+
+
+def test_credit_terms_at_a_row_subset_equal_the_whole_matrix_there(tmp_path) -> None:
+    train, test = _credit_workload(tmp_path)
+    models = mg.fit_columns(train)
+    # The test rows, shuffled: they reach both exact sums and beyond the last node.
+    x = np.vstack([train, test])
+    rows = train.shape[0] + np.random.default_rng(7).permutation(test.shape[0])
+    _assert_rows_alone(models, x, rows)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zicopula import synth_bench
 from zicopula.baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from zicopula.errors import DataError
 from zicopula.mask_model import RbmMask
@@ -225,6 +226,29 @@ def test_run_benchmark_rejects_unknowns():
         run_benchmark("zibt", 2, preset="huge")
     with pytest.raises(ValueError, match="tag"):
         run_benchmark("zibt", 2, variants=("zibt-fancy",), seeds=(0,))
+
+
+def test_run_benchmark_refuses_rbm_masks_past_their_width_before_drawing(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def stand_in(*args):
+        raise Reached
+
+    monkeypatch.setattr(synth_bench, "make_ground_truth", stand_in)
+    for kind in ("zibt", "zicar"):
+        with pytest.raises(DataError) as refused:
+            run_benchmark(kind, 13, seeds=(0,))
+        message = str(refused.value)
+        assert "zicar-full" in message and "--variants" in message and "--mask" not in message
+        assert ("zicar-no-mle" in message) == (kind == "zicar")
+    with pytest.raises(DataError, match="^zicar-no-mle: "):
+        run_benchmark("zicar", 13, variants=("gmm", "zicar-no-mle"), seeds=(0,))
+    # Without an RBM mask, or at twelve columns, the run goes on to draw data.
+    with pytest.raises(Reached):
+        run_benchmark("zicar", 13, variants=("zicar-no-rbm", "zibt-full"), seeds=(0,))
+    with pytest.raises(Reached):
+        run_benchmark("zicar", 12, seeds=(0,))
 
 
 def test_run_benchmark_rows_and_determinism():
