@@ -16,7 +16,10 @@ a win follows the metric's ``better`` and a tie counts for neither side.
 ``OVER BOUND`` marks a change median worse than the parent's by more than
 the metric's ``bound``, read as a share of the parent's median. Every run
 with ``correct: false`` or a failed operation is listed after the table.
-Nothing here writes to either checkout beyond what perfbench itself does.
+``--json PATH`` also writes one JSON object to PATH: the arguments, every
+run in run order (its pair, seed, side and perfbench result line) and the
+table's rows. Nothing here writes to either checkout beyond what perfbench
+itself does.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ def format_table(rows: list) -> str:
     return "\n".join(lines)
 
 
+def _label(run: dict) -> str:
+    return f"pair {run['pair']} seed {run['seed']} {run['side']}"
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -118,6 +125,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seeds", required=True, help="comma-separated perfbench seeds")
+    p.add_argument("--json", help="also write the arguments, every run and the summary here")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
@@ -130,20 +138,24 @@ def main(argv=None) -> int:
         result = {}
         for side in order:
             result[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            label = f"pair {i + 1} seed {seed} {side}"
-            runs.append((label, result[side]))
+            runs.append({"pair": i + 1, "seed": seed, "side": side, "result": result[side]})
             shown = {k: round(v["value"], 6) for k, v in result[side]["metrics"].items()}
-            print(f"{label}: {json.dumps(shown)}", file=sys.stderr, flush=True)
+            print(f"{_label(runs[-1])}: {json.dumps(shown)}", file=sys.stderr, flush=True)
         pairs.append((result["parent"], result["change"]))
 
+    rows = summarize(end_to_end, pairs)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, --seconds {args.seconds:g}")
-    print(format_table(summarize(end_to_end, pairs)))
-    bad = failures(runs)
+    print(format_table(rows))
+    bad = failures([(_label(run), run["result"]) for run in runs])
     for label, r in bad:
         print(f"{label}: correct {r.get('correct')}, failed {r.get('failed')} "
               f"of {r.get('attempted')} {r.get('error', '')}".rstrip())
     if not bad:
         print("every run correct, no failed operation")
+    if args.json is not None:
+        with open(args.json, "w") as fh:
+            json.dump({"args": vars(args), "runs": runs, "summary": rows}, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

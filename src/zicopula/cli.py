@@ -470,6 +470,8 @@ def cmd_bench(args) -> None:
     variants = None
     if args.variants is not None:
         variants = tuple(t.strip() for t in args.variants.split(",") if t.strip())
+        if not variants:
+            raise _UsageError("--variants must name at least one model tag")
     seeds = None
     if args.seeds is not None:
         try:
@@ -478,6 +480,12 @@ def cmd_bench(args) -> None:
             raise _UsageError("--seeds must be comma-separated integers")
         if not seeds:
             raise _UsageError("--seeds must name at least one seed")
+        if min(seeds) < 0:
+            raise _UsageError(f"--seeds must be nonnegative integers, got {min(seeds)}")
+    for option, items in (("variants", variants), ("seeds", seeds)):
+        repeated = [t for i, t in enumerate(items or ()) if t in items[:i]]
+        if repeated:
+            raise _UsageError(f"{_flag(option)} names {repeated[0]} more than once")
 
     rows = run_benchmark(
         args.kind,
@@ -660,6 +668,12 @@ def _resolve(args) -> None:
             args.seed = 0 if env is None else int(env)
         except ValueError:
             raise DataError(f"{ENV_SEED} must be an integer, got {env!r}")
+        if args.seed < 0:
+            raise DataError(f"{ENV_SEED} must be a nonnegative integer, got {env!r}")
+    for option in ("seed", "sample_seed"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            raise _UsageError(f"{_flag(option)} must be a nonnegative integer, got {value}")
 
 
 @functools.cache

@@ -438,3 +438,36 @@ def fit_positive_terms(data, bandwidth_scale: float = 1.0) -> PositiveTerms:
     if arr.shape[0] < MIN_FIT_ROWS:
         raise DataError(f"need at least {MIN_FIT_ROWS} rows, got {arr.shape[0]}")
     return PositiveTerms(fit_columns(arr, bandwidth_scale=bandwidth_scale), arr)
+
+
+@dataclass(frozen=True)
+class CopulaModel:
+    """Fitted columns and the copula correlation over them: the record both
+    copula models extend."""
+
+    marginals: tuple[MarginalModel, ...]
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        marginals = tuple(self.marginals)
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.shape != (len(marginals), len(marginals)):
+            raise ValueError("sigma dimension must match the marginals")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must be finite")
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def dim(self) -> int:
+        return len(self.marginals)
+
+    @property
+    def rescales(self) -> np.ndarray:
+        """Each column's rescale divisor, as its marginal stores it."""
+        return np.array([m.rescale_b for m in self.marginals])
+
+    def terms(self, data) -> PositiveTerms:
+        """The model's columns evaluated at the rows of a data matrix of its
+        width."""
+        return PositiveTerms(self.marginals, as_data_matrix(data, dim=self.dim))

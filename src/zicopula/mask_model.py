@@ -34,12 +34,6 @@ _EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
 _ENUM_CHUNK_BITS = 16
 
 
-def binarize(data: np.ndarray) -> np.ndarray:
-    """Map a nonnegative data matrix to its positivity indicator."""
-    arr = np.asarray(data, dtype=float)
-    return (arr > 0).astype(float)
-
-
 def _validate_binary(masks: np.ndarray, context: str) -> np.ndarray:
     arr = np.asarray(masks, dtype=float)
     if arr.ndim != 2:
@@ -100,16 +94,12 @@ class RbmMask:
         object.__setattr__(self, "log_z", float(self.log_z))
 
     @property
-    def n_visible(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_hidden(self) -> int:
         return self.weights.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.n_visible
+        return self.weights.shape[0]
 
 
 def _bit_places(dim: int) -> np.ndarray:
@@ -201,26 +191,6 @@ def _exact_objective(params: np.ndarray, states: np.ndarray, freq: np.ndarray,
     return float(value), grad
 
 
-def _fit_rbm_exact(arr: np.ndarray, weights: np.ndarray) -> tuple:
-    """Exact MAP fit on the mask rows' pattern frequencies, from ``weights``
-    and zero biases."""
-    n, d = arr.shape
-    n_hidden = weights.shape[1]
-    codes = (arr @ _bit_places(d)).astype(np.int64)
-    freq = np.bincount(codes, minlength=1 << d) / n
-    start = np.concatenate([weights.ravel(), np.zeros(d + n_hidden)])
-    result = minimize(
-        _exact_objective, start, args=(enumerate_states(d), freq, n_hidden, 1.0 / n),
-        method="L-BFGS-B", jac=True, options=_EXACT_FIT_OPTIONS,
-    )
-    logger.debug("exact RBM fit: %d iterations, %s, objective %.9f",
-                 result.nit, result.message, result.fun)
-    if not result.success:
-        logger.warning("exact RBM fit did not converge after %d iterations: %s",
-                       result.nit, result.message)
-    return _unpack(result.x, d, n_hidden)
-
-
 def fit_rbm(
     masks: np.ndarray,
     n_hidden: int,
@@ -239,16 +209,27 @@ def fit_rbm(
     ``EXACT_FIT_MAX_DIM`` columns raise DataError.
     """
     arr = _validate_binary(masks, "fit_rbm")
-    d = arr.shape[1]
+    n, d = arr.shape
     if d > EXACT_FIT_MAX_DIM:
         raise DataError(f"the RBM mask fit takes at most {EXACT_FIT_MAX_DIM} columns, "
                         f"got {d}; use --mask bernoulli")
     if n_hidden < 1:
         raise ValueError("n_hidden must be positive")
 
+    codes = (arr @ _bit_places(d)).astype(np.int64)
+    freq = np.bincount(codes, minlength=1 << d) / n
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights = rng.normal(0.0, 0.01, size=(d, n_hidden))
-    weights, visible_bias, hidden_bias = _fit_rbm_exact(arr, weights)
+    start = np.concatenate([rng.normal(0.0, 0.01, size=d * n_hidden), np.zeros(d + n_hidden)])
+    result = minimize(
+        _exact_objective, start, args=(enumerate_states(d), freq, n_hidden, 1.0 / n),
+        method="L-BFGS-B", jac=True, options=_EXACT_FIT_OPTIONS,
+    )
+    logger.debug("exact RBM fit: %d iterations, %s, objective %.9f",
+                 result.nit, result.message, result.fun)
+    if not result.success:
+        logger.warning("exact RBM fit did not converge after %d iterations: %s",
+                       result.nit, result.message)
+    weights, visible_bias, hidden_bias = _unpack(result.x, d, n_hidden)
     log_z = compute_log_z(weights, visible_bias, hidden_bias)
     return RbmMask(weights=weights, visible_bias=visible_bias,
                    hidden_bias=hidden_bias, log_z=log_z)
@@ -257,19 +238,17 @@ def fit_rbm(
 def mask_logprob_rows(model: BernoulliMask | RbmMask, masks: np.ndarray) -> np.ndarray:
     """Floored log mask probabilities for each binary row."""
     arr = _validate_binary(masks, "mask_logprob_rows")
+    if not isinstance(model, (BernoulliMask, RbmMask)):
+        raise TypeError("model must be a BernoulliMask or RbmMask")
+    if arr.shape[1] != model.dim:
+        raise ValueError("mask width does not match the model dimension")
     if isinstance(model, BernoulliMask):
-        if arr.shape[1] != model.dim:
-            raise ValueError("mask width does not match the model dimension")
         with np.errstate(divide="ignore"):
             log_zero = np.log(model.q)
         log_pos = np.log1p(-model.q)
         terms = np.where(arr > 0, log_pos[None, :], log_zero[None, :])
         logp = terms.sum(axis=1)
-    elif isinstance(model, RbmMask):
-        if arr.shape[1] != model.n_visible:
-            raise ValueError("mask width does not match the model dimension")
+    else:
         logp = -free_energy(model.weights, model.visible_bias,
                             model.hidden_bias, arr) - model.log_z
-    else:
-        raise TypeError("model must be a BernoulliMask or RbmMask")
     return np.maximum(logp, LOG_PROB_FLOOR)

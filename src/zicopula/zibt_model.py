@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import (
-    MarginalModel,
+    CopulaModel,
     PositiveTerms,
-    as_data_matrix,
     fit_positive_terms,
     normal_scores,
 )
@@ -39,29 +38,16 @@ _PATCHED_THRESHOLD = float(std_normal_quantile(PROB_FLOOR))
 
 
 @dataclass(frozen=True)
-class ZibtModel:
+class ZibtModel(CopulaModel):
     """Fitted marginals plus the rectified-copula correlation; each column's
     threshold is its marginal's Phi^-1(q)."""
 
-    marginals: tuple[MarginalModel, ...]
-    sigma: np.ndarray
     likelihood_mode: str = "approx"
 
     def __post_init__(self) -> None:
-        marginals = tuple(self.marginals)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (len(marginals), len(marginals)):
-            raise ValueError("sigma dimension must match the marginals")
-        if not np.isfinite(sigma).all():
-            raise ValueError("sigma must be finite")
+        super().__post_init__()
         if self.likelihood_mode not in ("exact", "approx"):
             raise ValueError("likelihood_mode must be 'exact' or 'approx'")
-        object.__setattr__(self, "marginals", marginals)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def dim(self) -> int:
-        return len(self.marginals)
 
     @functools.cached_property
     def copula(self) -> RgdParams:
@@ -69,11 +55,6 @@ class ZibtModel:
         a = np.array([m.a for m in self.marginals])
         a.flags.writeable = False  # cached: every command a loaded model serves shares it
         return RgdParams(self.sigma, a)
-
-    @property
-    def rescales(self) -> np.ndarray:
-        """Each column's rescale divisor, as its marginal stores it."""
-        return np.array([m.rescale_b for m in self.marginals])
 
 
 def fit_zibt(
@@ -107,9 +88,7 @@ def zibt_loglik_rows(
     base_seed: int = 0,
 ) -> np.ndarray:
     """Log-likelihood of each row under the fitted rectified-copula law."""
-    arr = as_data_matrix(data, dim=model.dim)
-    terms = PositiveTerms(model.marginals, arr)
-    return zibt_loglik_terms(model, terms, mc_samples, base_seed)
+    return zibt_loglik_terms(model, model.terms(data), mc_samples, base_seed)
 
 
 def zibt_loglik_terms(

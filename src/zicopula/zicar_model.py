@@ -15,16 +15,14 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .marginals import (
-    MarginalModel,
+    CopulaModel,
     PositiveTerms,
-    as_data_matrix,
     fit_positive_terms,
     normal_scores,
 )
 from .mask_model import (
     BernoulliMask,
     RbmMask,
-    binarize,
     fit_bernoulli,
     fit_rbm,
     mask_logprob_rows,
@@ -36,35 +34,15 @@ MIN_JOINT_POSITIVE = 10
 
 
 @dataclass(frozen=True)
-class ZicarModel:
-    """Fitted parent marginals, mask distribution, copula correlation."""
+class ZicarModel(CopulaModel):
+    """Fitted parent marginals, copula correlation, mask distribution."""
 
-    marginals: tuple[MarginalModel, ...]
     mask: BernoulliMask | RbmMask
-    sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        marginals = tuple(self.marginals)
-        sigma = np.asarray(self.sigma, dtype=float)
-        d = len(marginals)
-        if sigma.shape != (d, d):
-            raise ValueError("sigma dimension must match the marginals")
-        if not np.isfinite(sigma).all():
-            raise ValueError("sigma must be finite")
-        mask_dim = self.mask.dim
-        if mask_dim != d:
+        super().__post_init__()
+        if self.mask.dim != self.dim:
             raise ValueError("mask dimension must match the marginals")
-        object.__setattr__(self, "marginals", marginals)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def dim(self) -> int:
-        return len(self.marginals)
-
-    @property
-    def rescales(self) -> np.ndarray:
-        """Each column's rescale divisor, as its marginal stores it."""
-        return np.array([m.rescale_b for m in self.marginals])
 
 
 def _sigma_from_joint_positives(train: PositiveTerms) -> np.ndarray:
@@ -132,7 +110,7 @@ def fit_zicar_copula(
     seed: int = 0,
 ) -> ZicarModel:
     """Copula stage of fit_zicar: mask law and correlation on fitted columns."""
-    masks = binarize(train.data)
+    masks = train.positive  # the zeros the columns' q and the scorer read
     d = masks.shape[1]
     if mask_kind == "bernoulli":
         mask = fit_bernoulli(masks)
@@ -151,8 +129,7 @@ def fit_zicar_copula(
 
 def zicar_loglik_rows(model: ZicarModel, data) -> np.ndarray:
     """Log-likelihood of each row: mask + positive marginals + copula."""
-    arr = as_data_matrix(data, dim=model.dim)
-    return zicar_loglik_terms(model, PositiveTerms(model.marginals, arr))
+    return zicar_loglik_terms(model, model.terms(data))
 
 
 def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
@@ -160,7 +137,7 @@ def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
     the rows to score."""
     terms.check_columns(model.marginals)
     positive = terms.positive
-    total = mask_logprob_rows(model.mask, positive.astype(float))
+    total = mask_logprob_rows(model.mask, positive)
 
     # log b is the change-of-variables term: the marginal was fit on x / b,
     # so its density in original units is g(x / b) / b.

@@ -48,3 +48,37 @@ def test_summary_counts_wins_and_ties_and_flags_the_bound():
     assert [label for label, _ in bench_pairs.failures(runs)] == ["run 3"]
     table = bench_pairs.format_table(rows.values()).splitlines()
     assert len(table) == 4 and "OVER BOUND" in table[3] and "gap>IQR" in table[1]
+
+
+def test_json_flag_writes_arguments_runs_and_summary(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        unit_s = 0.02 if checkout == "parent" else 0.01 + 0.001 * len(calls)
+        return bench_pairs.parse_result(_line(unit_s, 0.9, 100.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    argv = ["--parent", "parent", "--change", str(change), "--workload", "desk",
+            "--pairs", "3", "--seconds", "1", "--seeds", "4,9"]
+    assert bench_pairs.main(argv) == 0
+    table = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["change"]
+
+    calls.clear()
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([*argv, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == table
+    written = json.loads(out.read_text())
+    assert written["args"] == {"parent": "parent", "change": str(change), "workload": "desk",
+                               "pairs": 3, "seconds": 1.0, "seeds": "4,9", "json": str(out)}
+    assert [(r["pair"], r["seed"], r["side"]) for r in written["runs"]] == [
+        (1, 4, "parent"), (1, 4, "change"), (2, 9, "change"), (2, 9, "parent"),
+        (3, 4, "parent"), (3, 4, "change")]
+    assert [r["result"]["metrics"]["unit_s"]["value"] for r in written["runs"]] == pytest.approx(
+        [0.02, 0.012, 0.013, 0.02, 0.02, 0.016])
+    assert [row["metric"] for row in written["summary"]] == ["unit_s", "auc", "peak_rss_mb"]
+    assert written["summary"][0]["wins"] == 3

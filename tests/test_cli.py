@@ -449,11 +449,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["bench", "--kind", "zibt", "--dim", "5", "--mc-samples", n,
                      "--out", str(results)]) == 1
         assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
-    for seeds, message in (("a,b", "--seeds must be comma-separated integers"),
-                           (",", "--seeds must name at least one seed")):
-        assert main(["bench", "--kind", "zibt", "--dim", "2", "--seeds", seeds,
+    # Bad --seeds and --variants lists are refused before any data is drawn.
+    for flags, message in (
+        (["--seeds", "a,b"], "--seeds must be comma-separated integers"),
+        (["--seeds", ","], "--seeds must name at least one seed"),
+        (["--seeds", "0,-1"], "--seeds must be nonnegative integers, got -1"),
+        (["--seeds", "0,0"], "--seeds names 0 more than once"),
+        (["--variants", "kde,kde"], "--variants names kde more than once"),
+        (["--variants", ","], "--variants must name at least one model tag"),
+    ):
+        assert main(["bench", "--kind", "zibt", "--dim", "2", *flags,
                      "--out", str(results)]) == 1
-        assert f"ERR:USAGE {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"ERR:USAGE {message}\n"
     assert not scores.exists() and not results.exists()
 
     # A mixture needs at least one component, from the flag or a config file.
@@ -855,6 +862,43 @@ def test_env_seed_used_as_default(tmp_path, monkeypatch):
     monkeypatch.setenv("ZICOPULA_SEED", "not-a-number")
     assert main(["synth", "--kind", "zibt", "--dim", "2", "--rows", "80",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_negative_seeds_are_refused_naming_their_source(tmp_path, monkeypatch, capsys):
+    # Each source of a seed: a flag, a config value and $ZICOPULA_SEED, and
+    # synth's --sample-seed; kinds that never hand the seed to numpy included.
+    monkeypatch.delenv("ZICOPULA_SEED", raising=False)
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_path), "--model", "kde",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -4}))
+    out = tmp_path / "out"
+    synth = ["synth", "--kind", "zibt", "--dim", "2", "--rows", "80", "--out", str(out)]
+    fit = ["fit", "--data", str(data_path), "--out", str(out)]
+    cases = [
+        ([*fit, "--model", "gmm", "--k", "2", "--seed", "-1"], None, 1,
+         "ERR:USAGE --seed must be a nonnegative integer, got -1"),
+        ([*fit, "--model", "zibt", "--seed", "-1"], None, 1,
+         "ERR:USAGE --seed must be a nonnegative integer, got -1"),
+        ([*fit, "--model", "kde", "--config", str(config)], None, 1,
+         "ERR:USAGE --seed must be a nonnegative integer, got -4"),
+        (["score", "--model", str(model_path), "--data", str(data_path), "--out", str(out),
+          "--seed", "-5"], None, 1, "ERR:USAGE --seed must be a nonnegative integer, got -5"),
+        ([*synth, "--sample-seed", "-2"], None, 1,
+         "ERR:USAGE --sample-seed must be a nonnegative integer, got -2"),
+        (synth, "-3", 2, "ERR:DATA ZICOPULA_SEED must be a nonnegative integer, got '-3'"),
+    ]
+    for argv, env, code, line in cases:
+        if env is not None:
+            monkeypatch.setenv("ZICOPULA_SEED", env)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and captured.out == ""
+        assert not out.exists()
 
 
 def test_synth_writes_sigma(tmp_path):

@@ -489,3 +489,21 @@ def test_credit_terms_at_a_row_subset_equal_the_whole_matrix_there(tmp_path) -> 
     x = np.vstack([train, test])
     rows = train.shape[0] + np.random.default_rng(7).permutation(test.shape[0])
     _assert_rows_alone(models, x, rows)
+
+
+@pytest.mark.parametrize("kind", ["zibt", "zicar"])
+def test_copula_model_terms_are_its_columns_at_the_rows(kind) -> None:
+    from zicopula.zibt_model import fit_zibt
+    from zicopula.zicar_model import fit_zicar
+
+    rng = np.random.Generator(np.random.PCG64(3))
+    x = rng.lognormal(size=(200, 3))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    model = (fit_zibt if kind == "zibt" else fit_zicar)(x)
+    rows = x[::7]
+    got, want = model.terms(rows), mg.PositiveTerms(model.marginals, rows)
+    got.check_columns(model.marginals)
+    for name in ("data", "rescales", "positive", "logpdf", "cdf"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    with pytest.raises(DataError, match="expected 3 columns, got 2"):
+        model.terms(rows[:, :2])

@@ -13,7 +13,6 @@ from zicopula.mask_model import (
     EXACT_FIT_MAX_DIM,
     BernoulliMask,
     RbmMask,
-    binarize,
     compute_log_z,
     enumerate_states,
     fit_bernoulli,
@@ -24,21 +23,6 @@ from zicopula.stat_core import LOG_PROB_FLOOR, sub_seed
 from zicopula.synth_bench import make_ground_truth, sample_dataset
 
 LOG_FLOOR = np.log(1e-15)
-
-
-def test_binarize_mixed_matrix():
-    out = binarize(np.array([[0.0, 2.5], [1.0, 0.0]]))
-    assert np.array_equal(out, np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_binarize_all_zero_row():
-    out = binarize(np.zeros((1, 4)))
-    assert np.array_equal(out, np.zeros((1, 4)))
-
-
-def test_binarize_strictly_positive():
-    out = binarize(np.full((3, 2), 0.7))
-    assert np.array_equal(out, np.ones((3, 2)))
 
 
 def test_fit_bernoulli_half_zero_column():
@@ -285,8 +269,8 @@ def test_exact_fit_beats_cd_on_held_out_masks(kind, d):
     # On the zicar truths the fit sits 0.004 and 0.023 nats/row below it,
     # an overfit at gtol 1e-5, so no margin is asserted there.
     truth = make_ground_truth(kind, d, 0)
-    train = binarize(sample_dataset(truth, 2_000, sub_seed(0, 1)))
-    held_out = binarize(sample_dataset(truth, 1_000, sub_seed(0, 2)))
+    train = sample_dataset(truth, 2_000, sub_seed(0, 1)) > 0
+    held_out = sample_dataset(truth, 1_000, sub_seed(0, 2)) > 0
     exact_rows = mask_logprob_rows(fit_rbm(train, n_hidden=2 * d, seed=sub_seed(0, 4)), held_out)
     assert (exact_rows > LOG_PROB_FLOOR).all()
     if kind == "zibt":

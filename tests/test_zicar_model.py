@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zicopula.errors import DataError
-from zicopula.marginals import positive_logpdf
-from zicopula.mask_model import enumerate_states, mask_logprob_rows
+from zicopula.marginals import PositiveTerms, positive_logpdf
+from zicopula.mask_model import enumerate_states, fit_rbm, mask_logprob_rows
 from zicopula.zicar_model import fit_zicar, zicar_loglik_rows
 
 
@@ -243,3 +243,23 @@ def test_model_validation_rejects_shape_mismatch():
     model = fit_zicar(x)
     with pytest.raises(ValueError):
         dataclasses.replace(model, sigma=np.eye(3))
+
+
+def test_mask_fit_reads_the_zeros_the_columns_read():
+    # Entry [0, 0] is positive but underflows to 0 once divided by its
+    # column's rescale divisor (about 1.7e6): the column's zero rate and the
+    # scorer read it as a zero, so the mask must be fit on it as one too.
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.lognormal(13.0, 1.0, size=(400, 2))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[0, 0] = 1e-320
+    model = fit_zicar(x, "bernoulli")
+    positive = PositiveTerms(model.marginals, x).positive
+    assert not positive[0, 0]
+    np.testing.assert_allclose(model.mask.q, [m.q for m in model.marginals], rtol=0, atol=1e-12)
+    for seed in (0, 7):
+        got = fit_zicar(x, "rbm", seed=seed).mask
+        want = fit_rbm(positive, 2 * x.shape[1], seed=seed)
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.log_z == want.log_z
