@@ -17,6 +17,11 @@ ingest's training rows, followed by ``score`` of its test rows, which reach
 the exact kernel sums off the grid; and ``bench --preset desk --seeds 0`` for
 both families. They take about 4 s on a 2-core x86-64 host.
 
+``kde_tuned.json`` is also scored on the first TRAILING_ROWS (263) test rows:
+with its 2,000 centers, ``stat_core.blocks`` at a budget of 2^18 elements
+cuts that many rows into blocks of 131 and leaves one row over, which must
+join the last block, so the scores match those of one block.
+
 ``zibt_exact.json`` is scored twice more, each time to its own file: right
 after its first score, when ``load_model`` hands back the model it parsed
 then, and after the bernoulli zicar score, when the file is parsed again.
@@ -74,6 +79,21 @@ REPEATS = (
     ("zibt_exact.json", "scores_zibt_exact.again.csv"),
     ("zicar_bernoulli.json", "scores_zibt_exact.after_other.csv"),
 )
+
+
+# Rows of kde_tuned.json's second score: one more than a multiple of
+# 2^18 // 2,000 = 131 (see the module docstring). The last of these rows
+# sums to other bits in a block of its own.
+TRAILING_ROWS = 2 * (2**18 // int(TRAIN_ROWS)) + 1
+
+
+def _write_head(source: str, out: str, rows: int) -> int:
+    """Copy the header and the first ``rows`` rows of a data file."""
+    with open(source) as fh:
+        lines = fh.readlines()[: rows + 1]
+    with open(out, "w") as fh:
+        fh.writelines(lines)
+    return 0
 
 
 # Model files also scored from their schema-1 form.
@@ -136,6 +156,8 @@ def commands():
             old = _schema_1_of(model)
             yield functools.partial(_write_schema_1, model), [old]
             yield _score(old, data, _scores_of(old))
+    yield functools.partial(_write_head, "zicar_test.csv", "trailing_test.csv", TRAILING_ROWS), []
+    yield _score("kde_tuned.json", "trailing", "scores_kde_tuned.trailing.csv")
     standin = os.path.join(ROOT, "data", "credit_standin.csv")
     for name, flags in (("credit_full", []), ("credit_small", ["--small"])):
         train, test = f"{name}_train.csv", f"{name}_test.csv"

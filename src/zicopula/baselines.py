@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
-from .stat_core import CHUNK_BUDGET, LOG_2PI, logsumexp_columns
+from .stat_core import LOG_2PI, blocks, logsumexp_columns
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -215,10 +215,14 @@ def kde_loglik_rows(model: KdeModel, data) -> np.ndarray:
         points = x / h
     centers = model.centers / h
     out = np.empty(x.shape[0])
-    step = max(1, CHUNK_BUDGET // max(1, n_centers))
-    for lo in range(0, x.shape[0], step):
-        dist2 = cdist(centers, points[lo:lo + step], "sqeuclidean")
-        out[lo:lo + step] = logsumexp_columns(-0.5 * dist2) - log_norm
+    bounds = list(blocks(x.shape[0], n_centers))
+    # One buffer for every block, each filled and scaled in place.
+    buf = np.empty(n_centers * max((hi - lo for lo, hi in bounds), default=0))
+    for lo, hi in bounds:
+        block = buf[: n_centers * (hi - lo)].reshape(n_centers, hi - lo)
+        cdist(centers, points[lo:hi], "sqeuclidean", out=block)
+        block *= -0.5
+        out[lo:hi] = logsumexp_columns(block) - log_norm
     return out
 
 

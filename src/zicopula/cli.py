@@ -467,6 +467,8 @@ def cmd_synth(args) -> None:
 
 def cmd_bench(args) -> None:
     _check_mc_samples(args)
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
     variants = None
     if args.variants is not None:
         variants = tuple(t.strip() for t in args.variants.split(",") if t.strip())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .stat_core import CHUNK_BUDGET, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .stat_core import blocks, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 # Both copula models refuse to fit fewer training rows than this.
 MIN_FIT_ROWS = 50
@@ -251,17 +251,11 @@ class _KernelGrid:
         return pdf, cdf, on, on & (cdf >= GRID_CDF_TAIL) & (cdf <= 1.0 - GRID_CDF_TAIL)
 
 
-def _chunked(n_points: int, n_centers: int):
-    step = max(1, CHUNK_BUDGET // max(1, n_centers))
-    for start in range(0, n_points, step):
-        yield start, min(n_points, start + step)
-
-
 def _exact_sums(m: MarginalModel, pts: np.ndarray, cdf: bool) -> np.ndarray:
     c = m.kde_centers
     h = m.bandwidth
     out = np.empty(pts.shape, dtype=float)
-    for lo, hi in _chunked(pts.size, c.size):
+    for lo, hi in blocks(pts.size, c.size):
         block = pts[lo:hi, None]
         if cdf:
             # Reflected kernel: mass of one center on (0, x] is

@@ -3,9 +3,9 @@
 Scalar standard-normal helpers, the bivariate normal CDF through Owen's T,
 multivariate normal log-density, Gaussian conditioning, correlation-matrix
 repair, the one orthant log-probability (closed form up to two coordinates,
-a batched quasi-Monte Carlo estimator above), and the seed derivation every
-seeded caller shares. All functions are pure; random state
-is always caller-supplied as a seed.
+a batched quasi-Monte Carlo estimator above), the blocks every chunked
+kernel sum is cut into, and the seed derivation every seeded caller shares.
+All functions are pure; random state is always caller-supplied as a seed.
 """
 
 from __future__ import annotations
@@ -27,13 +27,29 @@ LOG_PROB_FLOOR = math.log(PROB_FLOOR)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Evaluation chunk cap (rows times centers per block) for kernel sums.
-CHUNK_BUDGET = 4_000_000
+# Elements (float64: 2 MiB) in one block of a chunked kernel sum; read
+# only by ``blocks``.
+CHUNK_BUDGET = 1 << 18
 
 
 def sub_seed(seed: int, stream: int) -> int:
     """Independent child seed for one stream (or row) of a seeded computation."""
     return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
+
+
+def blocks(n_items: int, item_size: int):
+    """(lo, hi) bounds of consecutive blocks covering range(n_items), of
+    CHUNK_BUDGET // item_size items each (at least one) but the last. A
+    one-item remainder joins the block before it: numpy sums a one-column
+    block pairwise, not in row order, so it alone could change a bit."""
+    step = max(1, CHUNK_BUDGET // max(1, item_size))
+    lo = 0
+    while lo < n_items:
+        hi = min(n_items, lo + step)
+        if n_items - hi == 1:
+            hi = n_items
+        yield lo, hi
+        lo = hi
 
 
 def clamp_probability(p):
@@ -43,11 +59,13 @@ def clamp_probability(p):
 
 def logsumexp_columns(a: np.ndarray) -> np.ndarray:
     """log of the column sums of exp(a), shifted by each column's maximum;
-    -inf for a column that is all -inf."""
+    -inf for a column that is all -inf. ``a`` is not written to."""
     top = a.max(axis=0)
     shift = np.where(top > -np.inf, top, 0.0)
+    t = a - shift
+    np.exp(t, out=t)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(a - shift).sum(axis=0))
+        return shift + np.log(t.sum(axis=0))
 
 
 def std_normal_pdf(x):
@@ -450,9 +468,8 @@ def _orthant_sample(
     log_u = np.log(np.maximum(tent, np.finfo(float).tiny))
 
     out = np.empty(n)
-    step = max(1, CHUNK_BUDGET // (log_u.shape[0] * d))
-    for lo in range(0, n, step):
-        b, low, mu = bound[lo:lo + step], lower[lo:lo + step], tilt[lo:lo + step, :, None]
+    for lo, hi in blocks(n, log_u.shape[0] * d):
+        b, low, mu = bound[lo:hi], lower[lo:hi], tilt[lo:hi, :, None]
         z = np.empty((d - 1, b.shape[0], log_u.shape[0]))
         # The first factor does not depend on the point.
         log_e = log_ndtr(b[:, :1] - mu[:, 0])
@@ -464,5 +481,5 @@ def _orthant_sample(
             log_e = log_ndtr(b[:, k:k + 1] - mu[:, k] - earlier)
             log_w = log_w + log_e
         top = np.max(log_w, axis=1, keepdims=True)
-        out[lo:lo + step] = top[:, 0] + np.log(np.mean(np.exp(log_w - top), axis=1))
+        out[lo:hi] = top[:, 0] + np.log(np.mean(np.exp(log_w - top), axis=1))
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
-from zicopula import baselines
+from zicopula import baselines, stat_core
 from zicopula.baselines import (
     GMM_REG,
     GmmModel,
@@ -204,8 +206,34 @@ def test_kde_matches_brute_force_sum(monkeypatch):
     want = _kde_brute_force(model, x)
     assert np.isfinite(want).all() and (want[-2:] < -3000).all()
     # Seven rows per chunk: the batch spans many chunks and ends on a short one.
-    monkeypatch.setattr(baselines, "CHUNK_BUDGET", 7 * train.shape[0])
+    monkeypatch.setattr(stat_core, "CHUNK_BUDGET", 7 * train.shape[0])
     np.testing.assert_allclose(kde_loglik_rows(model, x), want, rtol=1e-12, atol=0)
+
+
+def test_kde_block_size_never_changes_a_byte(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(10))
+    model = fit_kde_multi(rng.normal(size=(40, 3)))
+    x = rng.normal(size=(36, 3))
+    whole = kde_loglik_rows(model, x)
+    # Seven rows per block leave a one-row remainder, which joins the last block.
+    monkeypatch.setattr(stat_core, "CHUNK_BUDGET", 7 * 40)
+    assert list(stat_core.blocks(36, 40))[-2:] == [(21, 28), (28, 36)]
+    assert np.array_equal(kde_loglik_rows(model, x), whole)
+
+
+def test_kde_scores_in_a_small_working_set():
+    rng = np.random.Generator(np.random.PCG64(11))
+    model = fit_kde_multi(rng.normal(size=(2000, 5)))
+    x = rng.normal(size=(1000, 5))
+    tracemalloc.start()
+    try:
+        kde_loglik_rows(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two 2 MiB blocks and the O(rows) vectors; one 2,000 x 1,000 block of
+    # float64 temporaries alone is 16 MB.
+    assert peak < 12e6
 
 
 def test_baselines_finite_on_zero_inflated_data():

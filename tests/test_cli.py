@@ -449,7 +449,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main(["bench", "--kind", "zibt", "--dim", "5", "--mc-samples", n,
                      "--out", str(results)]) == 1
         assert "ERR:USAGE --mc-samples must be at least 1" in capsys.readouterr().err
-    # Bad --seeds and --variants lists are refused before any data is drawn.
+    # Bad --seeds and --variants lists and a --jobs count below 1 are refused
+    # before any data is drawn.
     for flags, message in (
         (["--seeds", "a,b"], "--seeds must be comma-separated integers"),
         (["--seeds", ","], "--seeds must name at least one seed"),
@@ -457,6 +458,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["--seeds", "0,0"], "--seeds names 0 more than once"),
         (["--variants", "kde,kde"], "--variants names kde more than once"),
         (["--variants", ","], "--variants must name at least one model tag"),
+        (["--jobs", "0"], "--jobs must be at least 1"),
+        (["--jobs", "-2"], "--jobs must be at least 1"),
     ):
         assert main(["bench", "--kind", "zibt", "--dim", "2", *flags,
                      "--out", str(results)]) == 1

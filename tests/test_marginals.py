@@ -12,6 +12,7 @@ from scipy.special import ndtr
 
 from zicopula import cli
 from zicopula import marginals as mg
+from zicopula import stat_core
 from zicopula.errors import DataError
 from zicopula.stat_core import std_normal_cdf, std_normal_pdf
 
@@ -275,6 +276,19 @@ def test_mixed_grid_and_tail_batch_equals_points_alone() -> None:
         batch = evaluate(m, x)
         alone = np.array([evaluate(m, xi) for xi in x])
         assert np.array_equal(batch, alone)
+
+
+def test_exact_block_size_never_changes_a_byte(monkeypatch) -> None:
+    rng = np.random.default_rng(42)
+    m = mg.fit_marginal(rng.lognormal(0.0, 1.0, size=40))
+    assert m._grid is None  # under GRID_MIN_CENTERS: every point is summed exactly
+    x = rng.lognormal(0.0, 1.2, size=36)
+    whole = [mg.positive_pdf(m, x), mg.positive_cdf(m, x)]
+    # Seven points per block leave a one-point remainder, which joins the last block.
+    monkeypatch.setattr(stat_core, "CHUNK_BUDGET", 7 * 40)
+    assert list(stat_core.blocks(36, 40))[-2:] == [(21, 28), (28, 36)]
+    assert np.array_equal(mg.positive_pdf(m, x), whole[0])
+    assert np.array_equal(mg.positive_cdf(m, x), whole[1])
 
 
 def _reference_grid(m):

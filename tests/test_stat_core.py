@@ -348,6 +348,27 @@ def test_orthant_logprob_row_does_not_depend_on_its_batch() -> None:
     assert not np.array_equal(batch, _orthant(covs, uppers, 512, seed=10))
 
 
+def test_blocks_cover_the_range_without_a_one_item_tail(monkeypatch) -> None:
+    monkeypatch.setattr(sc, "CHUNK_BUDGET", 14)
+    assert list(sc.blocks(0, 2)) == []
+    assert list(sc.blocks(1, 2)) == [(0, 1)]
+    assert list(sc.blocks(14, 2)) == [(0, 7), (7, 14)]
+    assert list(sc.blocks(15, 2)) == [(0, 7), (7, 15)]
+    # An item over the budget is a block of its own, but not the last one.
+    assert list(sc.blocks(3, 20)) == [(0, 1), (1, 3)]
+
+
+def test_orthant_block_size_never_changes_a_byte(monkeypatch) -> None:
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((7, 4, 6))
+    covs, uppers = m @ m.swapaxes(1, 2) / 6.0, rng.normal(-1.5, 1.0, (7, 4))
+    whole = _orthant(covs, uppers, 64, seed=3)
+    # Two rows of 64 points x 4 coordinates per block leave a one-row remainder.
+    monkeypatch.setattr(sc, "CHUNK_BUDGET", 2 * 64 * 4)
+    assert list(sc.blocks(7, 64 * 4)) == [(0, 2), (2, 4), (4, 7)]
+    assert np.array_equal(_orthant(covs, uppers, 64, seed=3), whole)
+
+
 def test_orthant_logprob_validates() -> None:
     cov, upper = np.eye(3)[None], np.zeros((1, 3))
     for q in (1, 2, 3):
