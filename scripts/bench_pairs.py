@@ -14,8 +14,12 @@ runs, the change/parent ratio of the medians, and the pairs the change won;
 a win follows the metric's ``better`` and a tie counts for neither side.
 ``gap>IQR`` marks a median gap wider than the parent's quartile spread;
 ``OVER BOUND`` marks a change median worse than the parent's by more than
-the metric's ``bound``, read as a share of the parent's median. Every run
-with ``correct: false`` or a failed operation is listed after the table.
+the metric's ``bound``, read as a share of the parent's median. A last
+``attempted`` row gives each side's median and quartiles of the result
+line's ``attempted`` operations, without wins or flags: perfbench keeps every
+cycle's outputs, so a faster change runs more cycles and its peak memory
+reads against that count. Every run with ``correct: false`` or a failed
+operation is listed after the table.
 ``--json PATH`` also writes one JSON object to PATH: the arguments, every
 run in run order (its pair, seed, side and perfbench result line) and the
 table's rows. Nothing here writes to either checkout beyond what perfbench
@@ -59,23 +63,33 @@ def summarize(end_to_end: list, pairs: list) -> list:
                 if name in p.get("metrics", {}) and name in c.get("metrics", {})]
         if not both:
             continue
-        parent = _quartiles([p for p, _ in both])
-        change = _quartiles([c for _, c in both])
+        row = _sides(name, both)
+        parent, change = row["parent"], row["change"]
         wins = sum((c < p) if lower else (c > p) for p, c in both)
         ties = sum(c == p for p, c in both)
         worse = (change[0] - parent[0]) if lower else (parent[0] - change[0])
         rows.append({
-            "metric": name,
-            "parent": parent,
-            "change": change,
-            "ratio": change[0] / parent[0] if parent[0] else float("nan"),
+            **row,
             "wins": wins,
             "ties": ties,
             "pairs": len(both),
             "gap_over_iqr": abs(change[0] - parent[0]) > parent[2] - parent[1],
             "over_bound": worse > spec["bound"] * abs(parent[0]),
         })
+    counts = [(p["attempted"], c["attempted"]) for p, c in pairs
+              if p.get("attempted") is not None and c.get("attempted") is not None]
+    if counts:
+        rows.append({**_sides("attempted", counts), "pairs": len(counts)})
     return rows
+
+
+def _sides(name: str, both: list) -> dict:
+    """Each side's quartiles over (parent, change) values, and the ratio of
+    their medians."""
+    parent = _quartiles([p for p, _ in both])
+    change = _quartiles([c for _, c in both])
+    return {"metric": name, "parent": parent, "change": change,
+            "ratio": change[0] / parent[0] if parent[0] else float("nan")}
 
 
 def failures(runs: list) -> list:
@@ -91,11 +105,13 @@ def format_table(rows: list) -> str:
     lines = [f"{'metric':<14}{'parent median [q1, q3]':<32}{'change median [q1, q3]':<32}"
              f"{'ratio':>7}{'wins':>8}{'ties':>6}  flags"]
     for r in rows:
-        flags = [f for f, on in (("gap>IQR", r["gap_over_iqr"]),
-                                 ("OVER BOUND", r["over_bound"])) if on]
-        lines.append(f"{r['metric']:<14}{spread(r['parent']):<32}{spread(r['change']):<32}"
-                     f"{r['ratio']:>7.3f}{r['wins']:>5}/{r['pairs']:<2}{r['ties']:>6}  "
-                     f"{' '.join(flags)}")
+        line = (f"{r['metric']:<14}{spread(r['parent']):<32}{spread(r['change']):<32}"
+                f"{r['ratio']:>7.3f}")
+        if "wins" in r:
+            flags = [f for f, on in (("gap>IQR", r["gap_over_iqr"]),
+                                     ("OVER BOUND", r["over_bound"])) if on]
+            line += f"{r['wins']:>5}/{r['pairs']:<2}{r['ties']:>6}  {' '.join(flags)}"
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -35,6 +35,8 @@ from .stat_core import (
 
 RHO_BRACKET = 0.9999
 GRID_POINTS = 41
+# Runs per one-zero group in the bounds that prune estimate_rho's scan.
+SCAN_RUNS = 16
 # The Newton polish of estimate_rho stops at a step below NEWTON_TOL; with
 # bisection as its fallback it needs about 60 steps at most.
 NEWTON_TOL = 1e-9
@@ -208,6 +210,35 @@ def _pair_total_loglik(
     return total
 
 
+def _scan_bounds(grid: np.ndarray, args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on _pair_total_loglik(grid, *args) at every
+    grid point, from SCAN_RUNS runs of each one-zero group.
+
+    Each group is sorted once and cut into runs. At a given rho, z = (a -
+    rho w)/s is monotone in w and log Phi increases, so a run adds between
+    count * log Phi(z) at its two ends. The double-zero, both-positive and
+    log phi terms are exact, so a group of at most SCAN_RUNS rows (one row
+    per run) gives both bounds equal to the exact value up to rounding.
+    """
+    n00, w_j_only_i_zero, w_i_only_j_zero, m, s_ii, s_jj, s_ij, a_i, a_j = args
+    empty = np.empty(0)
+    lower = upper = _pair_total_loglik(grid, n00, empty, empty, m, s_ii, s_jj, s_ij, a_i, a_j)
+    r = grid[:, None]
+    s = np.sqrt(1.0 - r * r)
+    for w, a in ((w_j_only_i_zero, a_i), (w_i_only_j_zero, a_j)):
+        if w.size:
+            w = np.sort(w)
+            runs = min(SCAN_RUNS, w.size)
+            edges = np.arange(runs + 1) * w.size // runs
+            first = std_normal_logcdf((a - r * w[edges[:-1]]) / s)
+            last = std_normal_logcdf((a - r * w[edges[1:] - 1]) / s)
+            count = np.diff(edges).astype(float)
+            logpdf = std_normal_logpdf(w).sum()
+            lower = lower + logpdf + np.minimum(first, last) @ count
+            upper = upper + logpdf + np.maximum(first, last) @ count
+    return lower, upper
+
+
 def _pair_score(
     rho: float,
     n00: int,
@@ -265,13 +296,16 @@ def estimate_rho(
     The rows are reduced once to _pair_branches, so only the one-zero rows
     are visited per evaluation. A 41-point grid scan brackets the optimum
     (the likelihood is assumed unimodal; the scan guards against a bad
-    bracket) between the neighbours of its best point. Newton steps on the
-    analytic score and curvature then polish it inside that bracket, which
-    shrinks to the score's sign change; a step that leaves the bracket or
-    meets non-negative curvature is replaced by bisection. The result is
-    never below the scan's best point. Without any
-    rectified value in either coordinate the likelihood is purely Gaussian
-    and the estimate is the sample correlation.
+    bracket) between the neighbours of its best point. The scan evaluates
+    the likelihood exactly only where _scan_bounds says the grid's maximum
+    can be; those points go through the same elementwise arithmetic as a
+    scan of the whole grid, so the best point, its value and the result
+    keep their bits. Newton steps on the analytic score and curvature then
+    polish it inside that bracket, which shrinks to the score's sign
+    change; a step that leaves the bracket or meets non-negative curvature
+    is replaced by bisection. The result is never below the scan's best
+    point. Without any rectified value in either coordinate the likelihood
+    is purely Gaussian and the estimate is the sample correlation.
     """
     w_i = np.asarray(w_i, dtype=float)
     w_j = np.asarray(w_j, dtype=float)
@@ -295,7 +329,15 @@ def estimate_rho(
     args = _pair_branches(w_i, w_j, zi, zj, a_i, a_j)
 
     grid = np.linspace(-RHO_BRACKET, RHO_BRACKET, GRID_POINTS)
-    values = _pair_total_loglik(grid, *args)
+    # Only points whose upper bound reaches the best lower bound, less a
+    # rounding margin, can hold the grid's maximum; the rest stay at -inf.
+    lower, upper = _scan_bounds(grid, args)
+    floor = lower.max()
+    keep = upper >= floor - 1e-9 * (1.0 + abs(floor))
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        keep[:] = True
+    values = np.full(GRID_POINTS, -np.inf)
+    values[keep] = _pair_total_loglik(grid[keep], *args)
     best = int(np.argmax(values))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, GRID_POINTS - 1)])

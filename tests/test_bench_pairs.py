@@ -16,10 +16,10 @@ END_TO_END = [
 ]
 
 
-def _line(unit_s, auc, rss, correct=True, failed=0) -> str:
+def _line(unit_s, auc, rss, correct=True, failed=0, attempted=10) -> str:
     metrics = {"unit_s": unit_s, "auc": auc, "peak_rss_mb": rss}
     return json.dumps({
-        "correct": correct, "attempted": 10, "failed": failed,
+        "correct": correct, "attempted": attempted, "failed": failed,
         "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()},
     })
 
@@ -27,8 +27,9 @@ def _line(unit_s, auc, rss, correct=True, failed=0) -> str:
 def test_summary_counts_wins_and_ties_and_flags_the_bound():
     parent = [_line(0.020, 0.9, 100.0), _line(0.021, 0.9, 100.0),
               _line(0.019, 0.9, 100.0), _line(0.020, 0.9, 100.0)]
-    change = [_line(0.014, 0.9, 112.0), _line(0.015, 0.91, 111.0),
-              _line(0.019, 0.9, 112.0), _line(0.013, 0.89, 113.0, correct=False)]
+    change = [_line(0.014, 0.9, 112.0, attempted=14), _line(0.015, 0.91, 111.0, attempted=13),
+              _line(0.019, 0.9, 112.0, attempted=11), _line(0.013, 0.89, 113.0, correct=False,
+                                                            attempted=15)]
     pairs = [("env line\n" + p, c) for p, c in zip(parent, change)]
     pairs = [(bench_pairs.parse_result(p), bench_pairs.parse_result(c)) for p, c in pairs]
     rows = {r["metric"]: r for r in bench_pairs.summarize(END_TO_END, pairs)}
@@ -43,11 +44,16 @@ def test_summary_counts_wins_and_ties_and_flags_the_bound():
     assert not rows["auc"]["over_bound"]
     # +12% memory against a 10% bound.
     assert rows["peak_rss_mb"]["wins"] == 0 and rows["peak_rss_mb"]["over_bound"]
+    # The attempted row: each side's median operation count, with no wins or flags.
+    attempted = rows["attempted"]
+    assert attempted["parent"] == (10, 10, 10) and attempted["change"][0] == pytest.approx(13.5)
+    assert attempted["pairs"] == 4 and "wins" not in attempted and "over_bound" not in attempted
 
     runs = [(f"run {i}", c) for i, (_, c) in enumerate(pairs)]
     assert [label for label, _ in bench_pairs.failures(runs)] == ["run 3"]
     table = bench_pairs.format_table(rows.values()).splitlines()
-    assert len(table) == 4 and "OVER BOUND" in table[3] and "gap>IQR" in table[1]
+    assert len(table) == 5 and "OVER BOUND" in table[3] and "gap>IQR" in table[1]
+    assert table[4].split()[0] == "attempted" and table[4].split()[-1] == "1.350"
 
 
 def test_json_flag_writes_arguments_runs_and_summary(tmp_path, monkeypatch, capsys):
@@ -80,5 +86,6 @@ def test_json_flag_writes_arguments_runs_and_summary(tmp_path, monkeypatch, caps
         (3, 4, "parent"), (3, 4, "change")]
     assert [r["result"]["metrics"]["unit_s"]["value"] for r in written["runs"]] == pytest.approx(
         [0.02, 0.012, 0.013, 0.02, 0.02, 0.016])
-    assert [row["metric"] for row in written["summary"]] == ["unit_s", "auc", "peak_rss_mb"]
+    assert [row["metric"] for row in written["summary"]] == [
+        "unit_s", "auc", "peak_rss_mb", "attempted"]
     assert written["summary"][0]["wins"] == 3

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from zicopula import rgd_copula as rc
 from zicopula import stat_core as sc
-from zicopula.cli import CREDIT_COLUMNS_FULL
+from zicopula.cli import CREDIT_COLUMNS_FULL, read_data_csv
+from zicopula.cli import main as cli_main
 from zicopula.errors import DataError, NumericError
 from zicopula.marginals import fit_positive_terms, normal_scores
 
@@ -229,6 +230,102 @@ def test_estimate_rho_attains_the_dense_reference_maximum(
         return
     args = rc._pair_branches(w_i, w_j, zi, zj, a_i, a_j)
     assert float(rc._pair_total_loglik(est, *args)) >= _dense_reference_max(args) - 1e-9
+
+
+def _full_scan_estimate_rho(args) -> float:
+    """estimate_rho on rows reduced to _pair_branches, as it was before its
+    scan was pruned by _scan_bounds: _pair_total_loglik at all 41 grid
+    points, then the same safeguarded Newton polish."""
+    grid = np.linspace(-rc.RHO_BRACKET, rc.RHO_BRACKET, rc.GRID_POINTS)
+    values = rc._pair_total_loglik(grid, *args)
+    best = int(np.argmax(values))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, rc.GRID_POINTS - 1)])
+    rho = float(grid[best]) if 0 < best < rc.GRID_POINTS - 1 else 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    for _ in range(rc.NEWTON_MAXITER):
+        g, h = rc._pair_score(rho, *args)
+        assert np.isfinite(g) and np.isfinite(h)
+        if g > 0.0:
+            lo = rho
+        else:
+            hi = rho
+        newton = rho - g / h if h < 0.0 else np.nan
+        if lo <= newton <= hi and abs(newton - rho) <= 0.5 * abs(step_before):
+            new = newton
+        else:
+            new = 0.5 * (lo + hi)
+        step_before, step = step, new - rho
+        rho = new
+        if abs(step) <= rc.NEWTON_TOL:
+            break
+    else:
+        raise AssertionError("no convergence")
+    if rc._pair_total_loglik(rho, *args) < values[best]:
+        rho = float(grid[best])
+    return float(np.clip(rho, -rc.RHO_BRACKET, rc.RHO_BRACKET))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(10, 600),
+    rho=st.floats(-0.97, 0.97),
+    a_i=st.floats(-2.5, 3.0),
+    a_j=st.floats(-2.5, 3.0),
+    seed=st.integers(0, 2**16),
+    no_both_positive=st.booleans(),
+)
+def test_estimate_rho_keeps_the_bits_of_the_full_scan(
+    n, rho, a_i, a_j, seed, no_both_positive
+) -> None:
+    # Thresholds up to 3 give majority-zero columns, down to -2.5 and n from
+    # 10 give one-zero groups smaller than SCAN_RUNS.
+    w_i, w_j, zi, zj = _pair_sample(n, rho, a_i, a_j, seed, no_both_positive)
+    assume(w_i.size >= 10 and not np.all(zi & zj) and (zi.any() or zj.any()))
+    args = rc._pair_branches(w_i, w_j, zi, zj, a_i, a_j)
+    assert rc.estimate_rho(w_i, w_j, a_i, a_j, zi, zj) == _full_scan_estimate_rho(args)
+
+
+def test_credit_sigma_keeps_the_bits_of_the_full_scan(tmp_path) -> None:
+    train_csv = tmp_path / "train.csv"
+    cli_main(["ingest-credit", "--raw", str(STANDIN_CSV), "--out-train", str(train_csv),
+              "--out-test", str(tmp_path / "test.csv")])
+    train = fit_positive_terms(read_data_csv(train_csv))
+    a = np.array([m.a for m in train.models])
+    q = np.array([m.q for m in train.models])
+    omega = np.where(train.positive, normal_scores(train.cdf, q), a)
+    d = omega.shape[1]
+    reference = np.eye(d)
+    for i, j in itertools.combinations(range(d), 2):
+        args = rc._pair_branches(omega[:, i], omega[:, j], ~train.positive[:, i],
+                                 ~train.positive[:, j], a[i], a[j])
+        reference[i, j] = reference[j, i] = _full_scan_estimate_rho(args)
+    sigma = rc.assemble_sigma(omega, a, use_mle=True, zero_mask=~train.positive)
+    assert np.array_equal(sigma, sc.repair_correlation(reference))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(10, 600),
+    rho=st.floats(-0.97, 0.97),
+    a_i=st.floats(-2.5, 3.0),
+    a_j=st.floats(-2.5, 3.0),
+    seed=st.integers(0, 2**16),
+    no_both_positive=st.booleans(),
+)
+def test_scan_bounds_bracket_the_pair_loglik(n, rho, a_i, a_j, seed, no_both_positive) -> None:
+    w_i, w_j, zi, zj = _pair_sample(n, rho, a_i, a_j, seed, no_both_positive)
+    assume(not np.all(zi & zj))
+    args = rc._pair_branches(w_i, w_j, zi, zj, a_i, a_j)
+    grid = np.linspace(-rc.RHO_BRACKET, rc.RHO_BRACKET, rc.GRID_POINTS)
+    exact = rc._pair_total_loglik(grid, *args)
+    lower, upper = rc._scan_bounds(grid, args)
+    margin = 1e-9 * (1.0 + np.abs(exact))
+    assert np.all(lower <= exact + margin) and np.all(exact <= upper + margin)
+    if max(args[1].size, args[2].size) <= rc.SCAN_RUNS:
+        # One row per run: both bounds are the exact value.
+        assert np.all(np.abs(lower - exact) <= margin)
+        assert np.all(np.abs(upper - exact) <= margin)
 
 
 @pytest.mark.parametrize(
