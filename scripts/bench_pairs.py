@@ -18,8 +18,11 @@ the metric's ``bound``, read as a share of the parent's median. A last
 ``attempted`` row gives each side's median and quartiles of the result
 line's ``attempted`` operations, without wins or flags: perfbench keeps every
 cycle's outputs, so a faster change runs more cycles and its peak memory
-reads against that count. Every run with ``correct: false`` or a failed
-operation is listed after the table.
+reads against that count. On exact-score, whose ``unit_s`` perfbench scales
+by a host-speed calibration, a ``raw unit_s`` row gives the same for the
+uncalibrated ``info.raw.unit_s`` of the line before the result, with each
+side's median ``info.speed_scale``, also without wins or flags. Every run
+with ``correct: false`` or a failed operation is listed after the table.
 ``--json PATH`` also writes one JSON object to PATH: the arguments, every
 run in run order (its pair, seed, side and perfbench result line) and the
 table's rows. Nothing here writes to either checkout beyond what perfbench
@@ -37,11 +40,15 @@ import sys
 
 
 def parse_result(stdout: str) -> dict:
-    """The result line of one perfbench run: its last line of output."""
+    """The result line of one perfbench run, its last line of output, with
+    the ``info`` of the line before it, if there is one, under "info"."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("perfbench printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if len(lines) > 1:
+        result["info"] = json.loads(lines[-2]).get("info", {})
+    return result
 
 
 def _quartiles(values: list) -> tuple:
@@ -80,6 +87,13 @@ def summarize(end_to_end: list, pairs: list) -> list:
               if p.get("attempted") is not None and c.get("attempted") is not None]
     if counts:
         rows.append({**_sides("attempted", counts), "pairs": len(counts)})
+    infos = [(p["info"], c["info"]) for p, c in pairs
+             if "raw" in p.get("info", {}) and "raw" in c.get("info", {})]
+    if infos:
+        raw = [(p["raw"]["unit_s"], c["raw"]["unit_s"]) for p, c in infos]
+        scales = _sides("speed_scale", [(p["speed_scale"], c["speed_scale"]) for p, c in infos])
+        rows.append({**_sides("raw unit_s", raw), "pairs": len(raw),
+                     "speed_scale": (scales["parent"][0], scales["change"][0])})
     return rows
 
 
@@ -111,6 +125,8 @@ def format_table(rows: list) -> str:
             flags = [f for f, on in (("gap>IQR", r["gap_over_iqr"]),
                                      ("OVER BOUND", r["over_bound"])) if on]
             line += f"{r['wins']:>5}/{r['pairs']:<2}{r['ties']:>6}  {' '.join(flags)}"
+        elif "speed_scale" in r:
+            line += "  speed_scale {:.4g} / {:.4g}".format(*r["speed_scale"])
         lines.append(line)
     return "\n".join(lines)
 

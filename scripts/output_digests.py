@@ -25,7 +25,9 @@ join the last block, so the scores match those of one block.
 ``zibt_exact.json`` is scored twice more, each time to its own file: right
 after its first score, when ``load_model`` hands back the model it parsed
 then, and after the bernoulli zicar score, when the file is parsed again.
-Both must write the first score's bytes; the script exits 1 if not.
+``credit_zibt.json`` is scored once more right after its first score, by the
+model ``load_model`` hands back, its zero-pattern table filled then. Each must
+write the first score's bytes; the script exits 1 if not.
 
 ``zibt_exact.json`` and ``zicar_rbm.json`` are also written in schema-1
 form (``*.schema1.json``: ``schema_version`` 1, plus the copies of derived
@@ -72,12 +74,12 @@ FITS = (
 # reach the exact kernel sums off the grid and points beyond the last node.
 CREDIT_FIT = ("credit_zibt.json", "zibt", ["--likelihood", "approx"], "credit_full")
 
-# Repeat scores of REPEATED: (the model file whose score each follows, the
-# scores file it writes).
-REPEATED = ("zibt_exact.json", "zibt")
+# Repeat scores: (the model file whose score each follows, the model file
+# and data prefix it scores again, the scores file it writes).
 REPEATS = (
-    ("zibt_exact.json", "scores_zibt_exact.again.csv"),
-    ("zicar_bernoulli.json", "scores_zibt_exact.after_other.csv"),
+    ("zibt_exact.json", ("zibt_exact.json", "zibt"), "scores_zibt_exact.again.csv"),
+    ("zicar_bernoulli.json", ("zibt_exact.json", "zibt"), "scores_zibt_exact.after_other.csv"),
+    ("credit_zibt.json", ("credit_zibt.json", "credit_full"), "scores_credit_zibt.again.csv"),
 )
 
 
@@ -134,6 +136,9 @@ def _fit_and_score(model: str, kind: str, flags: list, data: str):
     yield (["fit", "--data", f"{data}_train.csv", "--model", kind, "--out", model,
             "--seed", "0", *flags], [model])
     yield _score(model, data, _scores_of(model))
+    for after, again, out in REPEATS:
+        if after == model:
+            yield _score(*again, out)
 
 
 def commands():
@@ -149,9 +154,6 @@ def commands():
                    [out, *written[1:]])
     for model, kind, flags, data in FITS:
         yield from _fit_and_score(model, kind, flags, data)
-        for after, out in REPEATS:
-            if after == model:
-                yield _score(*REPEATED, out)
         if model in SCHEMA_1:
             old = _schema_1_of(model)
             yield functools.partial(_write_schema_1, model), [old]
@@ -185,7 +187,7 @@ def main() -> int:
                     digests[name] = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digests[name]}  {name}")
         os.chdir(ROOT)
-    pairs = [(out, _scores_of(REPEATED[0])) for _, out in REPEATS]
+    pairs = [(out, _scores_of(again[0])) for _, again, out in REPEATS]
     pairs += [(_scores_of(_schema_1_of(model)), _scores_of(model)) for model in SCHEMA_1]
     for out, first in pairs:
         if digests[out] != digests[first]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
+from .rgd_copula import PatternTable
 from .stat_core import blocks, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 # Both copula models refuse to fit fewer training rows than this.
@@ -465,3 +466,15 @@ class CopulaModel:
         """The model's columns evaluated at the rows of a data matrix of its
         width."""
         return PositiveTerms(self.marginals, as_data_matrix(data, dim=self.dim))
+
+    def _orthant_thresholds(self) -> np.ndarray | None:
+        """The thresholds of the copula term's orthant; None: the model
+        scores the approximate form."""
+        return None
+
+    @functools.cached_property
+    def patterns(self) -> PatternTable:
+        """The copula term's zero-pattern table, built on first use and kept:
+        a model that load_model hands to several commands factors each of
+        its zero patterns once."""
+        return PatternTable(self.sigma, self._orthant_thresholds())

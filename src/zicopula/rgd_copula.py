@@ -5,17 +5,21 @@ Zeros in the data correspond to coordinates stuck at their thresholds, and the
 law marginalizes to any coordinate subset, which is what makes the pairwise
 maximum-likelihood estimation of Sigma work. This module provides sampling,
 the four-branch bivariate likelihood, pairwise correlation estimation, full
-matrix assembly, zero-pattern probabilities, and ``copula_loglik_rows``: the
-one copula log-density kernel that both models score with (the exact form
-adds the rectified-block orthant term). It is batched by zero pattern: the
-patterns with the same number of positives share one stacked factorisation
-and one stacked conditioning solve, and every row the orthant estimator
-serves shares one minimax-tilt solve.
+matrix assembly, zero-pattern probabilities, and ``pattern_loglik_rows``:
+the one copula log-density kernel that both models score with, each on its
+own ``PatternTable`` (the exact form adds the rectified-block orthant term),
+which ``copula_loglik_rows`` runs on a table of its own for callers without
+a model. It is batched by zero pattern: a table factors each pattern once,
+the new patterns with the same number of positives in one stacked
+factorisation and one stacked conditioning solve, and keeps the factors for
+the next call; every row the orthant estimator serves shares one
+minimax-tilt solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -425,6 +429,123 @@ def assemble_sigma(
     return repair_correlation(sigma)
 
 
+# Zero patterns one PatternTable keeps: all 2^D of them up to D = 10. Each
+# takes at most 2 D^2 floats of factors, 2.3 KB at D = 12.
+PATTERN_TABLE_SIZE = 1024
+
+
+class _Stack(NamedTuple):
+    """The factors of the patterns with p positives, one slot per pattern;
+    a field is None where no row of that p reads it."""
+
+    pos: np.ndarray  # (g, p) positive coordinates, ascending
+    zero: np.ndarray  # (g, d - p) zero coordinates, ascending
+    chol: np.ndarray | None  # (g, p, p) Cholesky factors of sigma_pos; p >= 2
+    logdet: np.ndarray | None  # (g,) their log-determinants
+    proj: np.ndarray | None  # (g, d - p, p) sigma_zp sigma_pp^-1; exact, 0 < p < d
+    cov: np.ndarray | None  # (g, d - p, d - p) the zeros' conditional covariance; ditto
+    log_phi_a: np.ndarray | None  # (g,) sum log Phi(a_zero); exact, p < d
+
+
+def _read_only(*arrays) -> None:
+    """Make the arrays a table keeps read-only: a model's table serves every
+    command the model does, and none of them may write to it."""
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
+
+
+def _join(old: _Stack | None, new: _Stack) -> _Stack:
+    """The slots of ``new`` after those of ``old`` (if any), read-only."""
+    if old is not None:
+        new = _Stack(*(None if o is None else np.concatenate([o, n]) for o, n in zip(old, new)))
+    _read_only(*new)
+    return new
+
+
+class PatternTable:
+    """The factors of sigma that the copula term reads per zero pattern,
+    built once per pattern and kept.
+
+    Rows are grouped by their pattern's code: the positive mask packed into
+    bits, one big-endian integer of any width. A pattern not in the table is
+    factored with the other new patterns of its call, one stacked call per
+    number of positives p: the Cholesky factor and log-determinant of its
+    positive block and, in the exact form (thresholds ``a`` given), the
+    projection and symmetrised conditional covariance of its zero block and
+    sum log Phi(a_zero). LAPACK factors each matrix of a stack on its own,
+    so a pattern's factors do not depend on the patterns beside it, and a
+    warm table scores the bytes of a cold one. A failed build stores
+    nothing. The table keeps at most PATTERN_TABLE_SIZE patterns; a call
+    that would pass that uses its new patterns' factors and drops them.
+    """
+
+    def __init__(self, sigma, a=None) -> None:
+        self.sigma = np.array(sigma, dtype=float)
+        self.a = None if a is None else np.array(a, dtype=float)
+        _read_only(self.sigma, self.a)
+        if self.a is not None and self.a.shape != self.sigma.shape[:1]:
+            raise ValueError("thresholds must match sigma dimension")
+        self._slots: dict[bytes, tuple[int, int]] = {}  # code -> (p, slot)
+        self._stacks: dict[int, _Stack] = {}
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def factors(self, keys: list, patterns: np.ndarray) -> tuple[dict, dict]:
+        """The slots and stacks holding every pattern of ``keys`` (their
+        positive masks ``patterns``): the table's own, or copies with the
+        new patterns appended, which the table keeps if they fit."""
+        new = [i for i, key in enumerate(keys) if key not in self._slots]
+        if not new:
+            return self._slots, self._stacks
+        slots, stacks = dict(self._slots), dict(self._stacks)
+        for p, group, stack in self._factor(patterns[new]):
+            start = 0 if p not in stacks else stacks[p].pos.shape[0]
+            stacks[p] = _join(stacks.get(p), stack)
+            for slot, i in enumerate(group, start):
+                slots[keys[new[i]]] = (p, slot)
+        if len(slots) <= PATTERN_TABLE_SIZE:
+            self._slots, self._stacks = slots, stacks
+        return slots, stacks
+
+    def _factor(self, patterns: np.ndarray):
+        """(p, indices into ``patterns``, their _Stack) for each number of
+        positives p among the positive masks ``patterns``, ascending."""
+        sigma, a = self.sigma, self.a
+        d = sigma.shape[0]
+        if a is not None:
+            impossible = ~patterns & ~np.isfinite(a)
+            if impossible.any():
+                i = int(np.flatnonzero(impossible[impossible.any(axis=1)][0])[0])
+                raise ValueError(
+                    f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
+                )
+        counts = patterns.sum(axis=1)
+        # Each pattern's positive coordinates, then its zero coordinates, ascending.
+        order = np.argsort(~patterns, axis=1, kind="stable")
+        out = []
+        for p in np.unique(counts):
+            group = np.flatnonzero(counts == p)
+            pos, zero = order[group, :p], order[group, p:]
+            s_oo = sigma[pos[:, :, None], pos[:, None, :]]
+            chol = logdet = proj = cov = log_phi_a = None
+            if p >= 2:
+                chol = _stacked_cholesky(s_oo)
+                logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+            if a is not None and p < d:
+                if p:
+                    gain = _stacked_inverse(s_oo, pos)
+                    s_fo = sigma[zero[:, :, None], pos[:, None, :]]
+                    proj = s_fo @ gain
+                    s_ff = sigma[zero[:, :, None], zero[:, None, :]]
+                    cov = s_ff - proj @ np.swapaxes(s_fo, 1, 2)
+                    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+                log_phi_a = std_normal_logcdf(a[zero]).sum(axis=1)
+            out.append((p, group, _Stack(pos, zero, chol, logdet, proj, cov, log_phi_a)))
+        return out
+
+
 def copula_loglik_rows(
     sigma,
     a,
@@ -443,67 +564,61 @@ def copula_loglik_rows(
     (which reads the thresholds ``a``) adds the orthant term
     log P(nu_zero <= a_zero | nu_pos = omega_pos), minus sum log Phi(a_zero).
 
-    The distinct zero patterns with the same number of positives are done
-    together: one stacked Cholesky factorisation of their positive blocks
-    (the Gaussian term by forward substitution) and one stacked solve for
-    the conditional law of their zero blocks, gathered to the rows by
-    pattern. The orthant terms of all zero counts are one call of
-    mvn_orthant_logprob, with its estimator's rows embedded in the dimension
-    of sigma, ``mc_samples`` points per row and shifts drawn from
-    ``base_seed``. A row's value does not depend on the other rows.
+    This is pattern_loglik_rows on a table built for this call; a fitted
+    model keeps its table (CopulaModel.patterns), so each of its zero
+    patterns is factored once. A row's value does not depend on the other
+    rows, nor on which patterns the table held before.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    table = PatternTable(sigma, a if exact else None)
+    return pattern_loglik_rows(table, omega, positive, mc_samples, base_seed)
+
+
+def pattern_loglik_rows(
+    table: PatternTable,
+    omega,
+    positive,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    base_seed: int = 0,
+) -> np.ndarray:
+    """The copula term of each row (see copula_loglik_rows) under the sigma
+    and thresholds of ``table``, which factors the patterns it does not
+    hold yet. The rows of each p gather their patterns' factors by slot;
+    the orthant terms of all zero counts are one call of
+    mvn_orthant_logprob, with its estimator's rows embedded in the
+    dimension of sigma, ``mc_samples`` points per row and shifts drawn from
+    ``base_seed``."""
+    sigma, a = table.sigma, table.a
     omega = np.asarray(omega, dtype=float)
     positive = np.asarray(positive, dtype=bool)
     n, d = omega.shape
     if sigma.shape != (d, d) or positive.shape != omega.shape:
         raise ValueError("sigma, omega and the positive mask disagree in shape")
+    packed = np.packbits(positive, axis=1)
+    codes = np.ascontiguousarray(packed).view(f"V{packed.shape[1]}")[:, 0]
+    codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    keys = [code.tobytes() for code in codes]
+    slots, stacks = table.factors(keys, positive[first])
+    found = np.array([slots[key] for key in keys], dtype=np.intp).reshape(-1, 2)
+    row_p, row_slot = found[inverse.reshape(n)].T
     total = np.zeros(n)
     log_phi_a = np.zeros(n)
-    patterns, inverse = np.unique(positive, axis=0, return_inverse=True)
-    inverse = inverse.reshape(n)
-    if exact:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (d,):
-            raise ValueError("thresholds must match sigma dimension")
-        impossible = ~patterns & ~np.isfinite(a)
-        if impossible.any():
-            i = int(np.flatnonzero(impossible[impossible.any(axis=1)][0])[0])
-            raise ValueError(
-                f"pattern impossible: coordinate {i} has no zero mass (threshold -inf)"
-            )
-    counts = patterns.sum(axis=1)
-    row_counts = counts[inverse]
-    # Each pattern's positive coordinates, then its zero coordinates, ascending.
-    order = np.argsort(~patterns, axis=1, kind="stable")
-    # Per zero count: its rows, and the conditional covariances and upper
-    # bounds of their zero blocks
     orthant_rows, orthants = [], []
-    for p in np.unique(counts):
-        group = np.flatnonzero(counts == p)
-        local = np.empty(patterns.shape[0], dtype=np.intp)
-        local[group] = np.arange(group.size)
-        rows = np.flatnonzero(row_counts == p)
-        of_row = local[inverse[rows]]
-        pos, zero = order[group, :p], order[group, p:]
-        x = omega[rows[:, None], pos[of_row]]
-        s_oo = sigma[pos[:, :, None], pos[:, None, :]]
+    for p in np.unique(found[:, 0]):
+        rows = np.flatnonzero(row_p == p)
+        stack, slot = stacks[p], row_slot[rows]
+        x = omega[rows[:, None], stack.pos[slot]]
         if p >= 2:
-            total[rows] += _gaussian_block_logpdf(x, s_oo, of_row)
+            total[rows] += _gaussian_block_logpdf(x, stack.chol[slot], stack.logdet[slot])
             total[rows] -= std_normal_logpdf(x).sum(axis=1)
-        if not exact or p == d:
+        if a is None or p == d:
             continue
         if p:
-            gain = _stacked_inverse(s_oo, pos)
-            s_fo = sigma[zero[:, :, None], pos[:, None, :]]
-            proj = s_fo @ gain
-            cov = sigma[zero[:, :, None], zero[:, None, :]] - proj @ np.swapaxes(s_fo, 1, 2)
-            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))[of_row]
-            upper = a[zero[of_row]] - np.einsum("rkj,rj->rk", proj[of_row], x)
+            cov = stack.cov[slot]
+            upper = a[stack.zero[slot]] - np.einsum("rkj,rj->rk", stack.proj[slot], x)
         else:
             cov = np.broadcast_to(sigma, (rows.size, d, d))
             upper = np.broadcast_to(a, (rows.size, d))
-        log_phi_a[rows] = std_normal_logcdf(a[zero]).sum(axis=1)[of_row]
+        log_phi_a[rows] = stack.log_phi_a[slot]
         orthant_rows.append(rows)
         orthants.append((cov, upper))
     if orthants:
@@ -513,13 +628,13 @@ def copula_loglik_rows(
     return total - log_phi_a
 
 
-def _gaussian_block_logpdf(x: np.ndarray, cov: np.ndarray, of_row: np.ndarray) -> np.ndarray:
-    """log N(x_r; 0, cov[of_row[r]]) for each row r of x, from one stacked
-    Cholesky factorisation of ``cov`` and forward substitution."""
+def _stacked_cholesky(blocks: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of covariance blocks; NumericError names
+    the condition number of the first that is not positive definite."""
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        for block in cov:
+        for block in blocks:
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
@@ -528,13 +643,17 @@ def _gaussian_block_logpdf(x: np.ndarray, cov: np.ndarray, of_row: np.ndarray) -
                     f"{float(np.linalg.cond(block)):.3e})"
                 ) from None
         raise
+
+
+def _gaussian_block_logpdf(x: np.ndarray, low: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+    """log N(x_r; 0, low_r low_r^T) for each row r of x, by forward
+    substitution on its Cholesky factor ``low_r`` of log-determinant
+    ``logdet_r``."""
     p = x.shape[1]
-    low = chol[of_row]
     sol = np.empty_like(x)
     for i in range(p):
         sol[:, i] = (x[:, i] - np.einsum("rj,rj->r", low[:, i, :i], sol[:, :i])) / low[:, i, i]
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return -0.5 * (p * LOG_2PI + logdet[of_row] + np.sum(sol * sol, axis=1))
+    return -0.5 * (p * LOG_2PI + logdet + np.sum(sol * sol, axis=1))
 
 
 def _stacked_inverse(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ All functions are pure; random state is always caller-supplied as a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -397,8 +398,11 @@ def mvn_orthant_logprob(
 
     n_points per row is rounded up to a multiple of QMC_SHIFTS; the shifts
     come from ``seed`` alone, so a row's estimate does not depend on the
-    other rows. The tilt's width moves it by rounding (about 1e-13), so a
-    caller whose calls hold different groups passes a fixed ``dim``.
+    other rows. The shifted lattice depends only on its width, point count
+    and seed: ``_lattice`` builds it once per key and keeps the last
+    LATTICE_CACHE_SIZE read-only. The tilt's width moves an estimate by
+    rounding (about 1e-13), so a caller whose calls hold different groups
+    passes a fixed ``dim``.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
@@ -455,18 +459,32 @@ def _orthant_standardise(cov, upper) -> tuple[np.ndarray, np.ndarray]:
     return chol / diag[:, :, None] - np.eye(d), bound / diag
 
 
+# Lattices _lattice keeps; one per (width, points, seed), so a model of D
+# coordinates scored at one seed and point count needs at most D - 2.
+LATTICE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice(width: int, per_shift: int, seed: int) -> np.ndarray:
+    """log u at the estimator's QMC_SHIFTS * per_shift points of ``width``
+    coordinates: the Richtmyer lattice, each of its QMC_SHIFTS copies
+    shifted by a uniform draw from ``seed``, through the tent transform.
+    Read-only: every call with this key shares it."""
+    shifts = np.random.Generator(np.random.PCG64(seed)).random((QMC_SHIFTS, 1, width))
+    steps = np.arange(1, per_shift + 1)[None, :, None] * _richtmyer_generator(width)
+    tent = np.abs(2.0 * ((steps + shifts) % 1.0) - 1.0).reshape(QMC_SHIFTS * per_shift, width)
+    log_u = np.log(np.maximum(tent, np.finfo(float).tiny))
+    log_u.flags.writeable = False
+    return log_u
+
+
 def _orthant_sample(
     lower: np.ndarray, bound: np.ndarray, tilt: np.ndarray, n_points: int, seed: int
 ) -> np.ndarray:
     """The tilted estimator of each row's orthant log-probability from its
     standardised sampler (``lower``, ``bound``) and tilt (last entry 0)."""
     n, d = bound.shape
-    per_shift = -(-int(n_points) // QMC_SHIFTS)
-    shifts = np.random.Generator(np.random.PCG64(seed)).random((QMC_SHIFTS, 1, d - 1))
-    steps = np.arange(1, per_shift + 1)[None, :, None] * _richtmyer_generator(d - 1)
-    tent = np.abs(2.0 * ((steps + shifts) % 1.0) - 1.0).reshape(QMC_SHIFTS * per_shift, d - 1)
-    log_u = np.log(np.maximum(tent, np.finfo(float).tiny))
-
+    log_u = _lattice(d - 1, -(-int(n_points) // QMC_SHIFTS), int(seed))
     out = np.empty(n)
     for lo, hi in blocks(n, log_u.shape[0] * d):
         b, low, mu = bound[lo:hi], lower[lo:hi], tilt[lo:hi, :, None]

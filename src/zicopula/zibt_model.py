@@ -27,7 +27,7 @@ from .rgd_copula import (
     RgdParams,
     ZeroPattern,
     assemble_sigma,
-    copula_loglik_rows,
+    pattern_loglik_rows,
     zero_pattern_logprob,
 )
 from .stat_core import LOG_PROB_FLOOR, PROB_FLOOR, std_normal_quantile
@@ -55,6 +55,11 @@ class ZibtModel(CopulaModel):
         a = np.array([m.a for m in self.marginals])
         a.flags.writeable = False  # cached: every command a loaded model serves shares it
         return RgdParams(self.sigma, a)
+
+    def _orthant_thresholds(self) -> np.ndarray | None:
+        if self.likelihood_mode == "approx":
+            return None
+        return np.where(np.isfinite(self.copula.a), self.copula.a, _PATCHED_THRESHOLD)
 
 
 def fit_zibt(
@@ -110,16 +115,8 @@ def zibt_loglik_terms(
         total[pos] += np.log1p(-m.q) + terms.logpdf[pos, j] - log_b[j]
 
     q = np.array([m.q for m in model.marginals])
-    total += copula_loglik_rows(
-        model.sigma,
-        np.where(np.isfinite(model.copula.a), model.copula.a, _PATCHED_THRESHOLD),
-        np.where(positive, normal_scores(terms.cdf, q), 0.0),
-        positive,
-        exact=model.likelihood_mode == "exact",
-        mc_samples=mc_samples,
-        base_seed=base_seed,
-    )
-    return total
+    omega = np.where(positive, normal_scores(terms.cdf, q), 0.0)
+    return total + pattern_loglik_rows(model.patterns, omega, positive, mc_samples, base_seed)
 
 
 def zero_pattern_prob(

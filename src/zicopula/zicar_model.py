@@ -27,7 +27,7 @@ from .mask_model import (
     fit_rbm,
     mask_logprob_rows,
 )
-from .rgd_copula import copula_loglik_rows
+from .rgd_copula import pattern_loglik_rows
 from .stat_core import repair_correlation, std_normal_quantile
 
 MIN_JOINT_POSITIVE = 10
@@ -147,4 +147,4 @@ def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
         total[pos] += terms.logpdf[pos, j] - log_b[j]
 
     omega = np.where(positive, normal_scores(terms.cdf), 0.0)
-    return total + copula_loglik_rows(model.sigma, None, omega, positive)
+    return total + pattern_loglik_rows(model.patterns, omega, positive)

@@ -24,13 +24,25 @@ def _line(unit_s, auc, rss, correct=True, failed=0, attempted=10) -> str:
     })
 
 
+def _info(raw_unit_s, speed_scale) -> str:
+    """The line before an exact-score result: the uncalibrated unit_s and the
+    host-speed scale."""
+    return json.dumps({"env": {}, "workload": "exact-score",
+                       "info": {"raw": {"unit_s": raw_unit_s}, "speed_scale": speed_scale}})
+
+
 def test_summary_counts_wins_and_ties_and_flags_the_bound():
     parent = [_line(0.020, 0.9, 100.0), _line(0.021, 0.9, 100.0),
               _line(0.019, 0.9, 100.0), _line(0.020, 0.9, 100.0)]
     change = [_line(0.014, 0.9, 112.0, attempted=14), _line(0.015, 0.91, 111.0, attempted=13),
               _line(0.019, 0.9, 112.0, attempted=11), _line(0.013, 0.89, 113.0, correct=False,
                                                             attempted=15)]
-    pairs = [("env line\n" + p, c) for p, c in zip(parent, change)]
+    # Raw times and scales on three pairs; the fourth change run has no line
+    # before its result.
+    info = [(_info(0.010, 2.0), _info(0.008, 1.8)), (_info(0.012, 1.6), _info(0.009, 1.7)),
+            (_info(0.011, 1.9), _info(0.010, 2.1)), (_info(0.011, 1.9), None)]
+    pairs = [(f"{ip}\n{p}", c if ic is None else f"{ic}\n{c}")
+             for p, c, (ip, ic) in zip(parent, change, info)]
     pairs = [(bench_pairs.parse_result(p), bench_pairs.parse_result(c)) for p, c in pairs]
     rows = {r["metric"]: r for r in bench_pairs.summarize(END_TO_END, pairs)}
 
@@ -51,9 +63,16 @@ def test_summary_counts_wins_and_ties_and_flags_the_bound():
 
     runs = [(f"run {i}", c) for i, (_, c) in enumerate(pairs)]
     assert [label for label, _ in bench_pairs.failures(runs)] == ["run 3"]
+    # The raw unit_s row: the three pairs where both runs have it, each
+    # side's median scale, no wins or flags.
+    raw = rows["raw unit_s"]
+    assert raw["pairs"] == 3 and raw["parent"][0] == 0.011 and raw["change"][0] == 0.009
+    assert raw["speed_scale"] == (1.9, 1.8) and "wins" not in raw and "over_bound" not in raw
+
     table = bench_pairs.format_table(rows.values()).splitlines()
-    assert len(table) == 5 and "OVER BOUND" in table[3] and "gap>IQR" in table[1]
+    assert len(table) == 6 and "OVER BOUND" in table[3] and "gap>IQR" in table[1]
     assert table[4].split()[0] == "attempted" and table[4].split()[-1] == "1.350"
+    assert table[5].startswith("raw unit_s") and table[5].split()[-3:] == ["1.9", "/", "1.8"]
 
 
 def test_json_flag_writes_arguments_runs_and_summary(tmp_path, monkeypatch, capsys):

@@ -326,13 +326,16 @@ def test_a_bad_model_file_leaves_the_last_model_in_place(tmp_path, capsys):
 
 
 def _arrays(obj):
-    """Every ndarray reachable from obj through tuples and attributes,
-    cached properties included."""
+    """Every ndarray reachable from obj through tuples, dict values and
+    attributes, cached properties included."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, tuple):
         for item in obj:
             yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
     elif hasattr(obj, "__dict__"):
         for value in vars(obj).values():
             yield from _arrays(value)
@@ -342,7 +345,7 @@ def _arrays(obj):
 def test_loaded_models_are_read_only(tmp_path, name):
     model, rows = _reuse_case(name)
     loaded = load_model(_saved(tmp_path, name, model))
-    before = _score_bytes(loaded, rows)  # builds the grids and the copula
+    before = _score_bytes(loaded, rows)  # builds the grids, the copula and the table
     arrays = list(_arrays(loaded))
     assert arrays and not any(a.flags.writeable for a in arrays)
     for a in arrays:

@@ -4,6 +4,7 @@
   exact row scores the same alone as in its batch.
 - Fitting on column-permuted data permutes the model and its scores.
 - A model file round trip scores bit-identically, for every model kind.
+- A model whose zero-pattern table is warm scores the bytes of a fresh copy.
 - A unit change in one column shifts each row by -log s per positive entry
   there, and the rescaling pass leaves the scores as they are.
 """
@@ -15,14 +16,16 @@ import functools
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zicopula import rgd_copula
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
-from zicopula.cli import load_model, model_from_dict, save_model
+from zicopula.cli import load_model, main, model_from_dict, read_data_csv, save_model
 from zicopula.marginals import PositiveTerms, fit_marginal
 from zicopula.synth_bench import corrupt, make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
@@ -212,6 +215,62 @@ def test_model_file_round_trip_scores_bit_identically(name, seed):
     parsed = model_from_dict(json.loads(text))
     for m in (loaded, parsed):
         np.testing.assert_array_equal(_score(name, m, rows), _score(name, model, rows))
+
+
+@pytest.mark.parametrize("name", ["zibt-approx", "zibt-exact", "zicar-bernoulli"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_warm_pattern_table_scores_the_bytes_of_a_cold_one(name, data):
+    # The cached model keeps its table across examples and tests, so each
+    # piece meets a table warmed by other rows; a replaced copy starts empty.
+    model = _model(name)
+    rows = _rows(name)[data.draw(st.permutations(range(N_SCORE)))]
+    cuts = data.draw(st.lists(st.integers(min_value=0, max_value=N_SCORE), max_size=4))
+    edges = [0, *sorted(cuts), N_SCORE]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            cold = dataclasses.replace(model)
+            np.testing.assert_array_equal(
+                _score(name, model, rows[lo:hi]), _score(name, cold, rows[lo:hi])
+            )
+            assert 0 < len(cold.patterns) <= len(model.patterns)
+
+
+def test_credit_patterns_enter_the_table_over_several_calls(tmp_path):
+    # The credit workload's model: 12 columns, approx, one table filled by
+    # four calls, each scoring the bytes of a fresh copy's.
+    standin = Path(__file__).resolve().parents[1] / "data" / "credit_standin.csv"
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert main(["ingest-credit", "--raw", str(standin), "--out-train", str(train),
+                 "--out-test", str(test)]) == 0
+    model = fit_zibt(read_data_csv(train), likelihood_mode="approx")
+    rows = read_data_csv(test)
+    assert rows.shape[1] == 12
+    sizes = []
+    for part in np.array_split(rows, 4):
+        cold = dataclasses.replace(model)
+        np.testing.assert_array_equal(zibt_loglik_rows(model, part), zibt_loglik_rows(cold, part))
+        sizes.append(len(model.patterns))
+    distinct = {tuple(r) for r in model.terms(rows).positive}
+    assert sizes == sorted(sizes) and sizes[0] < sizes[-1] == len(distinct)
+
+
+def test_pattern_table_keeps_at_most_its_cap(monkeypatch):
+    # A call whose new patterns would pass the cap scores with them and
+    # keeps none of them.
+    monkeypatch.setattr(rgd_copula, "PATTERN_TABLE_SIZE", 3)
+    model = dataclasses.replace(_model("zibt-exact"))
+    rows = _rows("zibt-exact")
+    positive = model.terms(rows).positive
+    assert len({tuple(r) for r in positive}) > 3
+    same = rows[(positive == positive[0]).all(axis=1)]
+    sizes = []
+    for part in [same, *np.array_split(rows, 4), rows]:
+        cold = dataclasses.replace(model)
+        np.testing.assert_array_equal(_score("zibt-exact", model, part),
+                                      _score("zibt-exact", cold, part))
+        sizes.append(len(model.patterns))
+    assert sizes[0] == 1 and max(sizes) <= 3
 
 
 def _scaled(x: np.ndarray, column: int, s: float) -> np.ndarray:

@@ -678,6 +678,42 @@ def test_copula_stacked_pass_keeps_error_contracts() -> None:
         rc.copula_loglik_rows(sigma, a, omega, positive, exact=True)
 
 
+def test_pattern_table_keeps_error_contracts_and_no_partial_entry() -> None:
+    # The cases above, each failing twice on one table that already holds
+    # the batch's valid patterns: the same NumericError both times and on a
+    # fresh table, and a valid batch scored afterwards equal to a fresh
+    # table's scores. Each failing batch also holds a new valid pattern with
+    # fewer positives, built before the failure: the table must not keep it.
+    sigma = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 1.2], [0.2, 1.2, 1.0]])
+    a = np.array([-0.2, 0.1, -0.4])
+    mixed = np.array([[True, True, False], [True, False, True], [False, True, True],
+                      [True, False, False]])
+    # Coordinate 0 has no variance: conditioning on it fails, while a zero
+    # there is an orthant coordinate, which takes a zero variance.
+    lone = np.array([[False, True, True], [True, False, False], [False, False, False]])
+    cases = [
+        (sigma, None, mixed, [0, 1], "not positive definite"),
+        (sigma, a, mixed, [0, 1], "not positive definite"),
+        (np.diag([0.0, 1.0, 1.0]), a, lone, [0], r"observed block \(0,\) is singular"),
+    ]
+    for sigma, thresholds, positive, good, message in cases:
+        omega = np.where(positive, 0.5, 0.0)
+        table = rc.PatternTable(sigma, thresholds)
+        before = rc.pattern_loglik_rows(table, omega[good], positive[good])
+        errors = []
+        for fresh in (False, False, True):
+            with pytest.raises(NumericError, match=message) as failed:
+                scored = rc.PatternTable(sigma, thresholds) if fresh else table
+                rc.pattern_loglik_rows(scored, omega, positive)
+            errors.append(str(failed.value))
+            assert len(table) == len(good)
+        assert errors[0] == errors[1] == errors[2]
+        after = rc.pattern_loglik_rows(table, omega[good], positive[good])
+        cold = rc.copula_loglik_rows(sigma, a, omega[good], positive[good],
+                                     exact=thresholds is not None)
+        assert np.array_equal(after, cold) and np.array_equal(after, before)
+
+
 def test_zero_pattern_logprob_independence() -> None:
     a = np.array([0.1, -0.4, 0.6])
     p = _params(np.eye(3), a)

@@ -369,6 +369,25 @@ def test_orthant_block_size_never_changes_a_byte(monkeypatch) -> None:
     assert np.array_equal(_orthant(covs, uppers, 64, seed=3), whole)
 
 
+def test_orthant_lattice_cache_is_bounded_and_read_only() -> None:
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((5, 5))
+    cov = (m @ m.T + 5 * np.eye(5))[None]
+    upper = rng.normal(size=(1, 5))
+    sc._lattice.cache_clear()
+    cold = sc.mvn_orthant_logprob([(cov, upper)], 64, 3)[0]
+    for width in range(1, sc.LATTICE_CACHE_SIZE + 5):
+        log_u = sc._lattice(width, 2, 0)
+        assert log_u.shape == (2 * sc.QMC_SHIFTS, width) and not log_u.flags.writeable
+    info = sc._lattice.cache_info()
+    assert info.maxsize == sc.LATTICE_CACHE_SIZE == info.currsize
+    with pytest.raises(ValueError, match="read-only"):
+        log_u[0, 0] = 0.0
+    # A lattice built again or read from the cache gives the same bytes.
+    assert np.array_equal(sc.mvn_orthant_logprob([(cov, upper)], 64, 3)[0], cold)
+    assert np.array_equal(sc.mvn_orthant_logprob([(cov, upper)], 64, 3)[0], cold)
+
+
 def test_orthant_logprob_validates() -> None:
     cov, upper = np.eye(3)[None], np.zeros((1, 3))
     for q in (1, 2, 3):
