@@ -3,13 +3,14 @@ and product-kernel KDE, scored by log-likelihood like the main models."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
-from .stat_core import LOG_2PI, blocks, logsumexp_columns
+from .stat_core import LOG_2PI, blocks, logsumexp_columns, pick_best
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -233,34 +234,20 @@ def _validation_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return order[:cut], order[cut:]
 
 
+def _tune(data, seed: int, grid, fit, loglik_rows, what: str):
+    """Pick a grid value on an 80/20 held-out split, then refit on all rows."""
+    x = np.asarray(data, dtype=float)
+    train, val = _validation_split(x.shape[0], seed)
+    best = pick_best(grid, lambda v: float(loglik_rows(fit(x[train], v), x[val]).mean()), what)
+    return fit(x, best)
+
+
 def tune_gmm(data, seed: int = 0) -> GmmModel:
     """Pick k on an 80/20 held-out split, then refit on all rows."""
-    x = np.asarray(data, dtype=float)
-    train_idx, val_idx = _validation_split(x.shape[0], seed)
-    best_k, best_ll = None, -np.inf
-    for k in _GMM_GRID:
-        if train_idx.size < k * (x.shape[1] + 1):
-            continue
-        try:
-            candidate = fit_gmm(x[train_idx], k, seed=seed)
-        except NumericError:
-            continue
-        ll = float(gmm_loglik_rows(candidate, x[val_idx]).mean())
-        if ll > best_ll:
-            best_k, best_ll = k, ll
-    if best_k is None:
-        raise DataError("no mixture size fits the training split")
-    return fit_gmm(x, best_k, seed=seed)
+    fit = functools.partial(fit_gmm, seed=seed)
+    return _tune(data, seed, _GMM_GRID, fit, gmm_loglik_rows, "mixture size")
 
 
 def tune_kde(data, seed: int = 0) -> KdeModel:
     """Pick the bandwidth multiplier on an 80/20 split, then refit on all rows."""
-    x = np.asarray(data, dtype=float)
-    train_idx, val_idx = _validation_split(x.shape[0], seed)
-    best_mult, best_ll = None, -np.inf
-    for mult in _KDE_GRID:
-        candidate = fit_kde_multi(x[train_idx], multiplier=mult)
-        ll = float(kde_loglik_rows(candidate, x[val_idx]).mean())
-        if ll > best_ll:
-            best_mult, best_ll = mult, ll
-    return fit_kde_multi(x, multiplier=best_mult)
+    return _tune(data, seed, _KDE_GRID, fit_kde_multi, kde_loglik_rows, "bandwidth multiplier")

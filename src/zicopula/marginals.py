@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .rgd_copula import PatternTable
+from .rgd_copula import DEFAULT_MC_SAMPLES, PatternTable, pattern_loglik_rows
 from .stat_core import blocks, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 # Both copula models refuse to fit fewer training rows than this.
@@ -472,9 +472,40 @@ class CopulaModel:
         scores the approximate form."""
         return None
 
+    def _zero_terms(self, positive: np.ndarray) -> tuple:
+        """(start, at_zero, at_positive, q) of terms_loglik_rows."""
+        raise NotImplementedError
+
     @functools.cached_property
     def patterns(self) -> PatternTable:
         """The copula term's zero-pattern table, built on first use and kept:
         a model that load_model hands to several commands factors each of
         its zero patterns once."""
         return PatternTable(self.sigma, self._orthant_thresholds())
+
+
+def terms_loglik_rows(
+    model: CopulaModel,
+    terms: PositiveTerms,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    base_seed: int = 0,
+) -> np.ndarray:
+    """Log-likelihood of each row under a copula model, from its columns
+    evaluated at the rows to score. The model's zero term starts each row
+    and adds at_zero[j] at a zero in column j, at_positive[j] at a positive
+    entry; a positive entry also adds log g(x / b) - log b, and every row
+    the copula term on the model's pattern table, with omega taken at the
+    model's zero rates q. Only the exact form reads mc_samples and
+    base_seed."""
+    terms.check_columns(model.marginals)
+    positive = terms.positive
+    total, at_zero, at_positive, q = model._zero_terms(positive)
+    # log b is the change-of-variables term: the marginal was fit on x / b,
+    # so its density in original units is g(x / b) / b.
+    log_b = np.log(terms.rescales)
+    for j in range(model.dim):
+        pos = positive[:, j]
+        total[~pos] += at_zero[j]
+        total[pos] += at_positive[j] + terms.logpdf[pos, j] - log_b[j]
+    omega = np.where(positive, normal_scores(terms.cdf, q), 0.0)
+    return total + pattern_loglik_rows(model.patterns, omega, positive, mc_samples, base_seed)

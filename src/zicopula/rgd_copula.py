@@ -7,9 +7,8 @@ maximum-likelihood estimation of Sigma work. This module provides sampling,
 the four-branch bivariate likelihood, pairwise correlation estimation, full
 matrix assembly, zero-pattern probabilities, and ``pattern_loglik_rows``:
 the one copula log-density kernel that both models score with, each on its
-own ``PatternTable`` (the exact form adds the rectified-block orthant term),
-which ``copula_loglik_rows`` runs on a table of its own for callers without
-a model. It is batched by zero pattern: a table factors each pattern once,
+own ``PatternTable`` (the exact form adds the rectified-block orthant term).
+It is batched by zero pattern: a table factors each pattern once,
 the new patterns with the same number of positives in one stacked
 factorisation and one stacked conditioning solve, and keeps the factors for
 the next call; every row the orthant estimator serves shares one
@@ -546,33 +545,6 @@ class PatternTable:
         return out
 
 
-def copula_loglik_rows(
-    sigma,
-    a,
-    omega,
-    positive,
-    exact: bool = False,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    base_seed: int = 0,
-) -> np.ndarray:
-    """Gaussian-copula log-density of each row, batched by zero pattern.
-
-    ``positive`` marks the coordinates that are not rectified; omega is read
-    only there. The approximate form is the Gaussian term on each row's
-    positive block, log N(omega_pos; 0, sigma_pos) - sum log phi(omega_pos),
-    which is 0 for a single coordinate under a unit diagonal. The exact form
-    (which reads the thresholds ``a``) adds the orthant term
-    log P(nu_zero <= a_zero | nu_pos = omega_pos), minus sum log Phi(a_zero).
-
-    This is pattern_loglik_rows on a table built for this call; a fitted
-    model keeps its table (CopulaModel.patterns), so each of its zero
-    patterns is factored once. A row's value does not depend on the other
-    rows, nor on which patterns the table held before.
-    """
-    table = PatternTable(sigma, a if exact else None)
-    return pattern_loglik_rows(table, omega, positive, mc_samples, base_seed)
-
-
 def pattern_loglik_rows(
     table: PatternTable,
     omega,
@@ -580,13 +552,16 @@ def pattern_loglik_rows(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     base_seed: int = 0,
 ) -> np.ndarray:
-    """The copula term of each row (see copula_loglik_rows) under the sigma
-    and thresholds of ``table``, which factors the patterns it does not
-    hold yet. The rows of each p gather their patterns' factors by slot;
-    the orthant terms of all zero counts are one call of
-    mvn_orthant_logprob, with its estimator's rows embedded in the
-    dimension of sigma, ``mc_samples`` points per row and shifts drawn from
-    ``base_seed``."""
+    """Gaussian-copula log-density of each row under the sigma and
+    thresholds of ``table``, which factors the patterns it does not hold yet.
+    omega is read only where ``positive``. Without thresholds it is
+    log N(omega_pos; 0, sigma_pos) - sum log phi(omega_pos), 0 for one
+    coordinate; the exact form adds log P(nu_zero <= a_zero | nu_pos =
+    omega_pos) - sum log Phi(a_zero). A row's value does not depend on the
+    other rows, nor on what the table held before. The orthant terms of all
+    zero counts are one mvn_orthant_logprob call, its estimator's rows
+    embedded in the dimension of sigma, ``mc_samples`` points per row and
+    shifts drawn from ``base_seed``."""
     sigma, a = table.sigma, table.a
     omega = np.asarray(omega, dtype=float)
     positive = np.asarray(positive, dtype=bool)

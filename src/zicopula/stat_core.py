@@ -4,8 +4,8 @@ Scalar standard-normal helpers, the bivariate normal CDF through Owen's T,
 multivariate normal log-density, Gaussian conditioning, correlation-matrix
 repair, the one orthant log-probability (closed form up to two coordinates,
 a batched quasi-Monte Carlo estimator above), the blocks every chunked
-kernel sum is cut into, and the seed derivation every seeded caller shares.
-All functions are pure; random state is always caller-supplied as a seed.
+kernel sum is cut into, the seed derivation every seeded caller shares, and
+the held-out pick rule. All functions are pure; seeds are caller-supplied.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp, owens_t
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 # Probabilities are clamped to this range before any log; keeps degenerate
 # tails at a large-but-finite penalty instead of -inf.
@@ -36,6 +36,23 @@ CHUNK_BUDGET = 1 << 18
 def sub_seed(seed: int, stream: int) -> int:
     """Independent child seed for one stream (or row) of a seeded computation."""
     return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
+
+
+def pick_best(grid, score, what: str):
+    """The first value of ``grid`` with the highest held-out ``score(value)``.
+    A value whose fit raises DataError or NumericError, or whose score is
+    NaN, scores -inf; DataError if no value scores above -inf."""
+    best, best_score = None, -math.inf
+    for value in grid:
+        try:
+            value_score = score(value)
+        except (DataError, NumericError):
+            continue
+        if value_score > best_score:  # False for NaN
+            best, best_score = value, value_score
+    if best is None:
+        raise DataError(f"no {what} of {tuple(grid)} scores above -inf on the held-out rows")
+    return best
 
 
 def blocks(n_items: int, item_size: int):

@@ -14,13 +14,13 @@ from scipy.stats import rankdata
 
 from .baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from .errors import DataError
-from .marginals import PositiveTerms, fit_positive_terms
+from .marginals import PositiveTerms, fit_positive_terms, terms_loglik_rows
 from .mask_model import (EXACT_FIT_MAX_DIM, RbmMask, compute_log_z, enumerate_states,
                          mask_logprob_rows)
 from .rgd_copula import DEFAULT_MC_SAMPLES
-from .stat_core import std_normal_quantile, sub_seed
-from .zibt_model import fit_zibt_copula, zibt_loglik_terms
-from .zicar_model import fit_zicar_copula, zicar_loglik_terms
+from .stat_core import pick_best, std_normal_quantile, sub_seed
+from .zibt_model import fit_zibt_copula
+from .zicar_model import fit_zicar_copula
 
 N_SIGMOID_COMPONENTS = 5
 N_MAP_ANCHORS = 10_000
@@ -339,44 +339,37 @@ def _bench_one_seed(
         zicar-no-mle takes the mask of this one RBM fit."""
         return fit_zicar_copula(terms(bw, "train"), mask_kind="rbm", seed=sub_seed(seed, 4))
 
-    def validation_ll(family: str, bw: float) -> float:
-        if family == "zibt":
-            return float(zibt_loglik_terms(zibt(bw, True), terms(bw, "val")).mean())
-        model = fit_zicar_copula(terms(bw, "train"), mask_kind="bernoulli")
-        return float(zicar_loglik_terms(model, terms(bw, "val")).mean())
-
     @functools.cache
     def tuned(family: str) -> float:
         """The marginal-KDE bandwidth multiplier of highest validation
-        log-likelihood, the first in BANDWIDTH_GRID order on a tie. Tuned
+        log-likelihood (stat_core.pick_best over BANDWIDTH_GRID). Tuned
         once per family with the full configuration; ablations reuse it so
         each ablation changes exactly one ingredient."""
-        return max(BANDWIDTH_GRID, key=lambda bw: validation_ll(family, bw))
+        def validation_ll(bw: float) -> float:
+            model = (zibt(bw, True) if family == "zibt"
+                     else fit_zicar_copula(terms(bw, "train"), mask_kind="bernoulli"))
+            return float(terms_loglik_rows(model, terms(bw, "val")).mean())
+
+        return pick_best(BANDWIDTH_GRID, validation_ll, f"{family} bandwidth multiplier")
 
     def scores(tag: str) -> tuple:
         """(normal NLL rows, abnormal NLL rows, sigma estimate or None)."""
-        if tag.startswith("zicar"):
-            bw = tuned("zicar")
+        family = tag.partition("-")[0]
+        if family in ("zicar", "zibt"):
+            bw = tuned(family)
             if tag == "zicar-full":
                 model = zicar_rbm(bw)
-            else:
-                use_mle = tag == "zicar-no-rbm"
-                model = fit_zicar_copula(terms(bw, "train"), use_mle_sigma=use_mle)
+            elif family == "zicar":
+                model = fit_zicar_copula(terms(bw, "train"), use_mle_sigma=tag == "zicar-no-rbm")
                 if tag == "zicar-no-mle":
                     model = dataclasses.replace(model, mask=zicar_rbm(bw).mask)
+            else:
+                model = zibt(bw, tag != "zibt-no-mle")
+                if tag != "zibt-approx":
+                    model = dataclasses.replace(model, likelihood_mode="exact")
             return (
-                -zicar_loglik_terms(model, terms(bw, "normal")),
-                -zicar_loglik_terms(model, terms(bw, "abnormal")),
-                model.sigma,
-            )
-        if tag.startswith("zibt"):
-            bw = tuned("zibt")
-            model = zibt(bw, tag != "zibt-no-mle")
-            if tag != "zibt-approx":
-                model = dataclasses.replace(model, likelihood_mode="exact")
-            return (
-                -zibt_loglik_terms(model, terms(bw, "normal"), mc_samples, sub_seed(seed, 5)),
-                -zibt_loglik_terms(model, terms(bw, "abnormal"), mc_samples, sub_seed(seed, 6)),
+                -terms_loglik_rows(model, terms(bw, "normal"), mc_samples, sub_seed(seed, 5)),
+                -terms_loglik_rows(model, terms(bw, "abnormal"), mc_samples, sub_seed(seed, 6)),
                 model.sigma,
             )
         if tag == "gmm":

@@ -20,6 +20,7 @@ from .marginals import (
     PositiveTerms,
     fit_positive_terms,
     normal_scores,
+    terms_loglik_rows,
 )
 from .rgd_copula import (
     DEFAULT_MC_SAMPLES,
@@ -27,7 +28,6 @@ from .rgd_copula import (
     RgdParams,
     ZeroPattern,
     assemble_sigma,
-    pattern_loglik_rows,
     zero_pattern_logprob,
 )
 from .stat_core import LOG_PROB_FLOOR, PROB_FLOOR, std_normal_quantile
@@ -61,6 +61,13 @@ class ZibtModel(CopulaModel):
             return None
         return np.where(np.isfinite(self.copula.a), self.copula.a, _PATCHED_THRESHOLD)
 
+    def _zero_terms(self, positive: np.ndarray) -> tuple:
+        # log q floored so zeros in a column that never had any stay finite.
+        q = np.array([m.q for m in self.marginals])
+        with np.errstate(divide="ignore"):
+            at_zero = np.maximum(np.log(q), LOG_PROB_FLOOR)
+        return np.zeros(positive.shape[0]), at_zero, np.log1p(-q), q
+
 
 def fit_zibt(
     data,
@@ -93,30 +100,7 @@ def zibt_loglik_rows(
     base_seed: int = 0,
 ) -> np.ndarray:
     """Log-likelihood of each row under the fitted rectified-copula law."""
-    return zibt_loglik_terms(model, model.terms(data), mc_samples, base_seed)
-
-
-def zibt_loglik_terms(
-    model: ZibtModel,
-    terms: PositiveTerms,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    base_seed: int = 0,
-) -> np.ndarray:
-    """Copula stage of zibt_loglik_rows, on the model's columns evaluated at
-    the rows to score."""
-    terms.check_columns(model.marginals)
-    positive = terms.positive
-    total = np.zeros(positive.shape[0])
-    log_b = np.log(terms.rescales)
-    for j, m in enumerate(model.marginals):
-        pos = positive[:, j]
-        # log q floored so zeros in a column that never had any stay finite.
-        total[~pos] += max(np.log(m.q), LOG_PROB_FLOOR) if m.q > 0 else LOG_PROB_FLOOR
-        total[pos] += np.log1p(-m.q) + terms.logpdf[pos, j] - log_b[j]
-
-    q = np.array([m.q for m in model.marginals])
-    omega = np.where(positive, normal_scores(terms.cdf, q), 0.0)
-    return total + pattern_loglik_rows(model.patterns, omega, positive, mc_samples, base_seed)
+    return terms_loglik_rows(model, model.terms(data), mc_samples, base_seed)
 
 
 def zero_pattern_prob(

@@ -19,6 +19,7 @@ from .marginals import (
     PositiveTerms,
     fit_positive_terms,
     normal_scores,
+    terms_loglik_rows,
 )
 from .mask_model import (
     BernoulliMask,
@@ -27,7 +28,6 @@ from .mask_model import (
     fit_rbm,
     mask_logprob_rows,
 )
-from .rgd_copula import pattern_loglik_rows
 from .stat_core import repair_correlation, std_normal_quantile
 
 MIN_JOINT_POSITIVE = 10
@@ -43,6 +43,11 @@ class ZicarModel(CopulaModel):
         super().__post_init__()
         if self.mask.dim != self.dim:
             raise ValueError("mask dimension must match the marginals")
+
+    def _zero_terms(self, positive: np.ndarray) -> tuple:
+        # The mask law scores the zeros; omega is the parent's Phi^-1(F).
+        none = np.zeros(self.dim)
+        return mask_logprob_rows(self.mask, positive), none, none, 0.0
 
 
 def _sigma_from_joint_positives(train: PositiveTerms) -> np.ndarray:
@@ -129,22 +134,4 @@ def fit_zicar_copula(
 
 def zicar_loglik_rows(model: ZicarModel, data) -> np.ndarray:
     """Log-likelihood of each row: mask + positive marginals + copula."""
-    return zicar_loglik_terms(model, model.terms(data))
-
-
-def zicar_loglik_terms(model: ZicarModel, terms: PositiveTerms) -> np.ndarray:
-    """Copula stage of zicar_loglik_rows, on the model's columns evaluated at
-    the rows to score."""
-    terms.check_columns(model.marginals)
-    positive = terms.positive
-    total = mask_logprob_rows(model.mask, positive)
-
-    # log b is the change-of-variables term: the marginal was fit on x / b,
-    # so its density in original units is g(x / b) / b.
-    log_b = np.log(terms.rescales)
-    for j in range(model.dim):
-        pos = positive[:, j]
-        total[pos] += terms.logpdf[pos, j] - log_b[j]
-
-    omega = np.where(positive, normal_scores(terms.cdf), 0.0)
-    return total + pattern_loglik_rows(model.patterns, omega, positive)
+    return terms_loglik_rows(model, model.terms(data))

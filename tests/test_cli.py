@@ -24,6 +24,7 @@ from zicopula.cli import (
 from zicopula.baselines import (
     GmmModel,
     KdeModel,
+    _validation_split,
     fit_gmm,
     fit_kde_multi,
     gmm_loglik_rows,
@@ -118,6 +119,22 @@ def test_zicar_rbm_files_do_not_depend_on_log_level(tmp_path, caplog):
         assert fit_logged == (level == logging.DEBUG)
         outs[level] = (model_path.read_bytes(), score_path.read_bytes())
     assert outs[logging.DEBUG] == outs[logging.WARNING]
+
+
+@pytest.mark.parametrize("kind", ["gmm", "kde"])
+def test_tuning_with_no_finite_held_out_score_is_a_data_error(tmp_path, capsys, kind):
+    # One held-out row far past the training rows scores -inf under every
+    # candidate, although every candidate fits.
+    data = np.random.Generator(np.random.PCG64(0)).random((100, 2))
+    data[_validation_split(100, 0)[1][0]] = 1e200
+    data_path, model_path = tmp_path / "train.csv", tmp_path / "m.json"
+    write_data_csv(data_path, data)
+    capsys.readouterr()
+    assert main(["fit", "--model", kind, "--seed", "0", "--data", str(data_path),
+                 "--out", str(model_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERR:DATA no ") and "above -inf" in err[0]
+    assert not model_path.exists()
 
 
 def test_rbm_mask_is_refused_past_twelve_columns(tmp_path, capsys):

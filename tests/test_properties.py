@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from zicopula import rgd_copula
 from zicopula.baselines import fit_gmm, fit_kde_multi, gmm_loglik_rows, kde_loglik_rows
 from zicopula.cli import load_model, main, model_from_dict, read_data_csv, save_model
-from zicopula.marginals import PositiveTerms, fit_marginal
+from zicopula.marginals import PositiveTerms, fit_marginal, terms_loglik_rows
 from zicopula.synth_bench import corrupt, make_ground_truth, sample_dataset
 from zicopula.zibt_model import fit_zibt, fit_zibt_copula, zibt_loglik_rows
 from zicopula.zicar_model import fit_zicar, fit_zicar_copula, zicar_loglik_rows
@@ -271,6 +271,23 @@ def test_pattern_table_keeps_at_most_its_cap(monkeypatch):
                                       _score("zibt-exact", cold, part))
         sizes.append(len(model.patterns))
     assert sizes[0] == 1 and max(sizes) <= 3
+
+
+@pytest.mark.parametrize("name", ["zibt-approx", "zicar-bernoulli", "zicar-rbm"])
+def test_approximate_form_ignores_mc_samples_and_base_seed(name):
+    # zicar has no orthant term, so it never reaches the exact path.
+    model = _model(name)
+    terms = model.terms(_rows(name))
+    first = terms_loglik_rows(model, terms, 64, 1)
+    assert np.array_equal(first, terms_loglik_rows(model, terms, 4096, 99))
+    assert np.array_equal(first, _score(name, model, _rows(name)))
+
+
+def test_scorer_refuses_terms_of_other_columns():
+    model = _model("zicar-bernoulli")
+    other = fit_zicar(_data("zicar")[0], seed=3)
+    with pytest.raises(ValueError, match="other fitted columns"):
+        terms_loglik_rows(model, other.terms(_rows("zicar-bernoulli")))
 
 
 def _scaled(x: np.ndarray, column: int, s: float) -> np.ndarray:

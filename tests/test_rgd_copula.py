@@ -428,11 +428,12 @@ def test_assemble_sigma_flags_agree_without_ties() -> None:
 
 
 def _copula(p, omega, zero, exact):
-    """copula_loglik_rows for one row whose coordinates in `zero` are rectified."""
+    """pattern_loglik_rows for one row whose coordinates in `zero` are rectified."""
     positive = np.ones(p.dim, dtype=bool)
     positive[list(zero)] = False
     omega = np.asarray(omega, dtype=float)[None, :]
-    return rc.copula_loglik_rows(p.sigma, p.a, omega, positive[None, :], exact=exact)[0]
+    table = rc.PatternTable(p.sigma, p.a if exact else None)
+    return rc.pattern_loglik_rows(table, omega, positive[None, :])[0]
 
 
 def test_copula_exact_identity_matrix_is_flat() -> None:
@@ -512,7 +513,7 @@ def test_copula_exact_two_zero_tail_matches_quadrature(sigma, a, w) -> None:
     omega = np.column_stack([np.full((w.size, 2), a[:2]), w])
     positive = np.zeros(omega.shape, dtype=bool)
     positive[:, 2] = True
-    got = rc.copula_loglik_rows(sigma, a, omega, positive, exact=True)
+    got = rc.pattern_loglik_rows(rc.PatternTable(sigma, a), omega, positive)
     got += float(np.sum(sc.std_normal_logcdf(a[:2])))
     cov = sigma[:2, :2] - np.outer(sigma[:2, 2], sigma[:2, 2])
     sd = np.sqrt(np.diag(cov))
@@ -560,7 +561,7 @@ def test_copula_approx_empty_positive_set_is_zero() -> None:
 
 
 def _reference_row(sigma, a, w, positive, exact, estimate=True) -> tuple[float, bool]:
-    """One row of copula_loglik_rows from the single-row primitives, and
+    """One row of pattern_loglik_rows from the single-row primitives, and
     whether the orthant estimator serves it (its value is NaN then, unless
     ``estimate``)."""
     pos, zero = np.flatnonzero(positive), np.flatnonzero(~positive)
@@ -654,7 +655,8 @@ def test_copula_rows_match_row_by_row_reference(d, seed, at_floor) -> None:
             assert served[-3:].all()  # the tail rows
         keep = ~served if at_floor else np.ones(served.size, dtype=bool)
         want = np.array([value for value, _ in ref])[keep]
-        got = rc.copula_loglik_rows(sigma, a, omega[keep], positive[keep], exact=exact)
+        table = rc.PatternTable(sigma, a if exact else None)
+        got = rc.pattern_loglik_rows(table, omega[keep], positive[keep])
         np.testing.assert_allclose(got, want, rtol=STACKED_TOL, atol=STACKED_TOL)
 
 
@@ -666,16 +668,18 @@ def test_copula_stacked_pass_keeps_error_contracts() -> None:
     positive = np.array([[True, True, False], [True, False, True], [False, True, True]])
     omega = np.where(positive, 0.5, 0.0)
     for exact in (False, True):
-        rc.copula_loglik_rows(sigma, a, omega[:2], positive[:2], exact=exact)
+        rc.pattern_loglik_rows(rc.PatternTable(sigma, a if exact else None), omega[:2],
+                               positive[:2])
         with pytest.raises(NumericError, match="not positive definite"):
-            rc.copula_loglik_rows(sigma, a, omega, positive, exact=exact)
+            rc.pattern_loglik_rows(rc.PatternTable(sigma, a if exact else None), omega, positive)
     # A singular observed block: coordinate 0 has no variance.
     sigma = np.diag([0.0, 1.0, 1.0])
     positive = np.array([[False, True, False], [True, False, False], [False, False, True]])
     omega = np.where(positive, 0.5, 0.0)
-    assert rc.copula_loglik_rows(sigma, a, omega, positive, exact=False).tolist() == [0.0] * 3
+    approx = rc.pattern_loglik_rows(rc.PatternTable(sigma), omega, positive)
+    assert approx.tolist() == [0.0] * 3
     with pytest.raises(NumericError, match=r"observed block \(0,\) is singular"):
-        rc.copula_loglik_rows(sigma, a, omega, positive, exact=True)
+        rc.pattern_loglik_rows(rc.PatternTable(sigma, a), omega, positive)
 
 
 def test_pattern_table_keeps_error_contracts_and_no_partial_entry() -> None:
@@ -709,8 +713,8 @@ def test_pattern_table_keeps_error_contracts_and_no_partial_entry() -> None:
             assert len(table) == len(good)
         assert errors[0] == errors[1] == errors[2]
         after = rc.pattern_loglik_rows(table, omega[good], positive[good])
-        cold = rc.copula_loglik_rows(sigma, a, omega[good], positive[good],
-                                     exact=thresholds is not None)
+        cold = rc.pattern_loglik_rows(rc.PatternTable(sigma, thresholds), omega[good],
+                                      positive[good])
         assert np.array_equal(after, cold) and np.array_equal(after, before)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zicopula import stat_core as sc
-from zicopula.errors import NumericError
+from zicopula.errors import DataError, NumericError
 
 
 def test_std_normal_pdf_values() -> None:
@@ -481,3 +481,20 @@ def test_orthant_logprob_matches_oracle_at_the_eigenvalue_floor() -> None:
     for seed in range(3):
         got = _orthant(cond.cov[None], upper[None], DEFAULT_MC_SAMPLES, seed)
         assert abs(got[0] - want) < GATE_LOG_ERR, (seed, got[0], want)
+
+
+def test_pick_best_takes_the_first_highest_and_scores_failures_at_minus_inf() -> None:
+    def score(value):
+        if value == "data":
+            raise DataError("too few rows")
+        if value == "numeric":
+            raise NumericError("not positive definite")
+        return {"nan": math.nan, "low": -math.inf, "tie": 3.0}.get(value, value)
+
+    assert sc.pick_best([1.0, 3.0, 2.0, "tie"], score, "x") == 3.0
+    assert sc.pick_best(["tie", 3.0], score, "x") == "tie"
+    assert sc.pick_best(["data", "nan", "numeric", -5.0, "low"], score, "x") == -5.0
+    with pytest.raises(DataError, match=r"no x of \('data', 'nan', 'low'\) scores above -inf"):
+        sc.pick_best(["data", "nan", "low"], score, "x")
+    with pytest.raises(ValueError, match="boom"):  # other errors are not a failed candidate
+        sc.pick_best([1.0], lambda value: float("boom"), "x")
