@@ -28,11 +28,6 @@ then, and after the bernoulli zicar score, when the file is parsed again.
 ``credit_zibt.json`` is scored once more right after its first score, by the
 model ``load_model`` hands back, its zero-pattern table filled then. Each must
 write the first score's bytes; the script exits 1 if not.
-
-``zibt_exact.json`` and ``zicar_rbm.json`` are also written in schema-1
-form (``*.schema1.json``: ``schema_version`` 1, plus the copies of derived
-numbers schema 1 stored) and scored from it, each to its own file. Each
-must write the bytes of its schema-2 score; the script exits 1 if not.
 """
 
 from __future__ import annotations
@@ -41,8 +36,6 @@ import contextlib
 import functools
 import hashlib
 import io
-import json
-import math
 import os
 import sys
 import tempfile
@@ -98,31 +91,6 @@ def _write_head(source: str, out: str, rows: int) -> int:
     return 0
 
 
-# Model files also scored from their schema-1 form.
-SCHEMA_1 = ("zibt_exact.json", "zicar_rbm.json")
-
-
-def _schema_1_of(model: str) -> str:
-    return model.replace(".json", ".schema1.json")
-
-
-def _write_schema_1(model: str) -> int:
-    """Write a copula model file as schema 1 stored it: "rescales" repeats
-    the rescale divisors, and each marginal's "a" and, for zibt, a
-    "thresholds" list repeat Phi^-1(q) (null for -inf)."""
-    with open(model) as fh:
-        payload = json.load(fh)
-    loaded = cli.model_from_dict(payload)
-    thresholds = [None if math.isinf(m.a) else m.a for m in loaded.marginals]
-    old = {**payload, "schema_version": 1, "rescales": loaded.rescales.tolist()}
-    old["marginals"] = [{**d, "a": a} for d, a in zip(payload["marginals"], thresholds)]
-    if payload["kind"] == "zibt":
-        old["thresholds"] = thresholds
-    with open(_schema_1_of(model), "w") as fh:
-        fh.write(json.dumps(old, sort_keys=True) + "\n")
-    return 0
-
-
 def _scores_of(model: str) -> str:
     return "scores_" + model.replace(".json", ".csv")
 
@@ -154,10 +122,6 @@ def commands():
                    [out, *written[1:]])
     for model, kind, flags, data in FITS:
         yield from _fit_and_score(model, kind, flags, data)
-        if model in SCHEMA_1:
-            old = _schema_1_of(model)
-            yield functools.partial(_write_schema_1, model), [old]
-            yield _score(old, data, _scores_of(old))
     yield functools.partial(_write_head, "zicar_test.csv", "trailing_test.csv", TRAILING_ROWS), []
     yield _score("kde_tuned.json", "trailing", "scores_kde_tuned.trailing.csv")
     standin = os.path.join(ROOT, "data", "credit_standin.csv")
@@ -187,9 +151,8 @@ def main() -> int:
                     digests[name] = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digests[name]}  {name}")
         os.chdir(ROOT)
-    pairs = [(out, _scores_of(again[0])) for _, again, out in REPEATS]
-    pairs += [(_scores_of(_schema_1_of(model)), _scores_of(model)) for model in SCHEMA_1]
-    for out, first in pairs:
+    for _, again, out in REPEATS:
+        first = _scores_of(again[0])
         if digests[out] != digests[first]:
             print(f"{out} differs from {first}", file=sys.stderr)
             return 1

@@ -240,34 +240,6 @@ _FIELDS = {
 }
 
 
-def _without_schema_1_copies(payload: dict) -> dict:
-    """A schema-1 copula file without the copies of derived numbers it also
-    stores: "rescales", "thresholds" and each marginal's "a"."""
-    rest = {k: v for k, v in payload.items() if k not in ("rescales", "thresholds")}
-    rest["marginals"] = [
-        {k: v for k, v in {**m}.items() if k != "a"} for m in payload["marginals"]
-    ]
-    return rest
-
-
-def _check_schema_1_copies(d: dict, model) -> None:
-    """A schema-1 copula file also stores copies of derived numbers: the
-    rescale divisors ("rescales"), each marginal's threshold "a" and, for
-    zibt, the thresholds again. Each copy must equal what it copies: the
-    divisors exactly, a threshold within 1e-9 (null stands for -inf)."""
-    if [float(b) for b in d["rescales"]] != model.rescales.tolist():
-        raise ValueError("rescales must equal the marginals' rescale_b")
-    copies = [[m["a"] for m in d["marginals"]]]
-    if isinstance(model, ZibtModel):
-        copies.append(d["thresholds"])
-    for stored in copies:
-        stored = [-math.inf if v is None else float(v) for v in stored]
-        if len(stored) != model.dim or not all(
-            v == m.a or abs(v - m.a) <= 1e-9 for v, m in zip(stored, model.marginals)
-        ):
-            raise ValueError("thresholds must equal Phi^-1 of the zero rates")
-
-
 def _fit_zicar(args, data) -> ZicarModel:
     return fit_zicar(
         data,
@@ -368,19 +340,15 @@ def model_from_dict(payload) -> object:
     if not isinstance(payload, dict):
         raise DataError("model file must contain a JSON object")
     version = payload.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
-        raise DataError(f"unsupported schema_version: {version!r}")
+    if version != SCHEMA_VERSION:
+        raise DataError(f"unsupported schema_version: {version!r}; "
+                        f"this build reads {SCHEMA_VERSION}")
     kind = payload.get("kind")
     entry = _KINDS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise DataError(f"unknown model kind: {kind!r}")
     try:
-        known = ("schema_version", "kind")
-        if version == 1 and entry.type in (ZibtModel, ZicarModel):
-            model = _from_json(entry.type, _without_schema_1_copies(payload), *known)
-            _check_schema_1_copies(payload, model)
-            return model
-        return _from_json(entry.type, payload, *known)
+        return _from_json(entry.type, payload, "schema_version", "kind")
     except KeyError as exc:
         raise DataError(f"model file missing field: {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

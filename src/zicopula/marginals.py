@@ -50,8 +50,8 @@ class MarginalModel:
             raise ValueError("kde_centers must be positive")
         if not 0.0 <= self.q < 1.0:
             raise ValueError("zero rate q must lie in [0, 1)")
-        if not (self.bandwidth > 0 and self.rescale_b > 0):
-            raise ValueError("bandwidth and rescale_b must be positive")
+        if not (0 < self.bandwidth < math.inf and 0 < self.rescale_b < math.inf):
+            raise ValueError("bandwidth and rescale_b must be positive and finite")
         object.__setattr__(self, "kde_centers", centers)
 
     @functools.cached_property

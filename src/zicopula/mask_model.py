@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DataError
-from .stat_core import LOG_PROB_FLOOR, logsumexp_columns
+from .stat_core import LOG_PROB_FLOOR, blocks, logsumexp_columns
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ EXACT_FIT_MAX_DIM = 12
 # L-BFGS stops when no gradient entry exceeds gtol; ftol = 0 turns off the
 # relative-decrease stop, which would otherwise end most fits short of it.
 _EXACT_FIT_OPTIONS = {"maxiter": 15_000, "gtol": 1e-5, "ftol": 0.0}
-_ENUM_CHUNK_BITS = 16
 
 
 def _validate_binary(masks: np.ndarray, context: str) -> np.ndarray:
@@ -109,14 +108,28 @@ def _bit_places(dim: int) -> np.ndarray:
     return 1 << np.arange(dim - 1, -1, -1, dtype=np.int64)
 
 
+def states_of(codes, dim: int) -> np.ndarray:
+    """The binary vectors of length dim with the given integer codes, one per row."""
+    return ((np.asarray(codes)[:, None] & _bit_places(dim)) != 0).astype(float)
+
+
 def enumerate_states(dim: int) -> np.ndarray:
     """All binary vectors of the given length, one per row, in counting order."""
     if dim < 0:
         raise ValueError("dim must be nonnegative")
     if dim > MAX_EXACT_DIM:
         raise DataError("exact normalization out of scope")
-    codes = np.arange(1 << dim, dtype=np.int64)
-    return ((codes[:, None] & _bit_places(dim)) != 0).astype(float)
+    return states_of(np.arange(1 << dim), dim)
+
+
+def map_states(fn, dim: int, n_hidden: int) -> np.ndarray:
+    """fn of every state of enumerate_states(dim), in counting order. fn sees
+    the states in stat_core.blocks(2**dim, n_hidden), so that a block's
+    hidden-unit activations stay within one CHUNK_BUDGET at any dim."""
+    if dim > MAX_EXACT_DIM:
+        raise DataError("exact normalization out of scope")
+    spans = blocks(1 << dim, n_hidden)
+    return np.concatenate([fn(states_of(np.arange(lo, hi), dim)) for lo, hi in spans])
 
 
 def free_energy(
@@ -138,19 +151,9 @@ def compute_log_z(
     hidden_bias: np.ndarray,
 ) -> float:
     """Exact log partition function by visible-state enumeration."""
-    d = weights.shape[0]
-    if d > MAX_EXACT_DIM:
-        raise DataError("exact normalization out of scope")
-    # One chunk of 2^_ENUM_CHUNK_BITS states per state of the leading
-    # columns, so that D = 20 never holds all 2^20 states at once.
-    lead = max(d - _ENUM_CHUNK_BITS, 0)
-    states = np.empty((1 << (d - lead), d))
-    states[:, lead:] = enumerate_states(d - lead)
-    pieces = []
-    for head in enumerate_states(lead):
-        states[:, :lead] = head
-        pieces.append(logsumexp_columns(-free_energy(weights, visible_bias, hidden_bias, states)))
-    return float(logsumexp_columns(np.array(pieces)))
+    energies = map_states(lambda v: free_energy(weights, visible_bias, hidden_bias, v),
+                          *weights.shape)
+    return float(logsumexp_columns(-energies))
 
 
 def fit_bernoulli(masks: np.ndarray) -> BernoulliMask:

@@ -386,13 +386,14 @@ def assemble_sigma(
     omega: np.ndarray,
     a,
     use_mle: bool,
-    zero_mask: np.ndarray | None = None,
+    zero_mask: np.ndarray,
 ) -> np.ndarray:
     """Build the full correlation matrix from omega-transformed columns.
 
-    With use_mle, every pair goes through estimate_rho; otherwise the plain
-    sample correlation over all rows (rectified values included) is taken.
-    The result is passed through repair_correlation either way.
+    zero_mask marks the rectified entries. With use_mle, every pair goes
+    through estimate_rho; otherwise the plain sample correlation over all
+    rows (rectified values included) is taken. The result is passed through
+    repair_correlation either way.
     """
     omega = np.asarray(omega, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -401,12 +402,9 @@ def assemble_sigma(
     d = omega.shape[1]
     if a.shape != (d,):
         raise DataError("threshold vector must match omega columns")
-    if zero_mask is None:
-        zero_mask = omega == a
-    else:
-        zero_mask = np.asarray(zero_mask, dtype=bool)
-        if zero_mask.shape != omega.shape:
-            raise DataError("zero mask must match omega shape")
+    zero_mask = np.asarray(zero_mask, dtype=bool)
+    if zero_mask.shape != omega.shape:
+        raise DataError("zero mask must match omega shape")
     if use_mle:
         sigma = np.eye(d)
         for i in range(d):

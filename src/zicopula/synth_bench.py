@@ -15,8 +15,8 @@ from scipy.stats import rankdata
 from .baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from .errors import DataError
 from .marginals import PositiveTerms, fit_positive_terms, terms_loglik_rows
-from .mask_model import (EXACT_FIT_MAX_DIM, RbmMask, compute_log_z, enumerate_states,
-                         mask_logprob_rows)
+from .mask_model import (EXACT_FIT_MAX_DIM, RbmMask, compute_log_z, map_states,
+                         mask_logprob_rows, states_of)
 from .rgd_copula import DEFAULT_MC_SAMPLES
 from .stat_core import pick_best, std_normal_quantile, sub_seed
 from .zibt_model import fit_zibt_copula
@@ -215,11 +215,11 @@ def sample_dataset(truth: GroundTruth, n: int, seed: int = 0) -> np.ndarray:
         parent = np.column_stack(
             [truth.monotone_maps[i].apply(latent[:, i]) for i in range(d)]
         )
-        states = enumerate_states(d)
-        probs = np.exp(mask_logprob_rows(truth.mask_truth, states))
+        mask = truth.mask_truth
+        probs = np.exp(map_states(functools.partial(mask_logprob_rows, mask), d, mask.n_hidden))
         probs = probs / probs.sum()
-        idx = rng.choice(states.shape[0], size=n, p=probs)
-        return states[idx] * parent
+        codes = rng.choice(probs.size, size=n, p=probs)
+        return states_of(codes, d) * parent
 
     return np.column_stack(
         [truth.monotone_maps[i].apply(latent[:, i]) for i in range(d)]

@@ -37,19 +37,6 @@ from zicopula.zibt_model import ZibtModel, fit_zibt, zibt_loglik_rows
 from zicopula.zicar_model import ZicarModel, fit_zicar, zicar_loglik_rows
 
 
-def _schema_1(payload: dict) -> dict:
-    """A copula model file as schema 1 wrote it: each marginal and, for
-    zibt, a "thresholds" list repeat Phi^-1(q) (null for -inf), and
-    "rescales" repeats the rescale divisors."""
-    model = model_from_dict(payload)
-    thresholds = [None if math.isinf(m.a) else m.a for m in model.marginals]
-    old = {**payload, "schema_version": 1, "rescales": model.rescales.tolist()}
-    old["marginals"] = [{**d, "a": a} for d, a in zip(payload["marginals"], thresholds)]
-    if payload["kind"] == "zibt":
-        old["thresholds"] = thresholds
-    return old
-
-
 def _toy_zibt_csv(path, n=60, zeros=(12, 30)):
     rng = np.random.Generator(np.random.PCG64(0))
     data = rng.lognormal(size=(n, 2))
@@ -541,49 +528,37 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
     with pytest.raises(DataError, match="schema_version"):
         model_from_dict({"kind": "zibt"})
     with pytest.raises(DataError, match="unknown model kind"):
-        model_from_dict({"schema_version": 1, "kind": "tree"})
+        model_from_dict({"schema_version": 2, "kind": "tree"})
     with pytest.raises(DataError, match="unknown model kind"):
-        model_from_dict({"schema_version": 1, "kind": ["zibt"]})
+        model_from_dict({"schema_version": 2, "kind": ["zibt"]})
     with pytest.raises(DataError, match="missing field"):
-        model_from_dict({"schema_version": 1, "kind": "kde", "centers": [[1.0]]})
+        model_from_dict({"schema_version": 2, "kind": "kde", "centers": [[1.0]]})
     with pytest.raises(DataError, match="JSON object"):
         model_from_dict([1, 2, 3])
 
     data_path = tmp_path / "train.csv"
     data = _toy_zibt_csv(data_path)
-    # Schema-1 files, which also hold copies of derived numbers; each copy
-    # must equal what it copies. The toy's first column has q = 0.2.
-    good = _schema_1(model_to_dict(fit_zibt(data)))
-    zicar = _schema_1(model_to_dict(fit_zicar(data, mask_kind="bernoulli")))
+    good = model_to_dict(fit_zibt(data))
+    zicar = model_to_dict(fit_zicar(data, mask_kind="bernoulli"))
     first, second = good["marginals"]
-    assert first["q"] == 0.2
-    mismatched = [good["rescales"][0], 10 * good["rescales"][1]]
+
+    def first_marginal(**fields):
+        return [{**first, **fields}, second]
+
     bad_fields = {
         "marginals": (5, [1, 2, 3])
-        + tuple([{**first, "kde_centers": c}, second] for c in ([], None, [[1.0]], [0.0], [-1.0, 2.0]))
-        + tuple([{**first, "bandwidth": h}, second] for h in (0.0, -1.0))
-        + tuple([{**first, "a": a}, second] for a in (5.0, None)),
+        + tuple(first_marginal(kde_centers=c) for c in ([], None, [[1.0]], [0.0], [-1.0, 2.0]))
+        + tuple(first_marginal(bandwidth=h) for h in (0.0, -1.0, math.inf))
+        + (first_marginal(rescale_b=math.inf),),
         "sigma": ("abc",),
-        "thresholds": (good["thresholds"][:1],),
-        "rescales": (mismatched, good["rescales"][:1]),
         "likelihood_mode": ("fast",),
     }
     for field, values in bad_fields.items():
         for value in values:
             with pytest.raises(DataError, match="malformed zibt model file"):
                 model_from_dict({**good, field: value})
-    zicar_first, zicar_second = zicar["marginals"]
-    for field, value in (
-        ("rescales", [zicar["rescales"][0], 10 * zicar["rescales"][1]]),
-        ("rescales", zicar["rescales"][:1]),
-        ("marginals", [{**zicar_first, "a": 5.0}, zicar_second]),
-        ("marginals", [{**zicar_first, "a": None}, zicar_second]),
-    ):
-        with pytest.raises(DataError, match="malformed zicar model file"):
-            model_from_dict({**zicar, field: value})
 
     # A non-finite number (JSON null or NaN) is refused, not scored as NaN.
-    # In a threshold, null stands for -inf, which is valid.
     def first_replaced(values, bad):
         if not isinstance(values, list):
             return bad
@@ -602,20 +577,21 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         for field in fields
         for bad in (None, math.nan)
     ]
-    non_finite += [
-        ({**good, "thresholds": first_replaced(good["thresholds"], math.nan)}, "zibt"),
-        *(({**good, "marginals": [{**first, "a": a}, second]}, "zibt") for a in (math.nan, math.inf)),
-    ]
     for payload, kind in non_finite:
         with pytest.raises(DataError, match=f"malformed {kind} model file"):
             model_from_dict(payload)
 
     # Through the command line a malformed file is a data error (exit 2); a
-    # well-formed sigma that is not positive definite is a numeric one (exit 3).
+    # well-formed sigma that is not positive definite is a numeric one
+    # (exit 3). Python's json reads Infinity, so an infinite marginal field
+    # must be refused as malformed rather than scored.
     model_path = tmp_path / "m.json"
     cases = (
         ({**good, "marginals": 5}, 2, "ERR:DATA"),
-        ({**good, "rescales": mismatched}, 2, "ERR:DATA malformed zibt model file"),
+        ({**good, "marginals": first_marginal(bandwidth=math.inf)}, 2,
+         "ERR:DATA malformed zibt model file"),
+        ({**good, "marginals": first_marginal(rescale_b=math.inf)}, 2,
+         "ERR:DATA malformed zibt model file"),
         (non_finite[0][0], 2, "ERR:DATA malformed gmm model file"),
         ({**good, "sigma": [[1.0, 2.0], [2.0, 1.0]]}, 3, "ERR:NUMERIC"),
     )
@@ -626,37 +602,41 @@ def test_model_from_dict_rejects_bad_payloads(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix)
 
 
-
 def test_schema_2_files_refuse_stray_keys(tmp_path, capsys):
     data_path = tmp_path / "train.csv"
     data = _toy_zibt_csv(data_path)
     zibt = model_to_dict(fit_zibt(data))
     zicar = model_to_dict(fit_zicar(data, mask_kind="rbm"))
-    # Schema-1 copies in a schema-2 file are not read, so they are refused,
-    # whether or not they equal what they copy.
+    # The copies of derived numbers that schema 1 also stored are not read,
+    # so they are refused, whether or not they equal what they copy.
     copies = {
         **zibt,
         "thresholds": [5.0, 5.0],
-        "rescales": _schema_1(zibt)["rescales"],
+        "rescales": [m["rescale_b"] for m in zibt["marginals"]],
         "marginals": [{**m, "a": 5.0} for m in zibt["marginals"]],
     }
+    with pytest.raises(DataError, match="malformed zibt model file: unexpected keys"):
+        model_from_dict(copies)
 
-    def marginal_extra(payload):
+    def marginal_extra(payload, **fields):
         first, *rest = payload["marginals"]
-        return {**payload, "marginals": [{**first, "extra": 1}, *rest]}
+        return {**payload, "marginals": [{**first, "extra": 1, **fields}, *rest]}
 
-    cases = (
-        (copies, "zibt"),
-        ({**zibt, "extra": 1}, "zibt"),
-        (marginal_extra(zibt), "zibt"),
-        ({**zicar, "extra": 1}, "zicar"),
-        (marginal_extra(zicar), "zicar"),
+    cases = [
         ({**zicar, "mask": {**zicar["mask"], "extra": 1}}, "zicar"),
         ({**model_to_dict(fit_gmm(data, 2)), "extra": 1}, "gmm"),
         ({**model_to_dict(fit_kde_multi(data)), "extra": 1}, "kde"),
-    )
+    ]
+    # A stray key is named before a bad field beside it.
+    for payload, kind in ((zibt, "zibt"), (zicar, "zicar")):
+        cases += [
+            ({**payload, "extra": 1}, kind),
+            (marginal_extra(payload), kind),
+            ({**payload, "extra": 1, "sigma": "abc"}, kind),
+            (marginal_extra(payload, bandwidth=-1.0), kind),
+        ]
     for payload, kind in cases:
-        with pytest.raises(DataError, match=f"malformed {kind} model file: unexpected keys"):
+        with pytest.raises(DataError, match=f"malformed {kind} model file: unexpected keys: extra"):
             model_from_dict(payload)
     model_path = tmp_path / "m.json"
     model_path.write_text(json.dumps(copies))
@@ -664,6 +644,7 @@ def test_schema_2_files_refuse_stray_keys(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERR:DATA malformed zibt model file: unexpected keys: rescales, thresholds")
+
 
 def test_model_files_write_their_documented_keys(tmp_path):
     data = _toy_zibt_csv(tmp_path / "train.csv")
@@ -689,59 +670,21 @@ def test_model_files_write_their_documented_keys(tmp_path):
             assert set(payload["mask"]) == mask_keys
 
 
-def test_schema_1_files_score_as_their_schema_2_form(tmp_path, capsys):
+def test_unsupported_schema_versions_are_refused(tmp_path, capsys):
+    # This build reads schema 2 only: schema 1 (written before schema 2,
+    # with copies of derived numbers) is refused like any other version.
     data_path = tmp_path / "train.csv"
     data = _toy_zibt_csv(data_path)
-    models = (
-        fit_zibt(data),
-        fit_zibt(data, likelihood_mode="exact"),
-        fit_zicar(data, mask_kind="bernoulli"),
-        fit_zicar(data, mask_kind="rbm"),
-    )
-    for i, model in enumerate(models):
-        payload = model_to_dict(model)
-        scores = []
-        for name, form in (("new", payload), ("old", _schema_1(payload))):
-            model_path = tmp_path / f"{name}{i}.json"
-            model_path.write_text(json.dumps(form))
-            out = tmp_path / f"{name}{i}.csv"
-            assert main(["score", "--model", str(model_path), "--data", str(data_path),
-                         "--out", str(out)]) == 0
-            scores.append(out.read_bytes())
-        assert scores[0] == scores[1]
-
-    model_path = tmp_path / "future.json"
-    model_path.write_text(json.dumps({**model_to_dict(models[0]), "schema_version": 3}))
-    assert main(["score", "--model", str(model_path), "--data", str(data_path),
-                 "--out", str(tmp_path / "s.csv")]) == 2
-    assert "unsupported schema_version: 3" in capsys.readouterr().err
-
-
-def test_schema_1_files_refuse_keys_they_never_wrote(tmp_path):
-    # Schema 1 wrote its models' fields plus "rescales", "thresholds" and
-    # each marginal's "a"; only those copies are set aside, and anything
-    # else is refused as in schema 2. A stray key is named before a bad
-    # field beside it.
-    data = _toy_zibt_csv(tmp_path / "train.csv")
-    for kind, model in (("zibt", fit_zibt(data)), ("zicar", fit_zicar(data, mask_kind="rbm"))):
-        old = _schema_1(model_to_dict(model))
-        first, *rest = old["marginals"]
-        cases = [
-            {**old, "extra": 1},
-            {**old, "marginals": [{**first, "extra": 1}, *rest]},
-            {**old, "extra": 1, "sigma": "abc"},
-            {**old, "marginals": [{**first, "extra": 1, "bandwidth": -1.0}, *rest]},
-        ]
-        if kind == "zicar":
-            cases.append({**old, "mask": {**old["mask"], "extra": 1}})
-        for payload in cases:
-            with pytest.raises(DataError, match=f"malformed {kind} model file: unexpected keys: extra"):
-                model_from_dict(payload)
-    for model in (fit_gmm(data, 2), fit_kde_multi(data)):
-        payload = {**model_to_dict(model), "schema_version": 1}
-        assert type(model_from_dict(payload)) is type(model)
-        with pytest.raises(DataError, match="unexpected keys: extra"):
-            model_from_dict({**payload, "extra": 1})
+    models = (fit_zibt(data), fit_zicar(data, mask_kind="rbm"), fit_gmm(data, 2),
+              fit_kde_multi(data))
+    model_path = tmp_path / "m.json"
+    for model, version in [(model, 1) for model in models] + [(models[0], 3)]:
+        model_path.write_text(json.dumps({**model_to_dict(model), "schema_version": version}))
+        assert main(["score", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"ERR:DATA unsupported schema_version: {version}; this build reads 2\n"
+        )
 
 
 def test_extreme_rows_score_without_nan_or_warnings(tmp_path):

@@ -159,7 +159,8 @@ def test_estimate_rho_error_cases(monkeypatch) -> None:
 
 @pytest.mark.parametrize("estimate", [
     lambda w: rc.estimate_rho(w[:, 0], w[:, 1], -math.inf, -math.inf),
-    lambda w: rc.assemble_sigma(w, np.full(2, -math.inf), use_mle=False),
+    lambda w: rc.assemble_sigma(w, np.full(2, -math.inf), use_mle=False,
+                                zero_mask=w == -math.inf),
 ], ids=["estimate_rho", "assemble_sigma"])
 def test_constant_coordinate_raises_without_numpy_warnings(estimate) -> None:
     w = np.column_stack([np.full(100, 5.0), np.random.default_rng(7).standard_normal(100)])
@@ -410,8 +411,8 @@ def test_assemble_sigma_pairwise_beats_plain_correlation() -> None:
     a = np.array([-0.2, 0.3, 0.0])
     p = _params(sigma, a)
     w = rc.sample_rgd(p, 10_000, seed=21)
-    with_mle = rc.assemble_sigma(w, a, use_mle=True)
-    without = rc.assemble_sigma(w, a, use_mle=False)
+    with_mle = rc.assemble_sigma(w, a, use_mle=True, zero_mask=w == a)
+    without = rc.assemble_sigma(w, a, use_mle=False, zero_mask=w == a)
     err_mle = float(np.linalg.norm(with_mle - sigma))
     err_plain = float(np.linalg.norm(without - sigma))
     assert err_mle <= 0.1
@@ -422,8 +423,8 @@ def test_assemble_sigma_flags_agree_without_ties() -> None:
     sigma = np.array([[1.0, 0.4], [0.4, 1.0]])
     a = np.array([-math.inf, -math.inf])
     w = rc.sample_rgd(_params(sigma, a), 5000, seed=6)
-    with_mle = rc.assemble_sigma(w, a, use_mle=True)
-    without = rc.assemble_sigma(w, a, use_mle=False)
+    with_mle = rc.assemble_sigma(w, a, use_mle=True, zero_mask=w == a)
+    without = rc.assemble_sigma(w, a, use_mle=False, zero_mask=w == a)
     assert np.allclose(with_mle, without, atol=1e-3)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from zicopula import synth_bench
 from zicopula.baselines import gmm_loglik_rows, kde_loglik_rows, tune_gmm, tune_kde
 from zicopula.errors import DataError
-from zicopula.mask_model import RbmMask
+from zicopula.mask_model import RbmMask, enumerate_states, mask_logprob_rows
 from zicopula.stat_core import std_normal_cdf, sub_seed
 from zicopula.synth_bench import (
     BANDWIDTH_GRID,
@@ -82,8 +83,6 @@ def test_zibt_zero_rates_match_thresholds():
 
 
 def test_zicar_zero_rates_match_mask_marginals():
-    from zicopula.mask_model import enumerate_states, mask_logprob_rows
-
     truth = make_ground_truth("zicar", 3, seed=0)
     states = enumerate_states(3)
     probs = np.exp(mask_logprob_rows(truth.mask_truth, states))
@@ -94,6 +93,34 @@ def test_zicar_zero_rates_match_mask_marginals():
         assert abs((x[:, j] == 0).mean() - p) <= 3.0 * se + 1e-12
     positives = x[x > 0]
     assert ((positives > 0) & (positives < 1)).all()
+
+
+@pytest.mark.parametrize("dim", [12, 13])
+def test_zicar_draw_matches_one_over_the_full_state_table(dim):
+    # At D = 12 the 2^12 states x 64 hidden units fill one block; at D = 13
+    # (91 hidden units) they take three. Either way each row's mask must be
+    # the one a single pass over enumerate_states draws.
+    truth = make_ground_truth("zicar", dim, seed=0)
+    rng = np.random.Generator(np.random.PCG64(4))
+    latent = rng.standard_normal((500, dim)) @ np.linalg.cholesky(truth.sigma_true).T
+    parent = np.column_stack([m.apply(latent[:, i]) for i, m in enumerate(truth.monotone_maps)])
+    states = enumerate_states(dim)
+    probs = np.exp(mask_logprob_rows(truth.mask_truth, states))
+    expected = states[rng.choice(states.shape[0], size=500, p=probs / probs.sum())] * parent
+    assert np.array_equal(sample_dataset(truth, 500, seed=4), expected)
+
+
+def test_zicar_truth_and_draw_hold_no_full_activation_table():
+    # A D = 16 truth has 2^16 states x 256 hidden units: one activation
+    # array over all of them is 134 MB. Walked in stat_core.blocks, the
+    # truth's log Z and a draw peak near two 2 MiB blocks.
+    tracemalloc.start()
+    try:
+        sample_dataset(make_ground_truth("zicar", 16, seed=0), 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_zibt_generator_self_consistency():
