@@ -687,6 +687,34 @@ def test_unsupported_schema_versions_are_refused(tmp_path, capsys):
         )
 
 
+def test_schema_1_files_refuse_keys_they_never_wrote(tmp_path):
+    # A schema-1 file with a key schema 1 never wrote, beside its copies of
+    # derived numbers or a bad field, is refused for its version before any
+    # key is read, so the refusal names the version and not the key.
+    data = _toy_zibt_csv(tmp_path / "train.csv")
+    for model in (fit_zibt(data), fit_zicar(data, mask_kind="rbm")):
+        new = model_to_dict(model)
+        old = {**new, "schema_version": 1,
+               "rescales": [m["rescale_b"] for m in new["marginals"]],
+               "marginals": [{**m, "a": 5.0} for m in new["marginals"]]}
+        first, *rest = old["marginals"]
+        cases = [
+            {**old, "extra": 1},
+            {**old, "marginals": [{**first, "extra": 1}, *rest]},
+            {**old, "extra": 1, "sigma": "abc"},
+            {**old, "marginals": [{**first, "extra": 1, "bandwidth": -1.0}, *rest]},
+        ]
+        if "mask" in old:
+            cases.append({**old, "mask": {**old["mask"], "extra": 1}})
+        for payload in cases:
+            with pytest.raises(DataError, match=r"^unsupported schema_version: 1; this build reads 2$"):
+                model_from_dict(payload)
+    for model in (fit_gmm(data, 2), fit_kde_multi(data)):
+        payload = {**model_to_dict(model), "schema_version": 1, "extra": 1}
+        with pytest.raises(DataError, match=r"^unsupported schema_version: 1; this build reads 2$"):
+            model_from_dict(payload)
+
+
 def test_extreme_rows_score_without_nan_or_warnings(tmp_path):
     # Rows up to the top of the float range, under the suite's
     # error::RuntimeWarning filter: every overflow stays where inf is the
