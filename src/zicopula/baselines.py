@@ -4,13 +4,14 @@ and product-kernel KDE, scored by log-likelihood like the main models."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
-from .stat_core import LOG_2PI, blocks, logsumexp_columns, pick_best
+from .stat_core import LOG_2PI, blocks, cholesky, logsumexp_columns, pick_best
 
 GMM_MAX_ITER = 500
 GMM_TOL = 1e-6
@@ -90,10 +91,7 @@ def _component_logpdfs(centered: np.ndarray, model: GmmModel) -> np.ndarray:
     """(k, n) log weight plus log normal density of each row under each
     component, all components in one batched Cholesky step; `centered` is
     `_centered(x, model.means)`."""
-    try:
-        lower = np.linalg.cholesky(model.covariances)
-    except np.linalg.LinAlgError:
-        raise NumericError("a mixture covariance is not positive definite") from None
+    lower = cholesky(model.covariances)
     with np.errstate(over="ignore"):  # a row past the float range is infinitely far
         white = np.linalg.inv(lower) @ centered
     quad = np.einsum("kdn,kdn->kn", white, white)
@@ -200,8 +198,8 @@ def fit_kde_multi(data, multiplier: float = 1.0) -> KdeModel:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("expected a nonempty 2-D data matrix")
-    if multiplier <= 0:
-        raise ValueError("bandwidth multiplier must be positive")
+    if not 0 < multiplier < math.inf:
+        raise ValueError(f"bandwidth multiplier must be positive and finite, got {multiplier!r}")
     return KdeModel(centers=x, bandwidths=_silverman_multi(x, multiplier))
 
 

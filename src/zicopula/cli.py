@@ -34,6 +34,7 @@ from .errors import DataError, NumericError
 from .marginals import MarginalModel
 from .mask_model import BernoulliMask, RbmMask, compute_log_z
 from .rgd_copula import DEFAULT_MC_SAMPLES
+from .stat_core import read_only
 from .synth_bench import (
     PRESETS,
     RESULT_COLUMNS,
@@ -90,11 +91,12 @@ def _read_csv(path, clip_negatives: bool) -> tuple:
     """Read a comma-separated matrix with a required header row; return the
     header's names and the matrix.
 
-    Blank lines are skipped. numpy parses the body in one call; when it
-    rejects the body or a value is not allowed, the lines are scanned again
-    in order to name the first bad one."""
+    Lines end at \r, \n or \r\n, as csv reads them; blank lines are
+    skipped. numpy parses the body in one call; when it rejects the body or
+    a value is not allowed, the lines are scanned again in order to name the
+    first bad one."""
     text = _read_text(path)
-    records = [line for line in text.splitlines() if not _blank(line)]
+    records = [line for line in io.StringIO(text, newline="") if not _blank(line)]
     if not records:
         raise DataError(f"{path} is empty")
     header = [c.strip() for c in next(csv.reader(records[:1]))]
@@ -179,14 +181,6 @@ def write_scores_csv(path, scores: np.ndarray) -> None:
 # model files
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float array: load_model may hand one model to several
-    commands, so none of them may write to its arrays."""
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 def _to_json(obj) -> dict:
     """Every dataclass field of a model, a marginal or a mask in its JSON form."""
     fields = dataclasses.fields(obj)
@@ -225,8 +219,12 @@ def _mask_from_json(d):
 
 # The JSON form of a model-file field: (to JSON, from JSON). _FIELDS names
 # the fields that are not float arrays; every other field of a model, a
-# marginal or a mask is one, read and written as _FLOATS.
-_FLOATS = (lambda values: np.asarray(values, dtype=float).tolist(), _frozen)
+# marginal or a mask is one, read and written as _FLOATS. It is read as a
+# read-only array: load_model may hand one model to several commands.
+_FLOATS = (
+    lambda values: np.asarray(values, dtype=float).tolist(),
+    lambda values: read_only(np.array(values, dtype=float)),
+)
 _FIELDS = {
     "marginals": (
         lambda marginals: [_to_json(m) for m in marginals],

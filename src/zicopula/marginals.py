@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .rgd_copula import DEFAULT_MC_SAMPLES, PatternTable, pattern_loglik_rows
-from .stat_core import blocks, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .stat_core import blocks, read_only, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 # Both copula models refuse to fit fewer training rows than this.
 MIN_FIT_ROWS = 50
@@ -84,6 +84,8 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 def fit_marginal(column, bandwidth_scale: float = 1.0) -> MarginalModel:
     """Fit zero rate and positive-part KDE for one nonnegative column."""
+    if not 0 < bandwidth_scale < math.inf:
+        raise ValueError(f"bandwidth_scale must be positive and finite, got {bandwidth_scale!r}")
     column = np.asarray(column, dtype=float)
     if column.ndim != 1 or column.size == 0:
         raise DataError("marginal fit needs a nonempty 1-D column")
@@ -165,7 +167,7 @@ def _grid_spectra(n_fft: int) -> tuple:
     step_kernel[d] = std_normal_cdf(d / k) - (d > 0) - 0.5 * (d == 0)
     step_spec = np.fft.rfft(step_kernel)
     for array in (gauss, rotation, *powers, step_spec):
-        array.setflags(write=False)
+        read_only(array)
     return gauss, rotation, tuple(powers), step_spec
 
 
@@ -230,8 +232,8 @@ class _KernelGrid:
         top = -first - 2 * int(lo) + reach  # the index of node -first - 2 lo
         at = _window(plain, first + reach, size)
         mirror = _window(plain, top + 1 - self.nodes, top + 1)[:, ::-1]
-        self.values = np.stack([(at[0] + mirror[0]) / (n * h), (at[1] - mirror[1]) / n])
-        self.values.flags.writeable = False  # a loaded model's grid serves many commands
+        # A loaded model's grid serves many commands.
+        self.values = read_only(np.stack([(at[0] + mirror[0]) / (n * h), (at[1] - mirror[1]) / n]))
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Density and CDF at x, each with the mask of points the grid

@@ -29,8 +29,11 @@ from .stat_core import (
     PROB_CEIL,
     PROB_FLOOR,
     bivariate_normal_cdf,
+    block_inverse,
+    cholesky,
     clamp_probability,
     mvn_orthant_logprob,
+    read_only,
     repair_correlation,
     std_normal_logcdf,
     std_normal_logpdf,
@@ -100,12 +103,7 @@ class ZeroPattern:
 def sample_rgd(params: RgdParams, n: int, seed: int) -> np.ndarray:
     """Draw n rows of max(a, nu) with nu ~ N(0, sigma); deterministic per seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    try:
-        lower = np.linalg.cholesky(params.sigma)
-    except np.linalg.LinAlgError:
-        raise NumericError("sigma is not positive definite") from None
-    z = rng.standard_normal((int(n), params.dim))
-    nu = z @ lower.T
+    nu = rng.standard_normal((int(n), params.dim)) @ cholesky(params.sigma).T
     return np.maximum(params.a, nu)
 
 
@@ -421,7 +419,8 @@ def assemble_sigma(
     else:
         if not (np.ptp(omega, axis=0) > 0).all():
             raise NumericError("sample correlation undefined (constant column)")
-        sigma = np.corrcoef(omega, rowvar=False)
+        # corrcoef of one column is 0-d.
+        sigma = np.corrcoef(omega, rowvar=False).reshape(d, d)
         np.fill_diagonal(sigma, 1.0)
     return repair_correlation(sigma)
 
@@ -444,20 +443,12 @@ class _Stack(NamedTuple):
     log_phi_a: np.ndarray | None  # (g,) sum log Phi(a_zero); exact, p < d
 
 
-def _read_only(*arrays) -> None:
-    """Make the arrays a table keeps read-only: a model's table serves every
-    command the model does, and none of them may write to it."""
-    for arr in arrays:
-        if arr is not None:
-            arr.flags.writeable = False
-
-
 def _join(old: _Stack | None, new: _Stack) -> _Stack:
-    """The slots of ``new`` after those of ``old`` (if any), read-only."""
+    """The slots of ``new`` after those of ``old`` (if any), read-only: a
+    model's table serves every command the model does."""
     if old is not None:
         new = _Stack(*(None if o is None else np.concatenate([o, n]) for o, n in zip(old, new)))
-    _read_only(*new)
-    return new
+    return _Stack(*map(read_only, new))
 
 
 class PatternTable:
@@ -478,9 +469,8 @@ class PatternTable:
     """
 
     def __init__(self, sigma, a=None) -> None:
-        self.sigma = np.array(sigma, dtype=float)
-        self.a = None if a is None else np.array(a, dtype=float)
-        _read_only(self.sigma, self.a)
+        self.sigma = read_only(np.array(sigma, dtype=float))
+        self.a = None if a is None else read_only(np.array(a, dtype=float))
         if self.a is not None and self.a.shape != self.sigma.shape[:1]:
             raise ValueError("thresholds must match sigma dimension")
         self._slots: dict[bytes, tuple[int, int]] = {}  # code -> (p, slot)
@@ -528,11 +518,11 @@ class PatternTable:
             s_oo = sigma[pos[:, :, None], pos[:, None, :]]
             chol = logdet = proj = cov = log_phi_a = None
             if p >= 2:
-                chol = _stacked_cholesky(s_oo)
+                chol = cholesky(s_oo)
                 logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
             if a is not None and p < d:
                 if p:
-                    gain = _stacked_inverse(s_oo, pos)
+                    gain = block_inverse(s_oo, pos)
                     s_fo = sigma[zero[:, :, None], pos[:, None, :]]
                     proj = s_fo @ gain
                     s_ff = sigma[zero[:, :, None], zero[:, None, :]]
@@ -601,23 +591,6 @@ def pattern_loglik_rows(
     return total - log_phi_a
 
 
-def _stacked_cholesky(blocks: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of covariance blocks; NumericError names
-    the condition number of the first that is not positive definite."""
-    try:
-        return np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        for block in blocks:
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raise NumericError(
-                    f"covariance is not positive definite (condition number "
-                    f"{float(np.linalg.cond(block)):.3e})"
-                ) from None
-        raise
-
-
 def _gaussian_block_logpdf(x: np.ndarray, low: np.ndarray, logdet: np.ndarray) -> np.ndarray:
     """log N(x_r; 0, low_r low_r^T) for each row r of x, by forward
     substitution on its Cholesky factor ``low_r`` of log-determinant
@@ -627,27 +600,6 @@ def _gaussian_block_logpdf(x: np.ndarray, low: np.ndarray, logdet: np.ndarray) -
     for i in range(p):
         sol[:, i] = (x[:, i] - np.einsum("rj,rj->r", low[:, i, :i], sol[:, :i])) / low[:, i, i]
     return -0.5 * (p * LOG_2PI + logdet + np.sum(sol * sol, axis=1))
-
-
-def _stacked_inverse(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of observed blocks; NumericError names the first
-    singular one by its coordinates ``index``."""
-    eye = np.eye(blocks.shape[1])
-    try:
-        inv = np.linalg.solve(blocks, np.broadcast_to(eye, blocks.shape))
-    except np.linalg.LinAlgError:
-        # Solve block by block to find the singular one.
-        inv = np.full(blocks.shape, np.nan)
-        for g, block in enumerate(blocks):
-            try:
-                inv[g] = np.linalg.solve(block, eye)
-            except np.linalg.LinAlgError:
-                pass
-    singular = ~np.isfinite(inv).all(axis=(1, 2))
-    if singular.any():
-        g = int(np.flatnonzero(singular)[0])
-        raise NumericError(f"observed block {tuple(int(i) for i in index[g])} is singular")
-    return inv
 
 
 def zero_pattern_logprob(

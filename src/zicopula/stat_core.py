@@ -1,11 +1,14 @@
 """Gaussian primitives shared by every other module.
 
 Scalar standard-normal helpers, the bivariate normal CDF through Owen's T,
-multivariate normal log-density, Gaussian conditioning, correlation-matrix
-repair, the one orthant log-probability (closed form up to two coordinates,
-a batched quasi-Monte Carlo estimator above), the blocks every chunked
-kernel sum is cut into, the seed derivation every seeded caller shares, and
-the held-out pick rule. All functions are pure; seeds are caller-supplied.
+the one factorisation layer every module factors through (Cholesky factors,
+per-item solves and block inverses, each failure one NumericError) and the
+one read-only rule for shared arrays, multivariate normal log-density,
+Gaussian conditioning, correlation-matrix repair, the one orthant
+log-probability (closed form up to two coordinates, a batched quasi-Monte
+Carlo estimator above), the blocks every chunked kernel sum is cut into,
+the seed derivation every seeded caller shares, and the held-out pick
+rule. All functions but read_only are pure; seeds are caller-supplied.
 """
 
 from __future__ import annotations
@@ -157,6 +160,60 @@ def bivariate_normal_cdf(a, b, rho):
     return float(out) if out.ndim == 0 else out
 
 
+def read_only(array):
+    """``array`` made read-only in place and returned (None passes through):
+    a loaded model or a cache hands its arrays to every caller it serves,
+    and none of them may write to them."""
+    if array is not None:
+        array.flags.writeable = False
+    return array
+
+
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of one covariance (d, d) or a stack (n, d, d);
+    NumericError names the condition number of the first block that is not
+    positive definite. LAPACK factors each block of a stack on its own."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        for block in cov.reshape(-1, *cov.shape[-2:]):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raise NumericError(
+                    f"covariance is not positive definite (condition number "
+                    f"{float(np.linalg.cond(block)):.3e})"
+                ) from None
+        raise
+
+
+def solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a[i], b[i]) for each item i of the stacks a (n, m, m)
+    and b (n, m, k), in one batched call; if an item is singular, every item
+    is solved on its own and a singular one is NaN."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (a_i, b_i) in enumerate(zip(a, b)):
+            try:
+                out[i] = np.linalg.solve(a_i, b_i)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def block_inverse(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of observed blocks (n, p, p); NumericError names
+    the first singular one by its coordinates ``index[i]``."""
+    inv = solve_each(stack, np.broadcast_to(np.eye(stack.shape[1]), stack.shape))
+    singular = ~np.isfinite(inv).all(axis=(1, 2))
+    if singular.any():
+        i = int(np.flatnonzero(singular)[0])
+        raise NumericError(f"observed block {tuple(int(k) for k in index[i])} is singular")
+    return inv
+
+
 def mvn_logpdf(x, cov) -> float | np.ndarray:
     """Zero-mean multivariate normal log-density via Cholesky factorization.
 
@@ -167,13 +224,7 @@ def mvn_logpdf(x, cov) -> float | np.ndarray:
     d = cov.shape[0]
     if cov.shape != (d, d):
         raise ValueError("covariance must be square")
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(cov))
-        raise NumericError(
-            f"covariance is not positive definite (condition number {cond:.3e})"
-        ) from None
+    lower = cholesky(cov)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     if pts.shape[1] != d:
@@ -219,17 +270,7 @@ def conditional_gaussian(
     s_oo = cov[obs[:, None], obs]
     s_fo = cov[free[:, None], obs]
     s_ff = cov[free[:, None], free]
-    try:
-        gain = np.linalg.solve(s_oo, np.eye(obs.size))
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            f"observed block {tuple(int(i) for i in obs)} is singular"
-        ) from None
-    if not np.all(np.isfinite(gain)):
-        raise NumericError(
-            f"observed block {tuple(int(i) for i in obs)} is singular"
-        )
-    proj = s_fo @ gain
+    proj = s_fo @ block_inverse(s_oo[None], obs[None])[0]
     mean = proj @ vals
     cc = s_ff - proj @ s_fo.T
     cc = 0.5 * (cc + cc.T)
@@ -374,16 +415,8 @@ def _minimax_tilt(samplers, dim: int) -> list[np.ndarray]:
         jac[:, m + diag, diag] -= 1.0
         jac[:, :m, m:] = np.swapaxes(jac[:, m:, :m], 1, 2)
         jac[:, m + diag, m + diag] = 1.0 + dmills[:, :m]
-        step = np.full((act.size, 2 * m), np.nan)
-        try:
-            step = np.linalg.solve(jac, grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # One singular Jacobian stops only its own row.
-            for i in range(act.size):
-                try:
-                    step[i] = np.linalg.solve(jac[i], grad[i])
-                except np.linalg.LinAlgError:
-                    pass
+        # A singular Jacobian's step is NaN: it stops only its own row.
+        step = solve_each(jac, grad[:, :, None])[:, :, 0]
         failed[act] = ~np.isfinite(step).all(axis=1)
         x[act, :m] -= step[:, :m]
         mu[act, :m] -= step[:, m:]
@@ -468,10 +501,7 @@ def _orthant_standardise(cov, upper) -> tuple[np.ndarray, np.ndarray]:
     corr = cov / (sd[:, :, None] * sd[:, None, :])
     corr = np.take_along_axis(corr, order[:, :, None], axis=1)
     corr = np.take_along_axis(corr, order[:, None, :], axis=2)
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        raise NumericError("orthant covariance is not positive definite") from None
+    chol = cholesky(corr)
     diag = np.diagonal(chol, axis1=1, axis2=2)
     return chol / diag[:, :, None] - np.eye(d), bound / diag
 
@@ -490,9 +520,7 @@ def _lattice(width: int, per_shift: int, seed: int) -> np.ndarray:
     shifts = np.random.Generator(np.random.PCG64(seed)).random((QMC_SHIFTS, 1, width))
     steps = np.arange(1, per_shift + 1)[None, :, None] * _richtmyer_generator(width)
     tent = np.abs(2.0 * ((steps + shifts) % 1.0) - 1.0).reshape(QMC_SHIFTS * per_shift, width)
-    log_u = np.log(np.maximum(tent, np.finfo(float).tiny))
-    log_u.flags.writeable = False
-    return log_u
+    return read_only(np.log(np.maximum(tent, np.finfo(float).tiny)))
 
 
 def _orthant_sample(

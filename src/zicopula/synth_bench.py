@@ -18,7 +18,7 @@ from .marginals import PositiveTerms, fit_positive_terms, terms_loglik_rows
 from .mask_model import (EXACT_FIT_MAX_DIM, RbmMask, compute_log_z, map_states,
                          mask_logprob_rows, states_of)
 from .rgd_copula import DEFAULT_MC_SAMPLES
-from .stat_core import pick_best, std_normal_quantile, sub_seed
+from .stat_core import cholesky, pick_best, std_normal_quantile, sub_seed
 from .zibt_model import fit_zibt_copula
 from .zicar_model import fit_zicar_copula
 
@@ -208,8 +208,7 @@ def sample_dataset(truth: GroundTruth, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     d = truth.dim
-    chol = np.linalg.cholesky(truth.sigma_true)
-    latent = rng.standard_normal((n, d)) @ chol.T
+    latent = rng.standard_normal((n, d)) @ cholesky(truth.sigma_true).T
 
     if truth.kind == "zicar":
         parent = np.column_stack(

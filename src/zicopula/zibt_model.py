@@ -30,7 +30,7 @@ from .rgd_copula import (
     assemble_sigma,
     zero_pattern_logprob,
 )
-from .stat_core import LOG_PROB_FLOOR, PROB_FLOOR, std_normal_quantile
+from .stat_core import LOG_PROB_FLOOR, PROB_FLOOR, read_only, std_normal_quantile
 
 # Stand-in threshold for variables that never hit zero in training: a test
 # zero there would otherwise sit at -inf and break the copula evaluation.
@@ -52,9 +52,8 @@ class ZibtModel(CopulaModel):
     @functools.cached_property
     def copula(self) -> RgdParams:
         """The rectified-copula law: sigma and the marginals' thresholds."""
-        a = np.array([m.a for m in self.marginals])
-        a.flags.writeable = False  # cached: every command a loaded model serves shares it
-        return RgdParams(self.sigma, a)
+        # Cached: every command a loaded model serves shares it.
+        return RgdParams(self.sigma, read_only(np.array([m.a for m in self.marginals])))
 
     def _orthant_thresholds(self) -> np.ndarray | None:
         if self.likelihood_mode == "approx":

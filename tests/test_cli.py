@@ -426,6 +426,22 @@ def test_negative_values_need_clip_flag(tmp_path):
     )
 
 
+def test_csv_records_end_only_where_csv_ends_them(tmp_path, capsys):
+    # A form feed or a line separator inside a line does not end a record:
+    # the line is one record of three fields, as the error scan reads it.
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    for sep in ("\x0c", "\u2028"):
+        data.write_text(f"x1,x2\n1,2\n3,4{sep}5,6\n7,8\n", encoding="utf-8", newline="")
+        assert main(["fit", "--data", str(data), "--model", "gmm", "--k", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "ERR:DATA line 3: expected 2 fields, got 3\n"
+        assert not out.exists()
+    # CRLF and lone-CR files read as LF ones.
+    for end in ("\r\n", "\r", "\n"):
+        data.write_text(end.join(["x1,x2", "1,2", "", "3,4", ""]), newline="")
+        np.testing.assert_array_equal(read_data_csv(data), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_data_csv_round_trip_exact(tmp_path):
     rng = np.random.Generator(np.random.PCG64(8))
     matrix = rng.lognormal(size=(20, 3))
@@ -812,6 +828,38 @@ def test_config_values_are_checked_as_their_flags(tmp_path, capsys):
     assert main(["fit", "--data", str(data_path), "--model", "zibt", "--out", str(by_config),
                  "--config", str(cfg)]) == 0
     assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+def test_bandwidth_multipliers_must_be_positive_and_finite(tmp_path, capsys):
+    # NaN, infinity and 0 are refused before any fit (NaN fails no `<= 0`
+    # check), from a flag or a config key alike.
+    data_path = tmp_path / "train.csv"
+    _toy_zibt_csv(data_path)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+    cases = (("bandwidth_mult", "kde", "bandwidth multiplier"),
+             ("bandwidth_scale", "zibt", "bandwidth_scale"),
+             ("bandwidth_scale", "zicar", "bandwidth_scale"))
+    for option, kind, name in cases:
+        fit = ["fit", "--data", str(data_path), "--model", kind, "--out", str(out)]
+        for value in (math.nan, math.inf, 0.0):
+            cfg.write_text(json.dumps({option: value}))
+            flag = "--" + option.replace("_", "-")
+            for flags in ([flag, str(value)], ["--config", str(cfg)]):
+                assert main([*fit, *flags]) == 1
+                assert capsys.readouterr().err == (
+                    f"ERR:USAGE {name} must be positive and finite, got {value!r}\n"
+                )
+                assert not out.exists()
+
+
+def test_one_column_zibt_fits_without_the_pairwise_mle(tmp_path):
+    # np.corrcoef of one column is 0-d; the plain correlation is [[1.0]].
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    assert main(["synth", "--kind", "zibt", "--dim", "1", "--rows", "300", "--seed", "0",
+                 "--out", str(data)]) == 0
+    assert main(["fit", "--data", str(data), "--model", "zibt", "--no-mle",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["sigma"] == [[1.0]]
 
 
 def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):

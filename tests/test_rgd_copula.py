@@ -428,6 +428,13 @@ def test_assemble_sigma_flags_agree_without_ties() -> None:
     assert np.allclose(with_mle, without, atol=1e-3)
 
 
+def test_assemble_sigma_of_one_column() -> None:
+    w = rc.sample_rgd(_params(np.eye(1), np.array([-0.3])), 200, seed=4)
+    for use_mle in (True, False):
+        sigma = rc.assemble_sigma(w, np.array([-0.3]), use_mle=use_mle, zero_mask=w == -0.3)
+        assert np.array_equal(sigma, [[1.0]])
+
+
 def _copula(p, omega, zero, exact):
     """pattern_loglik_rows for one row whose coordinates in `zero` are rectified."""
     positive = np.ones(p.dim, dtype=bool)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,54 @@ def test_mvn_logpdf_reports_conditioning_on_failure() -> None:
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericError, match="condition"):
         sc.mvn_logpdf([0.0, 0.0], bad)
+
+
+def _spd_stack(n: int, d: int, seed: int) -> np.ndarray:
+    base = np.random.default_rng(seed).normal(size=(n, d, 2 * d))
+    return base @ np.swapaxes(base, 1, 2) / (2 * d)
+
+
+def test_solve_each_gives_nan_for_a_singular_item_only() -> None:
+    a = _spd_stack(4, 3, 0)
+    a[2] = np.ones((3, 3))  # rank one
+    b = np.random.default_rng(1).normal(size=(4, 3, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b)
+    out = sc.solve_each(a, b)
+    assert np.isnan(out[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(out[i], np.linalg.solve(a[i], b[i]))
+    good = np.delete(a, 2, axis=0), np.delete(b, 2, axis=0)
+    assert np.array_equal(sc.solve_each(*good), np.linalg.solve(*good))
+
+
+def test_cholesky_names_the_first_failing_block() -> None:
+    stack = _spd_stack(3, 2, 2)
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    worse = np.array([[1.0, 3.0], [3.0, 1.0]])
+    assert np.array_equal(sc.cholesky(stack), np.linalg.cholesky(stack))
+    assert np.array_equal(sc.cholesky(stack[0]), np.linalg.cholesky(stack[0]))
+    stack[1], stack[2] = bad, worse
+    message = f"covariance is not positive definite (condition number {np.linalg.cond(bad):.3e})"
+    for blocks in (stack, bad):
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            sc.cholesky(blocks)
+
+
+def test_block_inverse_names_the_singular_block_by_its_coordinates() -> None:
+    stack = _spd_stack(3, 2, 3)
+    index = np.array([[0, 1], [0, 2], [1, 2]])
+    inv = sc.block_inverse(stack, index)
+    assert np.array_equal(inv, np.linalg.solve(stack, np.broadcast_to(np.eye(2), stack.shape)))
+    stack[1] = np.ones((2, 2))
+    with pytest.raises(NumericError, match=r"^observed block \(0, 2\) is singular$"):
+        sc.block_inverse(stack, index)
+
+
+def test_read_only_freezes_in_place_and_passes_none() -> None:
+    arr = np.zeros(3)
+    assert sc.read_only(arr) is arr and not arr.flags.writeable
+    assert sc.read_only(None) is None
 
 
 def test_conditional_gaussian_independence() -> None:

@@ -278,6 +278,13 @@ def test_run_benchmark_refuses_rbm_masks_past_their_width_before_drawing(monkeyp
         run_benchmark("zicar", 12, seeds=(0,))
 
 
+def test_one_column_zibt_benchmark_runs_every_tag():
+    # np.corrcoef of one column is 0-d; zibt-no-mle's plain sigma is 1 x 1.
+    rows = run_benchmark("zibt", 1, seeds=(0,))
+    assert [r.model_tag for r in rows] == list(default_variants("zibt"))
+    assert all(0.0 <= r.auc <= 1.0 for r in rows)
+
+
 def test_run_benchmark_rows_and_determinism():
     kwargs = dict(
         kind="zibt",
